@@ -33,6 +33,7 @@ from .solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     LinearModel,
+    SpectralBounds,
     pfbs,
     select_parameters,
     spectral_bounds,
@@ -210,7 +211,11 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Outcome of one method on one trial."""
+    """Outcome of one method on one trial.
+
+    ``stop_reason`` is the solver's :attr:`~proxlab.solver.PfbsResult.stop_reason`
+    (``"converged"`` for the closed-form LS rows).  It is not a CSV column.
+    """
 
     scenario: str
     method: str
@@ -220,7 +225,11 @@ class TrialRecord:
     x_hat: Point2
     mismatch_db: float
     iterations: int
-    converged: bool
+    stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     def row(self) -> tuple:
         return (
@@ -253,11 +262,13 @@ def system_mismatch(x_hat, x_true) -> float:
 
 def _generate_model(
     cfg: ScenarioConfig, trial_index: int, snr_db: float, x_true: Point2
-) -> tuple[LinearModel, int]:
+) -> tuple[LinearModel, SpectralBounds, int]:
+    """The trial's model, the spectral bounds of its design, and the number of redraws."""
     gen = stream(cfg.seed, SCENARIO_IDS[cfg.scenario], trial_index)
     resamples = 0
     if cfg.matrix_kind == "fixed":
         a = fixed_design_matrix()
+        bounds = spectral_bounds(a)
     else:
         for _ in range(_MAX_RESAMPLES):
             a = np.array([[gen.normal(), gen.normal()] for _ in range(cfg.m_rows)])
@@ -281,7 +292,7 @@ def _generate_model(
             power += v * v
         sigma = math.sqrt(power * 10.0 ** (-snr_db / 10.0) / cfg.m_rows)
         y = [v + sigma * gen.normal() for v in clean]
-    return LinearModel(a, np.array(y), x_true=x_true), resamples
+    return LinearModel(a, np.array(y), x_true=x_true), bounds, resamples
 
 
 def generate_model(cfg: ScenarioConfig, trial_index: int, snr_db: float) -> LinearModel:
@@ -305,7 +316,7 @@ def _least_squares(model: LinearModel) -> Point2:
 
 def _record(
     cfg: ScenarioConfig, method: str, trial: int, snr_db: float, x_true: Point2,
-    x_hat: Point2, iterations: int, converged: bool,
+    x_hat: Point2, iterations: int, stop_reason: str,
 ) -> TrialRecord:
     return TrialRecord(
         scenario=cfg.scenario,
@@ -316,7 +327,7 @@ def _record(
         x_hat=x_hat,
         mismatch_db=system_mismatch(x_hat, x_true),
         iterations=iterations,
-        converged=converged,
+        stop_reason=stop_reason,
     )
 
 
@@ -343,8 +354,7 @@ def scenario_a(cfg: ScenarioConfig) -> ScenarioAResult:
     and ``meta.json`` when an output directory is configured.
     """
     snr_db = cfg.snr_list_db[0]
-    model, _ = _generate_model(cfg, 0, snr_db, cfg.x_true)
-    bounds = spectral_bounds(model.a_matrix)
+    model, bounds, _ = _generate_model(cfg, 0, snr_db, cfg.x_true)
     params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu, cfg.tol, cfg.max_iter)
     mu = _solver_mu(cfg, params)
 
@@ -357,7 +367,7 @@ def scenario_a(cfg: ScenarioConfig) -> ScenarioAResult:
     for method, shrink in runs:
         res = pfbs(model, shrink, mu, tol=cfg.tol, max_iter=cfg.max_iter, record_trace=True)
         records.append(
-            _record(cfg, method, 0, snr_db, cfg.x_true, res.x_hat, res.iterations, res.converged)
+            _record(cfg, method, 0, snr_db, cfg.x_true, res.x_hat, res.iterations, res.stop_reason)
         )
         trajectories[method] = tuple(res.trajectory())
     records.sort(key=_sort_key)
@@ -373,12 +383,11 @@ def scenario_a(cfg: ScenarioConfig) -> ScenarioAResult:
 
 
 def _trial_records_b(cfg: ScenarioConfig, trial: int, snr_db: float) -> tuple[list[TrialRecord], int]:
-    model, resamples = _generate_model(cfg, trial, snr_db, cfg.x_true)
-    bounds = spectral_bounds(model.a_matrix)
+    model, bounds, resamples = _generate_model(cfg, trial, snr_db, cfg.x_true)
     params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu, cfg.tol, cfg.max_iter)
     mu = _solver_mu(cfg, params)
     out = [
-        _record(cfg, "LS", trial, snr_db, cfg.x_true, _least_squares(model), 0, True)
+        _record(cfg, "LS", trial, snr_db, cfg.x_true, _least_squares(model), 0, "converged")
     ]
     for method, shrink in (
         ("ROWL", rowl_shrinker(cfg.w_rowl)),
@@ -386,7 +395,7 @@ def _trial_records_b(cfg: ScenarioConfig, trial: int, snr_db: float) -> tuple[li
     ):
         res = pfbs(model, shrink, mu, tol=cfg.tol, max_iter=cfg.max_iter, record_trace=False)
         out.append(
-            _record(cfg, method, trial, snr_db, cfg.x_true, res.x_hat, res.iterations, res.converged)
+            _record(cfg, method, trial, snr_db, cfg.x_true, res.x_hat, res.iterations, res.stop_reason)
         )
     return out, resamples
 
@@ -401,25 +410,24 @@ def _trial_records_c(
     cfg: ScenarioConfig, trial: int, snr_db: float, x1: float
 ) -> tuple[list[TrialRecord], int]:
     x_true = Point2(x1, cfg.x_true.x2)
-    model, resamples = _generate_model(cfg, trial, snr_db, x_true)
-    bounds = spectral_bounds(model.a_matrix)
+    model, bounds, resamples = _generate_model(cfg, trial, snr_db, x_true)
     params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu, cfg.tol, cfg.max_iter)
     mu = _solver_mu(cfg, params)
 
-    out = [_record(cfg, "LS", trial, snr_db, x_true, _least_squares(model), 0, True)]
+    out = [_record(cfg, "LS", trial, snr_db, x_true, _least_squares(model), 0, "converged")]
     for method, shrink, step in (
         ("ROWL", rowl_shrinker(_rowl_weights_for(cfg, snr_db)), mu),
         ("eROWL", erowl_shrinker(ErowlParams(cfg.w_erowl, _solver_delta(cfg, params))), mu),
     ):
         res = pfbs(model, shrink, step, tol=cfg.tol, max_iter=cfg.max_iter, record_trace=False)
-        out.append(_record(cfg, method, trial, snr_db, x_true, res.x_hat, res.iterations, res.converged))
+        out.append(_record(cfg, method, trial, snr_db, x_true, res.x_hat, res.iterations, res.stop_reason))
 
     fp, mu_f = firm_rule(bounds, cfg.firm_lambda2, cfg.gamma_mu)
     res = pfbs(
         model, firm_shrinker(fp), mu_f,
         tol=cfg.tol, max_iter=cfg.max_iter, record_trace=False,
     )
-    out.append(_record(cfg, "firm", trial, snr_db, x_true, res.x_hat, res.iterations, res.converged))
+    out.append(_record(cfg, "firm", trial, snr_db, x_true, res.x_hat, res.iterations, res.stop_reason))
     return out, resamples
 
 

@@ -9,6 +9,7 @@ interpolation across its admissible interval.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 DIVERGENCE_NORM = 1e12
+#: Iterations between two exact-cycle checks of an untraced :func:`pfbs` run.
+CYCLE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -156,13 +159,25 @@ def select_parameters(
 
 @dataclass(frozen=True)
 class PfbsResult:
-    """Terminal iterate of the splitting iteration plus its recorded path."""
+    """Terminal iterate of the splitting iteration plus its recorded path.
+
+    ``stop_reason`` says how the run ended: ``"converged"``, ``"diverged"``,
+    ``"cycled"`` (an exact cycle was cut short; see :func:`pfbs`) or
+    ``"max_iter"``.
+    """
 
     x_hat: Point2
     iterations: int
-    converged: bool
-    diverged: bool
+    stop_reason: str
     trace: tuple[tuple[Point2, Point2], ...] | None
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
+
+    @property
+    def diverged(self) -> bool:
+        return self.stop_reason == "diverged"
 
     def trajectory(self) -> list[Point2]:
         """Flattened path ``x_0, x_{1/2}, x_1, ...`` ending at the terminal iterate."""
@@ -189,34 +204,55 @@ def pfbs(
     Stops when the iterate displacement drops to ``tol``; flags divergence
     when the iterate norm passes 1e12.  ``shrink`` maps a coordinate pair to a
     coordinate pair.  The trace stores ``(x_k, x_{k+1/2})`` per iteration.
+
+    Without a trace, the iterate's bit pattern is compared every
+    ``CYCLE_BLOCK`` iterations with the one a block earlier.  A match means
+    the iteration is periodic with a period dividing ``CYCLE_BLOCK``, so the
+    remaining whole blocks are skipped and only the last
+    ``(max_iter - iterations) % CYCLE_BLOCK`` iterations are run.  The result
+    is the one the full run gives (``iterations == max_iter``, not converged,
+    the same ``x_hat`` bits) with ``stop_reason == "cycled"``.  This assumes
+    ``shrink`` is a deterministic function of its input.  Cycles whose period
+    does not divide ``CYCLE_BLOCK`` still run to ``max_iter``.
     """
     if not (math.isfinite(mu) and mu > 0):
         raise ValueError(f"mu must be positive and finite, got {mu!r}")
     g11, g12, g22, c1, c2 = model.gram_terms()
     x1, x2 = Point2.of(x0)
     trace: list[tuple[Point2, Point2]] | None = [] if record_trace else None
+    max_iter = int(max_iter)
+    block = max_iter if record_trace else CYCLE_BLOCK
+    mark = None
     iterations = 0
-    converged = False
-    diverged = False
-    for _ in range(int(max_iter)):
-        h1 = x1 - mu * (g11 * x1 + g12 * x2 - c1)
-        h2 = x2 - mu * (g12 * x1 + g22 * x2 - c2)
-        n1, n2 = shrink((h1, h2))
-        if trace is not None:
-            trace.append((Point2(x1, x2), Point2(h1, h2)))
-        step = math.hypot(n1 - x1, n2 - x2)
-        x1, x2 = float(n1), float(n2)
-        iterations += 1
-        if math.hypot(x1, x2) > DIVERGENCE_NORM:
-            diverged = True
-            break
-        if step <= tol:
-            converged = True
-            break
+    stop_reason = "max_iter"
+    while iterations < max_iter:
+        for _ in range(min(block, max_iter - iterations)):
+            h1 = x1 - mu * (g11 * x1 + g12 * x2 - c1)
+            h2 = x2 - mu * (g12 * x1 + g22 * x2 - c2)
+            n1, n2 = shrink((h1, h2))
+            if trace is not None:
+                trace.append((Point2(x1, x2), Point2(h1, h2)))
+            step = math.hypot(n1 - x1, n2 - x2)
+            x1, x2 = float(n1), float(n2)
+            iterations += 1
+            if math.hypot(x1, x2) > DIVERGENCE_NORM:
+                stop_reason = "diverged"
+                break
+            if step <= tol:
+                stop_reason = "converged"
+                break
+        else:
+            bits = struct.pack("<dd", x1, x2)
+            if bits == mark and iterations < max_iter:
+                # Every later block repeats the last one: run only the tail.
+                iterations = max_iter - (max_iter - iterations) % block
+                stop_reason = "cycled"
+            mark = bits
+            continue
+        break  # converged or diverged
     return PfbsResult(
         x_hat=Point2(x1, x2),
         iterations=iterations,
-        converged=converged,
-        diverged=diverged,
+        stop_reason=stop_reason,
         trace=tuple(trace) if trace is not None else None,
     )

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .core import Point2, ProxSet, ScalarProxSet
 
@@ -251,6 +250,32 @@ def _brute_force_prox_1d(penalty, x: float, gamma: float, box: GridSpec) -> Scal
     raise ValueError(f"found {len(runs)} optimizer clusters; expected at most 2")
 
 
+def _clusters(mask: np.ndarray) -> list[np.ndarray]:
+    """8-connected components of a 2-D boolean mask, as sorted flat cell indices.
+
+    Components are numbered in row-major order of their first cell, as
+    ``scipy.ndimage.label`` numbers them with a 3x3 structure.
+    """
+    cells = [tuple(c) for c in np.argwhere(mask).tolist()]
+    unseen = set(cells)
+    width = mask.shape[1]
+    out = []
+    for start in cells:
+        if start not in unseen:
+            continue
+        unseen.remove(start)
+        stack, members = [start], []
+        while stack:
+            i, j = stack.pop()
+            members.append(i * width + j)
+            for nb in ((i + di, j + dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)):
+                if nb in unseen:
+                    unseen.remove(nb)
+                    stack.append(nb)
+        out.append(np.array(sorted(members)))
+    return out
+
+
 def _brute_force_prox_2d(penalty, x, gamma: float, box: GridSpec) -> ProxSet:
     mesh = box.mesh()
     p = Point2.of(x)
@@ -269,19 +294,19 @@ def _brute_force_prox_2d(penalty, x, gamma: float, box: GridSpec) -> ProxSet:
         or np.any(idx[:, 1] == box.shape[1] - 1)
     ):
         raise BoxTooSmallError("minimizer cluster touches the search-box boundary")
-    labels, nlab = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+    clusters = _clusters(mask)
+    flat_mesh = mesh.reshape(-1, 2)
 
-    def cluster_best(k: int) -> np.ndarray:
-        flat = np.flatnonzero((labels == k).reshape(-1))
-        i = _best_index(obj, flat)
-        return mesh.reshape(-1, 2)[i]
+    def cluster_best(flat: np.ndarray) -> np.ndarray:
+        return flat_mesh[_best_index(obj, flat)]
 
-    if nlab == 1:
-        cells = np.argwhere(labels == 1)
+    if len(clusters) == 1:
+        [flat] = clusters
+        cells = np.column_stack(np.unravel_index(flat, mask.shape))
         extent = cells.max(axis=0) - cells.min(axis=0)
         if max(extent) <= 3:
-            return ProxSet.single(cluster_best(1))
-        pts = mesh.reshape(-1, 2)[np.flatnonzero((labels == 1).reshape(-1))]
+            return ProxSet.single(cluster_best(flat))
+        pts = flat_mesh[flat]
         center = pts.mean(axis=0)
         dev = pts - center
         cov = dev.T @ dev
@@ -291,9 +316,9 @@ def _brute_force_prox_2d(penalty, x, gamma: float, box: GridSpec) -> ProxSet:
             raise ValueError("optimizer cluster spans a 2-D blob, not a segment")
         proj = dev @ axis_dir
         return ProxSet.segment(pts[int(np.argmin(proj))], pts[int(np.argmax(proj))])
-    if nlab == 2:
-        return ProxSet.point_pair(cluster_best(1), cluster_best(2))
-    raise ValueError(f"found {nlab} optimizer clusters; expected at most 2")
+    if len(clusters) == 2:
+        return ProxSet.point_pair(*(cluster_best(flat) for flat in clusters))
+    raise ValueError(f"found {len(clusters)} optimizer clusters; expected at most 2")
 
 
 def brute_force_prox(penalty, x, gamma: float, box: GridSpec):

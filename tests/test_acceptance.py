@@ -5,6 +5,7 @@ budget.  The long Monte Carlo runs are shared through session fixtures so the
 determinism check can reuse their outputs.
 """
 import dataclasses
+import hashlib
 import time
 
 import numpy as np
@@ -39,6 +40,41 @@ from proxlab.transform import (
 )
 
 W02 = WeightPair(0.0, 2.0)
+
+# sha256 of each run's output files, pinned from the code as it stood before
+# any performance work.  Box-Muller draws use libm log, sin and cos: a
+# mismatch on another platform is a finding to report, not a digest to re-pin.
+GOLDEN_SHA256 = {
+    "A": {
+        "trajectory_rowl.csv": "29198b715cee7e9142e174f48cb08c60d00eb25922b82cffc80c46c48e388e09",
+        "trajectory_erowl.csv": "2eddcafa4a3c486da51d855bfe80075fde8381f6a43c746a7dd13d9420d7d225",
+        "summary.csv": "3c224f506f75fa95d93ac5e4a82f5498e8556ba95716dbbdc8bbf15d83637ad7",
+    },
+    "B500": {
+        "records.csv": "1ac5ca82af8a45015e8b7ac721c50b47feeb308502abb197eae982d14c77de31",
+        "means.csv": "b05f5926541a9780b8a6f3100c3f065772be1a46c42f1512fa57897fb15f34b6",
+    },
+    "C500": {
+        "records.csv": "cbb1ffea16efc17de9648c6b47e32b57fac7f62d9dfa66279633350729d08b69",
+        "means.csv": "5056a06d73a5b8fd6f604ab41bbca829308fe10f1a6d255736cd19aebc20ae7d",
+    },
+    # scenario C defaults with 30 trials: nine ROWL solves cycle to max_iter
+    "C30": {
+        "records.csv": "fb94e110dec3740d0be4cf1a2dd4ca28ffd137019974d058bcbddcb45e29bdf1",
+        "means.csv": "706a70c7ad429a1639815c8d5024923f96fa699cb4d7f01f81681f1a92c4caa0",
+    },
+    # the full default scenario C: 55 ROWL solves cycle to max_iter
+    "C": {
+        "records.csv": "d4c86e7ddc2110782caf26f2a5312efa216fa9fc76efee41348921b08d9f28f0",
+        "means.csv": "9d96b22577560e048be302bb567a92de5b0089db56940cd9368db914168c0aa3",
+    },
+}
+
+
+def _assert_golden(run: str, out_path: str) -> None:
+    for name, digest in GOLDEN_SHA256[run].items():
+        with open(f"{out_path}/{name}", "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, f"{run} {name}"
 
 
 @pytest.fixture(scope="session")
@@ -298,3 +334,15 @@ def test_criterion_11_determinism(
         first = open(f"{cfg_c.out_path}/{name}", "rb").read()
         second = open(f"{again_c}/{name}", "rb").read()
         assert first == second, name
+
+
+def test_golden_digests_of_acceptance_runs(scenario_a_run, scenario_b_run, scenario_c_run):
+    for run, (cfg, _, _) in (("A", scenario_a_run), ("B500", scenario_b_run),
+                             ("C500", scenario_c_run)):
+        _assert_golden(run, cfg.out_path)
+
+
+@pytest.mark.parametrize("run, trials", [("C30", 30), ("C", 500)])
+def test_golden_digests_of_default_scenario_c(run, trials, tmp_path):
+    scenario_c(ScenarioConfig.scenario_c_defaults(trials=trials, out_path=str(tmp_path)))
+    _assert_golden(run, str(tmp_path))

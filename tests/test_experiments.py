@@ -176,7 +176,7 @@ def test_mean_mismatch_groups_and_averages():
         return TrialRecord(
             scenario="B", method=method, trial=0, snr_db=snr,
             x_true=Point2(x1, 1.0), x_hat=Point2(0.0, 0.0),
-            mismatch_db=db, iterations=1, converged=True,
+            mismatch_db=db, iterations=1, stop_reason="converged",
         )
 
     means = mean_mismatch(
@@ -191,7 +191,7 @@ def test_records_csv_round_trips_floats(tmp_path):
     r = TrialRecord(
         scenario="B", method="eROWL", trial=3, snr_db=20.0,
         x_true=Point2(0.01, 1.0), x_hat=Point2(1.0 / 3.0, -2.0 / 7.0),
-        mismatch_db=-12.345678901234567, iterations=42, converged=True,
+        mismatch_db=-12.345678901234567, iterations=42, stop_reason="converged",
     )
     path = tmp_path / "records.csv"
     write_records_csv(str(path), [r])
@@ -203,3 +203,15 @@ def test_records_csv_round_trips_floats(tmp_path):
     assert float(fields[6]) == 1.0 / 3.0  # 17 significant digits survive
     assert float(fields[7]) == -2.0 / 7.0
     assert fields[10] == "true"
+
+
+def test_records_carry_the_solver_stop_reason_outside_the_csv(tmp_path):
+    # A step of 1000 on the fixed design makes both shrinkage solves diverge.
+    cfg = ScenarioConfig.scenario_b_defaults(
+        trials=1, mu_override=1000.0, out_path=str(tmp_path))
+    records = scenario_b(cfg)
+    reasons = {r.method: r.stop_reason for r in records}
+    assert reasons == {"LS": "converged", "ROWL": "diverged", "eROWL": "diverged"}
+    assert "stop_reason" not in RECORD_COLUMNS
+    header = (tmp_path / "records.csv").read_text().splitlines()[0]
+    assert header == ",".join(RECORD_COLUMNS)

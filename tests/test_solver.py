@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from proxlab.core import Point2
 from proxlab.rng import Xoshiro256pp, stream
 from proxlab.scalar_ops import soft
 from proxlab.solver import (
+    CYCLE_BLOCK,
     LinearModel,
     SolverParams,
     SpectralBounds,
@@ -90,6 +92,7 @@ def test_pfbs_zero_data_fixed_point():
     model = LinearModel(np.eye(2), np.zeros(2))
     res = pfbs(model, lambda p: p, mu=0.5)
     assert res.converged and not res.diverged
+    assert res.stop_reason == "converged"
     assert res.iterations == 1
     assert (res.x_hat.x1, res.x_hat.x2) == (0.0, 0.0)
     assert len(res.trajectory()) == 3
@@ -154,8 +157,10 @@ def test_pfbs_traces_are_bitwise_reproducible():
 
 def test_pfbs_flags_divergence():
     model = LinearModel(np.eye(2), np.array([1.0, 1.0]))
-    res = pfbs(model, lambda p: p, mu=5.0, max_iter=10_000)
-    assert res.diverged and not res.converged
+    for record_trace in (True, False):
+        res = pfbs(model, lambda p: p, mu=5.0, max_iter=10_000, record_trace=record_trace)
+        assert res.diverged and not res.converged
+        assert res.stop_reason == "diverged"
 
 
 def test_pfbs_trace_controls():
@@ -173,6 +178,52 @@ def test_pfbs_trace_controls():
         bare.trajectory()
     with pytest.raises(ValueError):
         pfbs(model, lambda p: p, mu=0.0)
+
+
+# With A = I, y = 0 and mu = 1/2 the forward step is h = x / 2 exactly, so
+# these shrinks make x -> -x, x -> (x2, -x1) and x -> (x2, -x1 - x2): exact
+# orbits of period 2, 4 and 3 from any integer start.
+CYCLING_SHRINKS = {
+    2: lambda h: (-2.0 * h[0], -2.0 * h[1]),
+    4: lambda h: (2.0 * h[1], -2.0 * h[0]),
+    3: lambda h: (2.0 * h[1], -2.0 * h[0] - 2.0 * h[1]),
+}
+ORBIT_MODEL = LinearModel(np.eye(2), np.zeros(2))
+
+
+def _orbit_run(period, max_iter, record_trace):
+    calls = 0
+
+    def shrink(h):
+        nonlocal calls
+        calls += 1
+        return CYCLING_SHRINKS[period](h)
+
+    res = pfbs(ORBIT_MODEL, shrink, mu=0.5, x0=Point2(1.0, 3.0), max_iter=max_iter,
+               record_trace=record_trace)
+    return res, calls
+
+
+def _bits(p: Point2) -> bytes:
+    return struct.pack("<dd", p.x1, p.x2)
+
+
+@pytest.mark.parametrize("period", sorted(CYCLING_SHRINKS))
+@pytest.mark.parametrize("max_iter", [7, 64, 65, 100_000, 100_001])
+def test_untraced_pfbs_reports_what_the_full_run_reports(period, max_iter):
+    full, full_calls = _orbit_run(period, max_iter, record_trace=True)
+    fast, fast_calls = _orbit_run(period, max_iter, record_trace=False)
+    assert full_calls == full.iterations == max_iter
+    assert _bits(fast.x_hat) == _bits(full.x_hat)
+    assert (fast.iterations, fast.converged, fast.diverged) == (
+        full.iterations, full.converged, full.diverged)
+    assert full.stop_reason == "max_iter"
+    caught = period in (2, 4) and max_iter >= 2 * CYCLE_BLOCK
+    assert fast.stop_reason == ("cycled" if caught else "max_iter")
+    if caught:
+        assert fast_calls < 3 * CYCLE_BLOCK
+    else:
+        assert fast_calls == max_iter
 
 
 # ------------------------------------------------------------- rng streams

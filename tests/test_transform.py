@@ -176,6 +176,20 @@ def test_brute_force_prox_box_too_small():
         brute_force_prox(np.zeros_like, 0.0, 0.0, GridSpec.line(-2.0, 2.0, 0.1))
 
 
+def test_clusters_match_scipy_label_numbering():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    from proxlab.transform import _clusters
+
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        mask = rng.random(tuple(rng.integers(1, 20, size=2))) < rng.uniform(0.05, 0.7)
+        labels, n = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+        got = _clusters(mask)
+        assert len(got) == n
+        for k, flat in enumerate(got, start=1):
+            assert np.array_equal(flat, np.flatnonzero(labels.reshape(-1) == k))
+
+
 def test_default_prox_box_is_symmetric_about_the_query():
     box = default_prox_box(-3.0, 2.0, 0.05)
     ax = box.axes[0]
