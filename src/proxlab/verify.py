@@ -154,7 +154,7 @@ def _suite_erowl(seed: int) -> list[CheckResult]:
     out.append(_check("erowl", "operator is monotone", m >= -1e-10, f"min inner product {m:.2e}"))
     # The tie-filling slab stretches transversally to the diagonal by 1 + 1/delta.
     bound = 1.0 + 1.0 / params.delta
-    lip = check_lipschitz(op, bound=bound, pairs=400, seed=seed)
+    lip = check_lipschitz(op, pairs=400, seed=seed)
     out.append(_check("erowl", "operator is (1 + 1/delta)-Lipschitz", lip <= bound * (1.0 + 1e-9),
                       f"ratio {lip:.6f} vs bound {bound:.6f}"))
 

@@ -211,7 +211,7 @@ def test_criterion_06_operator_property_suite():
         op = lambda x: erowl(x, params)
         assert check_monotone(op, pairs=100_000, seed=11) >= -1e-10
         bound = 1.0 + 1.0 / delta
-        assert check_lipschitz(op, bound, pairs=100_000, seed=12) <= bound * (1.0 + 1e-6)
+        assert check_lipschitz(op, pairs=100_000, seed=12) <= bound * (1.0 + 1e-6)
 
         rng = np.random.default_rng(13)
         kept = 0

@@ -103,7 +103,7 @@ def test_operator_is_monotone_and_lipschitz(delta):
     op = lambda x: erowl(x, params)
     assert check_monotone(op, pairs=2000, seed=1) >= -1e-10
     bound = 1.0 + 1.0 / delta
-    assert check_lipschitz(op, bound, pairs=2000, seed=2) <= bound * (1.0 + 1e-6)
+    assert check_lipschitz(op, pairs=2000, seed=2) <= bound * (1.0 + 1e-6)
 
 
 def test_jacobian_is_symmetric_inside_regions():

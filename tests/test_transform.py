@@ -1,8 +1,10 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from proxlab import transform
 from proxlab.core import Point2, WeightPair
 from proxlab.rowl import rowl_envelope_2d, rowl_penalty
 from proxlab.scalar_ops import SQRT2, FirmParams, firm, l0_envelope, l0_norm
@@ -128,6 +130,50 @@ def test_envelope_grid_matches_planar_closed_form():
     assert np.max(np.abs(env.values[inner] - ref[inner])) <= 5e-2
 
 
+def _conjugate_reference(xs, vals, us):
+    # One unchunked score block per call: the definition of _conjugate_lines.
+    return np.max(xs[None, None, :] * us[None, :, None] - vals[:, None, :], axis=2)
+
+
+def _same_bits(a, b) -> bool:
+    # Stricter than np.array_equal: -0.0 and 0.0 differ.
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_conjugate_line_matches_unchunked_reference_bit_for_bit():
+    # 1201 samples leave 54 dual points per chunk; 1201 is not a multiple of 54.
+    grid = GridSpec.line(-6.0, 6.0, 0.01)
+    f = SampledFunction.sample(grid, lambda x: l0_norm(x) + 0.5 * x * x)
+    dual = GridSpec.line(-7.0, 7.0, 0.01)
+    got = legendre_conjugate_grid(f, dual)
+    ref = _conjugate_reference(grid.axes[0].points(), f.values[None, :], dual.axes[0].points())[0]
+    assert _same_bits(got.values, ref)
+
+
+def test_conjugate_box_matches_unchunked_reference_bit_for_bit():
+    # 300 rows of 220 samples exceed the 65,536-element chunk budget, so the
+    # first pass scores one dual column per chunk; the second pass takes 12
+    # columns per chunk, and 29 dual points are not a multiple of 12.  The
+    # samples are +inf off a disc, and whole rows of the box lie off it.
+    x0 = Axis(-3.0, 2.98, 0.02)
+    x1 = Axis(-2.19, 2.19, 0.02)
+    assert (x0.count, x1.count) == (300, 220)
+    grid = GridSpec.box(x0, x1)
+
+    def fn(z):
+        r2 = np.sum(z * z, axis=-1)
+        return np.where(r2 <= 4.0, rowl_penalty(z, W02.as_array()) + 0.5 * r2, np.inf)
+
+    f = SampledFunction.sample(grid, fn)
+    assert np.any(np.isinf(f.values)) and np.all(np.isinf(f.values[0]))
+    u0, u1 = Axis(-2.8, 2.8, 0.2), Axis(-1.6, 1.6, 0.2)
+    assert (u0.count, u1.count) == (29, 17)
+    got = legendre_conjugate_grid(f, GridSpec.box(u0, u1))
+    inner = _conjugate_reference(x1.points(), f.values, u1.points())
+    ref = _conjugate_reference(x0.points(), (-inner).T, u0.points()).T
+    assert _same_bits(got.values, ref)
+
+
 def test_conjugate_rejects_dimension_mismatch_and_empty_domain():
     f = SampledFunction.sample(GridSpec.line(-1.0, 1.0, 0.5), np.abs)
     with pytest.raises(ValueError):
@@ -174,6 +220,94 @@ def test_brute_force_prox_box_too_small():
         )
     with pytest.raises(ValueError):
         brute_force_prox(np.zeros_like, 0.0, 0.0, GridSpec.line(-2.0, 2.0, 0.1))
+
+
+class _Counting:
+    """A penalty that counts its evaluations and keeps the meshes it was given."""
+
+    def __init__(self, fn):
+        self.fn, self.calls, self.meshes = fn, 0, []
+
+    def __call__(self, z):
+        self.calls += 1
+        self.meshes.append(z)
+        return self.fn(z)
+
+
+class _Unhashable(_Counting):
+    def __eq__(self, other):
+        return self is other
+
+
+@pytest.mark.parametrize(
+    "penalty, envelope, box, points",
+    [
+        (
+            lambda z: rowl_penalty(z, W02.as_array()),
+            lambda z: rowl_envelope_2d(z, W02),
+            GridSpec.square(-6.0, 6.0, 0.05),
+            [(2.0, 2.0), (-1.5, 1.5)] + list(np.random.default_rng(4).uniform(-4.0, 4.0, (18, 2))),
+        ),
+        (
+            l0_norm,
+            l0_envelope,
+            GridSpec.line(-5.0, 5.0, 0.01),
+            [SQRT2, -SQRT2] + list(np.random.default_rng(4).uniform(-4.0, 4.0, 18)),
+        ),
+    ],
+    ids=["planar", "line"],
+)
+def test_verify_inclusion_samples_each_callable_once_per_box(penalty, envelope, box, points):
+    pen, env = _Counting(penalty), _Counting(envelope)
+    reports = [verify_inclusion(pen, env, x, box) for x in points]
+    assert (pen.calls, env.calls) == (1, 1)
+    assert not pen.meshes[0].flags.writeable
+
+    ax = box.axes[0]
+    wider = GridSpec((Axis(ax.lo, ax.hi + ax.step, ax.step),) * box.dims)
+    brute_force_prox(pen, points[0], 1.0, wider)
+    assert pen.calls == 2
+
+    for x, report in zip(points, reports):
+        # fresh lambdas miss the cache: every query evaluates them again
+        fresh = verify_inclusion(lambda z: penalty(z), lambda z: envelope(z), x, box)
+        assert pickle.dumps(report) == pickle.dumps(fresh)
+
+
+def test_sampled_arrays_are_read_only():
+    box = GridSpec.square(-1.0, 1.0, 0.5)
+    owned = np.zeros(box.shape)
+    mesh, values = transform._sampled(lambda z: owned, box)
+    assert not mesh.flags.writeable and not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        mesh[0, 0, 0] = 1.0
+    assert owned.flags.writeable  # the penalty's own array is left writable
+
+
+def test_unhashable_penalty_is_evaluated_directly():
+    box = GridSpec.line(-4.0, 4.0, 0.01)
+    pen = _Unhashable(l0_norm)
+    with pytest.raises(TypeError):
+        hash(pen)
+    for _ in range(2):
+        got = brute_force_prox(pen, SQRT2, 1.0, box)
+        fresh = brute_force_prox(lambda z: l0_norm(z), SQRT2, 1.0, box)
+        assert pickle.dumps(got) == pickle.dumps(fresh)
+    assert pen.calls == 2
+
+
+def test_penalties_evaluate_on_a_read_only_mesh():
+    planar = (lambda z: rowl_penalty(z, W02.as_array()), lambda z: rowl_envelope_2d(z, W02))
+    for box, fns in (
+        (GridSpec.square(-3.0, 3.0, 0.25), planar),
+        (GridSpec.line(-3.0, 3.0, 0.25), (l0_norm, l0_envelope)),
+    ):
+        frozen = box.mesh()
+        frozen.setflags(write=False)
+        for fn in fns:
+            assert np.array_equal(fn(frozen), fn(box.mesh()))
 
 
 def test_clusters_match_scipy_label_numbering():
@@ -288,12 +422,12 @@ def test_inclusion_is_reflexive_for_convex_functions():
 def test_checkers_on_reference_operators():
     ident = lambda x: x
     assert check_monotone(ident, pairs=500, seed=0) >= 0.0
-    assert check_lipschitz(ident, 1.0, pairs=500, seed=0) == pytest.approx(1.0)
+    assert check_lipschitz(ident, pairs=500, seed=0) == pytest.approx(1.0)
 
     params = FirmParams(1.0, 2.0)
     op = lambda x: firm(x, params)
     assert check_monotone(op, pairs=2000, seed=3) >= -1e-12
-    assert check_lipschitz(op, 2.0, pairs=2000, seed=3) <= 2.0 + 1e-9
+    assert check_lipschitz(op, pairs=2000, seed=3) <= 2.0 + 1e-9
 
 
 def test_jacobian_symmetry_defect_examples():
