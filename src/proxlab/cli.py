@@ -190,7 +190,7 @@ def _cmd_verify(args) -> int:
 
 
 def _experiment_config(args) -> ScenarioConfig:
-    overrides: dict = {"seed": args.seed, "out_path": args.out, "threads": args.threads}
+    overrides: dict = {"seed": args.seed, "out_path": args.out}
     if args.gamma_delta is not None:
         overrides["gamma_delta"] = args.gamma_delta
     if args.gamma_mu is not None:
@@ -271,7 +271,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--gamma-delta", type=float, dest="gamma_delta")
     p.add_argument("--gamma-mu", type=float, dest="gamma_mu")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=_cmd_experiment)
     return parser
 

@@ -9,7 +9,8 @@ Three scenarios on the model ``y = A x + noise`` with a 2-D ground truth:
 
 Every trial draws from its own counter-based stream keyed by
 ``(seed, scenario, trial)``, so record sets are bitwise reproducible under any
-execution order or thread count.  Output files are plain CSV with
+trial order.  A trial draws its design and its unit noise once and reuses
+them in each of its (SNR, x1) cells.  Output files are plain CSV with
 17-significant-digit decimals plus a ``meta.json`` of the resolved setup.
 """
 from __future__ import annotations
@@ -19,8 +20,7 @@ import json
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,7 +118,6 @@ class ScenarioConfig:
     rowl_w_by_snr: dict[float, WeightPair] | None = None
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
-    threads: int = 1
     out_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -128,8 +127,6 @@ class ScenarioConfig:
             raise ValueError(f"matrix_kind must be 'fixed' or 'gaussian', got {self.matrix_kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if not self.snr_list_db:
             raise ValueError("snr_list_db must be nonempty")
         if self.matrix_kind == "fixed" and self.m_rows != 2:
@@ -260,10 +257,14 @@ def system_mismatch(x_hat, x_true) -> float:
     return max(10.0 * math.log10(err / ref), MISMATCH_FLOOR_DB)
 
 
-def _generate_model(
-    cfg: ScenarioConfig, trial_index: int, snr_db: float, x_true: Point2
-) -> tuple[LinearModel, SpectralBounds, int]:
-    """The trial's model, the spectral bounds of its design, and the number of redraws."""
+def _draw_trial(
+    cfg: ScenarioConfig, trial_index: int
+) -> tuple[np.ndarray, SpectralBounds, int, list[float]]:
+    """The trial's design, its spectral bounds, the number of redraws, and its unit noise.
+
+    All come from the trial's own stream: a random design first (row major),
+    redrawn while singular, then one unit normal per row.
+    """
     gen = stream(cfg.seed, SCENARIO_IDS[cfg.scenario], trial_index)
     resamples = 0
     if cfg.matrix_kind == "fixed":
@@ -282,17 +283,22 @@ def _generate_model(
             )
         else:
             raise RuntimeError(f"could not draw a nonsingular design in {_MAX_RESAMPLES} tries")
-    rows = a.tolist()
-    clean = [r[0] * x_true.x1 + r[1] * x_true.x2 for r in rows]
+    noise = [gen.normal() for _ in range(cfg.m_rows)]
+    return a, bounds, resamples, noise
+
+
+def _observe(a: np.ndarray, noise: list[float], snr_db: float, x_true: Point2) -> LinearModel:
+    """The model ``y = A x_true + sigma * noise``, noiseless at infinite SNR."""
+    clean = [r[0] * x_true.x1 + r[1] * x_true.x2 for r in a.tolist()]
     if math.isinf(snr_db):
         y = clean
     else:
         power = 0.0
         for v in clean:
             power += v * v
-        sigma = math.sqrt(power * 10.0 ** (-snr_db / 10.0) / cfg.m_rows)
-        y = [v + sigma * gen.normal() for v in clean]
-    return LinearModel(a, np.array(y), x_true=x_true), bounds, resamples
+        sigma = math.sqrt(power * 10.0 ** (-snr_db / 10.0) / len(clean))
+        y = [v + sigma * z for v, z in zip(clean, noise)]
+    return LinearModel(a, np.array(y), x_true=x_true)
 
 
 def generate_model(cfg: ScenarioConfig, trial_index: int, snr_db: float) -> LinearModel:
@@ -301,9 +307,11 @@ def generate_model(cfg: ScenarioConfig, trial_index: int, snr_db: float) -> Line
     The stream is keyed by ``(seed, scenario, trial)``; a random design is
     drawn first (row major), then unit noise, scaled to the requested SNR via
     ``sigma^2 = ||A x_true||^2 10^(-snr/10) / M``.  An (almost surely
-    impossible) singular design is redrawn from the same stream.
+    impossible) singular design is redrawn from the same stream.  The noise
+    does not depend on the SNR or on ``x_true``.
     """
-    return _generate_model(cfg, trial_index, snr_db, cfg.x_true)[0]
+    a, _, _, noise = _draw_trial(cfg, trial_index)
+    return _observe(a, noise, snr_db, cfg.x_true)
 
 
 def _least_squares(model: LinearModel) -> Point2:
@@ -354,7 +362,8 @@ def scenario_a(cfg: ScenarioConfig) -> ScenarioAResult:
     and ``meta.json`` when an output directory is configured.
     """
     snr_db = cfg.snr_list_db[0]
-    model, bounds, _ = _generate_model(cfg, 0, snr_db, cfg.x_true)
+    a, bounds, _, noise = _draw_trial(cfg, 0)
+    model = _observe(a, noise, snr_db, cfg.x_true)
     params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu, cfg.tol, cfg.max_iter)
     mu = _solver_mu(cfg, params)
 
@@ -382,21 +391,29 @@ def scenario_a(cfg: ScenarioConfig) -> ScenarioAResult:
     return ScenarioAResult(tuple(records), trajectories)
 
 
-def _trial_records_b(cfg: ScenarioConfig, trial: int, snr_db: float) -> tuple[list[TrialRecord], int]:
-    model, bounds, resamples = _generate_model(cfg, trial, snr_db, cfg.x_true)
+def _cell_records(
+    cfg: ScenarioConfig, trial: int, snr_db: float, model: LinearModel, runs
+) -> list[TrialRecord]:
+    """LS plus one solve per ``(method, shrink, step)`` run on one cell's model."""
+    x_true = model.x_true
+    out = [_record(cfg, "LS", trial, snr_db, x_true, _least_squares(model), 0, "converged")]
+    for method, shrink, step in runs:
+        res = pfbs(model, shrink, step, tol=cfg.tol, max_iter=cfg.max_iter, record_trace=False)
+        out.append(_record(cfg, method, trial, snr_db, x_true, res.x_hat, res.iterations, res.stop_reason))
+    return out
+
+
+def _trial_records_b(cfg: ScenarioConfig, trial: int) -> tuple[list[TrialRecord], int]:
+    a, bounds, resamples, noise = _draw_trial(cfg, trial)
     params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu, cfg.tol, cfg.max_iter)
     mu = _solver_mu(cfg, params)
-    out = [
-        _record(cfg, "LS", trial, snr_db, cfg.x_true, _least_squares(model), 0, "converged")
-    ]
-    for method, shrink in (
-        ("ROWL", rowl_shrinker(cfg.w_rowl)),
-        ("eROWL", erowl_shrinker(ErowlParams(cfg.w_erowl, _solver_delta(cfg, params)))),
-    ):
-        res = pfbs(model, shrink, mu, tol=cfg.tol, max_iter=cfg.max_iter, record_trace=False)
-        out.append(
-            _record(cfg, method, trial, snr_db, cfg.x_true, res.x_hat, res.iterations, res.stop_reason)
-        )
+    runs = (
+        ("ROWL", rowl_shrinker(cfg.w_rowl), mu),
+        ("eROWL", erowl_shrinker(ErowlParams(cfg.w_erowl, _solver_delta(cfg, params))), mu),
+    )
+    out: list[TrialRecord] = []
+    for snr_db in cfg.snr_list_db:
+        out += _cell_records(cfg, trial, snr_db, _observe(a, noise, snr_db, cfg.x_true), runs)
     return out, resamples
 
 
@@ -406,28 +423,24 @@ def _rowl_weights_for(cfg: ScenarioConfig, snr_db: float) -> WeightPair:
     return cfg.w_rowl
 
 
-def _trial_records_c(
-    cfg: ScenarioConfig, trial: int, snr_db: float, x1: float
-) -> tuple[list[TrialRecord], int]:
-    x_true = Point2(x1, cfg.x_true.x2)
-    model, bounds, resamples = _generate_model(cfg, trial, snr_db, x_true)
+def _trial_records_c(cfg: ScenarioConfig, trial: int) -> tuple[list[TrialRecord], int]:
+    a, bounds, resamples, noise = _draw_trial(cfg, trial)
     params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu, cfg.tol, cfg.max_iter)
     mu = _solver_mu(cfg, params)
-
-    out = [_record(cfg, "LS", trial, snr_db, x_true, _least_squares(model), 0, "converged")]
-    for method, shrink, step in (
-        ("ROWL", rowl_shrinker(_rowl_weights_for(cfg, snr_db)), mu),
-        ("eROWL", erowl_shrinker(ErowlParams(cfg.w_erowl, _solver_delta(cfg, params))), mu),
-    ):
-        res = pfbs(model, shrink, step, tol=cfg.tol, max_iter=cfg.max_iter, record_trace=False)
-        out.append(_record(cfg, method, trial, snr_db, x_true, res.x_hat, res.iterations, res.stop_reason))
-
+    erowl = erowl_shrinker(ErowlParams(cfg.w_erowl, _solver_delta(cfg, params)))
     fp, mu_f = firm_rule(bounds, cfg.firm_lambda2, cfg.gamma_mu)
-    res = pfbs(
-        model, firm_shrinker(fp), mu_f,
-        tol=cfg.tol, max_iter=cfg.max_iter, record_trace=False,
-    )
-    out.append(_record(cfg, "firm", trial, snr_db, x_true, res.x_hat, res.iterations, res.stop_reason))
+    firm = firm_shrinker(fp)
+    sweep = cfg.x1_sweep if cfg.x1_sweep else (cfg.x_true.x1,)
+    out: list[TrialRecord] = []
+    for snr_db in cfg.snr_list_db:
+        runs = (
+            ("ROWL", rowl_shrinker(_rowl_weights_for(cfg, snr_db)), mu),
+            ("eROWL", erowl, mu),
+            ("firm", firm, mu_f),
+        )
+        for x1 in sweep:
+            model = _observe(a, noise, snr_db, Point2(x1, cfg.x_true.x2))
+            out += _cell_records(cfg, trial, snr_db, model, runs)
     return out, resamples
 
 
@@ -450,17 +463,14 @@ def _sort_key(r: TrialRecord):
     return (r.method, r.snr_db, r.x_true.x1, r.trial)
 
 
-def _run_tasks(cfg: ScenarioConfig, tasks, worker) -> tuple[list[TrialRecord], int]:
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(lambda t: worker(*t), tasks))
-    else:
-        results = [worker(*t) for t in tasks]
+def _run_tasks(cfg: ScenarioConfig, trials, worker) -> tuple[list[TrialRecord], int]:
+    """Run ``worker`` on each trial; sorted records and the number of resampled trials."""
     records: list[TrialRecord] = []
     resampled = 0
-    for recs, n in results:
+    for trial in trials:
+        recs, resamples = worker(cfg, trial)
         records.extend(recs)
-        resampled += n
+        resampled += resamples > 0
     records.sort(key=_sort_key)
     return records, resampled
 
@@ -471,8 +481,7 @@ def scenario_b(cfg: ScenarioConfig) -> list[TrialRecord]:
     Writes ``records.csv``, ``means.csv`` and ``meta.json`` when an output
     directory is configured.  Returns records sorted by method, SNR, trial.
     """
-    tasks = [(t, snr) for snr in cfg.snr_list_db for t in range(cfg.trials)]
-    records, resampled = _run_tasks(cfg, tasks, lambda t, s: _trial_records_b(cfg, t, s))
+    records, resampled = _run_tasks(cfg, range(cfg.trials), _trial_records_b)
     if cfg.out_path is not None:
         extra: dict = {"resampled_trials": resampled}
         if cfg.matrix_kind == "fixed":
@@ -485,12 +494,12 @@ def scenario_b(cfg: ScenarioConfig) -> list[TrialRecord]:
 
 
 def scenario_c(cfg: ScenarioConfig) -> list[TrialRecord]:
-    """Random-design trials sweeping the large truth component, firm shrinkage included."""
-    sweep = cfg.x1_sweep if cfg.x1_sweep else (cfg.x_true.x1,)
-    tasks = [
-        (t, snr, x1) for snr in cfg.snr_list_db for x1 in sweep for t in range(cfg.trials)
-    ]
-    records, resampled = _run_tasks(cfg, tasks, lambda t, s, x1: _trial_records_c(cfg, t, s, x1))
+    """Random-design trials sweeping the large truth component, firm shrinkage included.
+
+    Each trial draws its design and unit noise once and solves every
+    (SNR, x1) cell on them.
+    """
+    records, resampled = _run_tasks(cfg, range(cfg.trials), _trial_records_c)
     if cfg.out_path is not None:
         _write_run(cfg, records, {"resampled_trials": resampled})
     return records
@@ -561,7 +570,7 @@ def _jsonable(v):
 
 def _write_meta(cfg: ScenarioConfig, extra: dict) -> None:
     meta = {
-        "schema": 1,
+        "schema": 2,
         "scenario": cfg.scenario,
         "config": _jsonable(dataclasses.asdict(cfg)),
         "derived": _jsonable(extra),

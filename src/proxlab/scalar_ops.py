@@ -169,17 +169,22 @@ def firm_shrinker(params: FirmParams):
     lam1, lam2 = params.lambda1, params.lambda2
     gap = lam2 - lam1
 
-    def shrink_one(x: float) -> float:
-        a = abs(x)
-        if a <= lam1:
-            return 0.0
-        if a <= lam2:
-            s = -1.0 if x < 0 else 1.0
-            return s * lam2 * (a - lam1) / gap
-        return x
-
     def shrink(p):
         x1, x2 = p
-        return shrink_one(x1), shrink_one(x2)
+        a1 = abs(x1)
+        if a1 <= lam1:
+            y1 = 0.0
+        elif a1 <= lam2:
+            y1 = (-1.0 if x1 < 0 else 1.0) * lam2 * (a1 - lam1) / gap
+        else:
+            y1 = x1
+        a2 = abs(x2)
+        if a2 <= lam1:
+            y2 = 0.0
+        elif a2 <= lam2:
+            y2 = (-1.0 if x2 < 0 else 1.0) * lam2 * (a2 - lam1) / gap
+        else:
+            y2 = x2
+        return y1, y2
 
     return shrink

@@ -31,6 +31,12 @@ DEFAULT_MAX_ITER = 100_000
 DIVERGENCE_NORM = 1e12
 #: Iterations between two exact-cycle checks of an untraced :func:`pfbs` run.
 CYCLE_BLOCK = 64
+# With both coordinates below this in magnitude the iterate norm stays under
+# DIVERGENCE_NORM (7e11 * sqrt(2) < 9.9e11).
+_NORM_GUARD = 7e11
+# hypot(d1, d2) >= max(|d1|, |d2|) up to hypot's <= 1 ulp error, so a step
+# component past tol times this factor puts the step past tol (normal tol).
+_TOL_GUARD = 1.0 + 2.0 ** -50
 
 
 @dataclass(frozen=True)
@@ -221,6 +227,12 @@ def pfbs(
     x1, x2 = Point2.of(x0)
     trace: list[tuple[Point2, Point2]] | None = [] if record_trace else None
     max_iter = int(max_iter)
+    # Exact pre-filters: hypot is only taken where it can decide the test.
+    # A NaN coordinate makes the norm NaN unless the other one is infinite,
+    # and a NaN step component passes the step filter to hypot.
+    norm_hi, norm_lo = _NORM_GUARD, -_NORM_GUARD
+    tol_hi = tol * _TOL_GUARD
+    tol_lo = -tol_hi
     block = max_iter if record_trace else CYCLE_BLOCK
     mark = None
     iterations = 0
@@ -232,13 +244,16 @@ def pfbs(
             n1, n2 = shrink((h1, h2))
             if trace is not None:
                 trace.append((Point2(x1, x2), Point2(h1, h2)))
-            step = math.hypot(n1 - x1, n2 - x2)
+            d1 = n1 - x1
+            d2 = n2 - x2
             x1, x2 = float(n1), float(n2)
             iterations += 1
-            if math.hypot(x1, x2) > DIVERGENCE_NORM:
+            if (x1 >= norm_hi or x1 <= norm_lo or x2 >= norm_hi or x2 <= norm_lo) and (
+                    math.hypot(x1, x2) > DIVERGENCE_NORM):
                 stop_reason = "diverged"
                 break
-            if step <= tol:
+            if not (d1 > tol_hi or d1 < tol_lo or d2 > tol_hi or d2 < tol_lo) and (
+                    math.hypot(d1, d2) <= tol):
                 stop_reason = "converged"
                 break
         else:

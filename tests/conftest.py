@@ -1,4 +1,29 @@
-"""Prints a one-line verdict per acceptance criterion after the run."""
+"""Shared fixtures, and a one-line verdict per acceptance criterion after the run."""
+import pytest
+
+from proxlab import experiments
+
+
+@pytest.fixture
+def reversed_trials(monkeypatch):
+    """Make the experiments run their trials last to first.
+
+    Returns the list of trial indices in the order they ran, so a test can
+    check that the reversal took effect.
+    """
+    ran: list[int] = []
+    real = experiments._run_tasks
+
+    def run_reversed(cfg, trials, worker):
+        def traced(cfg, trial):
+            ran.append(trial)
+            return worker(cfg, trial)
+
+        return real(cfg, list(trials)[::-1], traced)
+
+    monkeypatch.setattr(experiments, "_run_tasks", run_reversed)
+    return ran
+
 
 CRITERIA = {
     "test_criterion_01_parameter_pipeline": (
@@ -51,7 +76,7 @@ CRITERIA = {
     ),
     "test_criterion_11_determinism": (
         "criterion 11 reruns of criteria 2, 9, 10 produce bitwise-identical "
-        "CSVs, including across thread counts"
+        "CSVs, including with the trials run in reverse order"
     ),
 }
 

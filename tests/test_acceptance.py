@@ -309,7 +309,7 @@ def test_criterion_10_scenario_c_ordering(scenario_c_run):
 
 
 def test_criterion_11_determinism(
-    scenario_a_run, scenario_b_run, scenario_c_run, tmp_path_factory
+    scenario_a_run, scenario_b_run, scenario_c_run, tmp_path_factory, reversed_trials
 ):
     cfg_a, _, _ = scenario_a_run
     again_a = tmp_path_factory.mktemp("scen_a_again")
@@ -321,7 +321,8 @@ def test_criterion_11_determinism(
 
     cfg_b, _, _ = scenario_b_run
     again_b = tmp_path_factory.mktemp("scen_b_again")
-    scenario_b(dataclasses.replace(cfg_b, out_path=str(again_b), threads=2))
+    scenario_b(dataclasses.replace(cfg_b, out_path=str(again_b)))
+    assert reversed_trials == list(range(cfg_b.trials))[::-1]
     for name in ("records.csv", "means.csv"):
         first = open(f"{cfg_b.out_path}/{name}", "rb").read()
         second = open(f"{again_b}/{name}", "rb").read()
@@ -329,7 +330,9 @@ def test_criterion_11_determinism(
 
     cfg_c, _, _ = scenario_c_run
     again_c = tmp_path_factory.mktemp("scen_c_again")
-    scenario_c(dataclasses.replace(cfg_c, out_path=str(again_c), threads=2))
+    reversed_trials.clear()
+    scenario_c(dataclasses.replace(cfg_c, out_path=str(again_c)))
+    assert reversed_trials == list(range(cfg_c.trials))[::-1]
     for name in ("records.csv", "means.csv"):
         first = open(f"{cfg_c.out_path}/{name}", "rb").read()
         second = open(f"{again_c}/{name}", "rb").read()

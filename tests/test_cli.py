@@ -52,6 +52,8 @@ def test_usage_errors_exit_one(capsys):
     assert rc == 1
     rc, _, err = run(capsys, "prox", "--op", "rowl", "--x", "1,1", "--w", "2,1")
     assert rc == 1  # decreasing weights rejected as a value error
+    rc, _, err = run(capsys, "experiment", "b", "--trials", "1", "--threads", "2")
+    assert rc == 1 and "--threads" in err  # the option is gone
 
 
 def test_envelope_point_values(capsys):
@@ -106,12 +108,14 @@ def test_experiment_a_writes_bundle(tmp_path, capsys):
         assert (out_dir / name).exists()
 
 
-def test_experiment_b_reruns_are_byte_identical(tmp_path, capsys):
+def test_experiment_b_reruns_are_byte_identical(tmp_path, capsys, request):
     d1, d2 = tmp_path / "one", tmp_path / "two"
-    for d, threads in ((d1, "1"), (d2, "2")):
-        rc, _, _ = run(capsys, "experiment", "b", "--trials", "3", "--snr", "20",
-                       "--out", str(d), "--threads", threads)
-        assert rc == 0
+    rc, _, _ = run(capsys, "experiment", "b", "--trials", "3", "--snr", "20", "--out", str(d1))
+    assert rc == 0
+    # the rerun takes its trials last to first
+    ran = request.getfixturevalue("reversed_trials")
+    rc, _, _ = run(capsys, "experiment", "b", "--trials", "3", "--snr", "20", "--out", str(d2))
+    assert rc == 0 and ran == [2, 1, 0]
     for name in ("records.csv", "means.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 

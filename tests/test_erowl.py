@@ -1,5 +1,9 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from proxlab.core import Point2, WeightPair, sorted_abs
 from proxlab.erowl import (
@@ -172,3 +176,45 @@ def test_shrinker_closure_matches_array_path():
     got = shrink((2.2, -1.8))
     ref = erowl(np.array([2.2, -1.8]), P1)
     assert got == pytest.approx(tuple(ref), abs=1e-14)
+
+
+@st.composite
+def erowl_cases(draw):
+    """Parameters plus a finite point on, next to, or away from one of the operator's gates."""
+    w1 = draw(st.floats(min_value=0.0, max_value=3.0))
+    w2 = w1 + draw(st.floats(min_value=0.0, max_value=3.0))
+    params = ErowlParams(WeightPair(w1, w2), draw(st.floats(min_value=1e-3, max_value=100.0)))
+    dp1, gate = params.delta + 1.0, params._axis_gate
+    a2 = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=8.0)))
+    a1 = draw(st.sampled_from([
+        draw(st.floats(min_value=0.0, max_value=8.0)),
+        0.0,
+        a2,                          # magnitude tie
+        params._diag_gate - a2,      # a1 + a2 on the diagonal gate
+        dp1 * a2 - gate,             # -a1 + (delta+1) a2 on the axis gate
+        (a2 + gate) / dp1,           # (delta+1) a1 - a2 on the axis gate
+        a2 + params.eta,             # |a1 - a2| on the slab edge
+        a2 - params.eta,
+        a2 + w1 / dp1,
+    ]))
+    toward = draw(st.sampled_from([math.inf, -math.inf]))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        a1 = math.nextafter(a1, toward)
+    x = [a1, a2]
+    if draw(st.booleans()):
+        x.reverse()
+    return params, tuple(-v if draw(st.booleans()) else v for v in x)
+
+
+@given(erowl_cases())
+@settings(max_examples=1000)
+# exactly on the slab edge |a1 - a2| = eta, where the slab and the
+# subtract-and-clip formulas round apart
+@example((ErowlParams(WeightPair(1.3239538048763637, 3.4095030969047477), 77.61171462613363),
+          (2.1773919364439474, -0.11837239639905572)))
+def test_shrinker_closure_matches_erowl_bit_for_bit(case):
+    params, x = case
+    got = erowl_shrinker(params)(x)
+    with np.errstate(all="ignore"):  # erowl evaluates every branch, including unused ones
+        want = erowl(np.array(x), params)
+    assert struct.pack("<2d", *got) == struct.pack("<2d", *want), (x, got, want)

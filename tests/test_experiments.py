@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -6,7 +7,9 @@ import os
 import numpy as np
 import pytest
 
+from proxlab import experiments
 from proxlab.core import Point2, WeightPair
+from proxlab.erowl import ErowlParams, erowl_shrinker
 from proxlab.experiments import (
     MISMATCH_FLOOR_DB,
     RECORD_COLUMNS,
@@ -22,8 +25,9 @@ from proxlab.experiments import (
     system_mismatch,
     write_records_csv,
 )
-from proxlab.scalar_ops import FirmParams
-from proxlab.solver import SpectralBounds, spectral_bounds
+from proxlab.rowl import rowl_shrinker
+from proxlab.scalar_ops import FirmParams, firm_shrinker
+from proxlab.solver import SpectralBounds, pfbs, select_parameters, spectral_bounds
 
 
 def test_fixed_design_matrix_and_its_spectrum():
@@ -47,8 +51,8 @@ def test_config_validation():
         ScenarioConfig.scenario_b_defaults(trials=0)
     with pytest.raises(ValueError):
         ScenarioConfig.scenario_b_defaults(matrix_kind="fixed", m_rows=4)
-    with pytest.raises(ValueError):
-        ScenarioConfig.scenario_b_defaults(threads=0)
+    with pytest.raises(TypeError):  # no thread-count field: trials run in one loop
+        ScenarioConfig.scenario_b_defaults(threads=2)
     with pytest.raises(ValueError):
         ScenarioConfig.scenario_b_defaults(snr_list_db=())
     with pytest.raises(ValueError):
@@ -143,11 +147,29 @@ def test_scenario_b_small_run_structure_and_replay(tmp_path):
     assert len(means_lines) == 1 + 3
 
 
-def test_scenario_b_threads_do_not_change_results():
-    cfg = ScenarioConfig.scenario_b_defaults(seed=11, trials=4)
-    seq = scenario_b(cfg)
-    par = scenario_b(dataclasses.replace(cfg, threads=2))
-    assert seq == par
+def _exact(records) -> list[str]:
+    """Records as exact text: ``repr`` round-trips every float and keeps the sign of zero."""
+    return [repr((r.row(), r.stop_reason)) for r in records]
+
+
+def _in_order_and_reversed(scenario, cfg, tmp_path, request):
+    """Exact records and CSV bytes of a run, then of a run with its trials last to first."""
+    def run(name):
+        records = scenario(dataclasses.replace(cfg, out_path=str(tmp_path / name)))
+        return _exact(records), {f: (tmp_path / name / f).read_bytes()
+                                 for f in ("records.csv", "means.csv")}
+
+    in_order = run("in_order")
+    ran = request.getfixturevalue("reversed_trials")
+    reversed_ = run("reversed")
+    assert ran == list(range(cfg.trials))[::-1]
+    return in_order, reversed_
+
+
+def test_scenario_b_trial_order_does_not_change_results(tmp_path, request):
+    cfg = ScenarioConfig.scenario_b_defaults(seed=11, trials=4, snr_list_db=(20.0, 10.0))
+    in_order, reversed_ = _in_order_and_reversed(scenario_b, cfg, tmp_path, request)
+    assert in_order == reversed_
 
 
 def test_scenario_b_noiseless_least_squares_is_exact():
@@ -169,6 +191,93 @@ def test_scenario_c_includes_firm_and_sweeps_truth():
     means = mean_mismatch(records)
     assert ("firm", 20.0, 1.5) in means
     assert all(math.isfinite(v) for v in means.values())
+
+
+def _cell_model(cfg, trial, snr_db, x1):
+    return generate_model(dataclasses.replace(cfg, x_true=Point2(x1, cfg.x_true.x2)), trial, snr_db)
+
+
+def _cell_reference(cfg, trial, snr_db, x1):
+    """One scenario C cell built on its own: its own model draw, bounds and shrinkers."""
+    model = _cell_model(cfg, trial, snr_db, x1)
+    bounds = spectral_bounds(model.a_matrix)
+    params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu)
+    fp, mu_f = firm_rule(bounds, cfg.firm_lambda2, cfg.gamma_mu)
+    w_rowl = cfg.rowl_w_by_snr.get(snr_db, cfg.w_rowl)
+    x_hat = {"LS": (experiments._least_squares(model), 0, "converged")}
+    for method, shrink, mu in (
+        ("ROWL", rowl_shrinker(w_rowl), params.mu),
+        ("eROWL", erowl_shrinker(ErowlParams(cfg.w_erowl, params.delta)), params.mu),
+        ("firm", firm_shrinker(fp), mu_f),
+    ):
+        res = pfbs(model, shrink, mu, tol=cfg.tol, max_iter=cfg.max_iter, record_trace=False)
+        x_hat[method] = (res.x_hat, res.iterations, res.stop_reason)
+    return [
+        TrialRecord("C", method, trial, snr_db, model.x_true, xh, system_mismatch(xh, model.x_true),
+                    iterations, reason)
+        for method, (xh, iterations, reason) in x_hat.items()
+    ]
+
+
+def _trial_reference(cfg, trial):
+    records = [r for snr_db in cfg.snr_list_db for x1 in cfg.x1_sweep
+               for r in _cell_reference(cfg, trial, snr_db, x1)]
+    return sorted(records, key=lambda r: (r.method, r.snr_db, r.x_true.x1))
+
+
+def test_scenario_c_cells_solve_the_models_generate_model_draws(monkeypatch):
+    # Each trial draws its design and noise once; every cell's model must still
+    # be the one generate_model draws for that (trial, SNR, x1) on its own.
+    cfg = ScenarioConfig.scenario_c_defaults(seed=7, trials=3, snr_list_db=(20.0, 10.0, math.inf))
+    solved = collections.Counter()
+    real_pfbs = experiments.pfbs
+
+    def recording_pfbs(model, *args, **kwargs):
+        solved[(model.a_matrix.tobytes(), model.y.tobytes(), model.x_true)] += 1
+        return real_pfbs(model, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "pfbs", recording_pfbs)
+    records = scenario_c(cfg)
+    expected = collections.Counter()
+    for trial in range(cfg.trials):
+        for snr_db in cfg.snr_list_db:
+            for x1 in cfg.x1_sweep:
+                model = _cell_model(cfg, trial, snr_db, x1)
+                expected[(model.a_matrix.tobytes(), model.y.tobytes(), model.x_true)] += 3
+    assert len(expected) == cfg.trials * 3 * len(cfg.x1_sweep)
+    assert solved == expected
+    for trial in range(cfg.trials):
+        got = [r for r in records if r.trial == trial]
+        assert _exact(got) == _exact(_trial_reference(cfg, trial))
+
+
+def test_scenario_c_counts_a_resampled_trial_once(monkeypatch, tmp_path):
+    cfg = ScenarioConfig.scenario_c_defaults(
+        seed=3, trials=3, x1_sweep=(1.5, 4.0), out_path=str(tmp_path))
+    rejected = generate_model(cfg, 1, 20.0).a_matrix
+    real_bounds = experiments.spectral_bounds
+
+    def reject_first_design_of_trial_1(a):
+        bounds = real_bounds(a)
+        return SpectralBounds(0.0, bounds.kappa) if np.array_equal(a, rejected) else bounds
+
+    monkeypatch.setattr(experiments, "spectral_bounds", reject_first_design_of_trial_1)
+    redrawn = generate_model(cfg, 1, 20.0).a_matrix
+    assert not np.array_equal(redrawn, rejected)
+
+    records = scenario_c(cfg)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    assert meta["schema"] == 2
+    assert meta["derived"]["resampled_trials"] == 1  # not once per (SNR, x1) cell
+    assert "threads" not in meta["config"]
+    got = [r for r in records if r.trial == 1]
+    assert _exact(got) == _exact(_trial_reference(cfg, 1))
+
+
+def test_scenario_c_trial_order_does_not_change_results(tmp_path, request):
+    cfg = ScenarioConfig.scenario_c_defaults(seed=5, trials=3, x1_sweep=(1.0, 3.5))
+    in_order, reversed_ = _in_order_and_reversed(scenario_c, cfg, tmp_path, request)
+    assert in_order == reversed_
 
 
 def test_mean_mismatch_groups_and_averages():

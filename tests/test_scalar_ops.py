@@ -1,13 +1,16 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proxlab.scalar_ops import (
     SQRT2,
     FirmParams,
     MCParams,
     firm,
+    firm_shrinker,
     hard,
     l0_envelope,
     l0_norm,
@@ -154,3 +157,28 @@ def test_soft_values():
     assert soft(2.0, 1.0) == 1.0
     assert soft(-0.5, 1.0) == 0.0
     assert soft(1.7, 0.0) == 1.7
+
+
+@st.composite
+def firm_cases(draw):
+    """Firm thresholds plus a point whose coordinates sit on, next to, or away from them."""
+    lam1 = draw(st.floats(min_value=1e-3, max_value=5.0))
+    lam2 = lam1 + draw(st.floats(min_value=1e-3, max_value=5.0))
+    special = [0.0, lam1, lam2]
+    special += [math.nextafter(v, d) for v in (lam1, lam2) for d in (-math.inf, math.inf)]
+
+    def coordinate():
+        v = draw(st.one_of(st.sampled_from(special), st.floats()))
+        return -v if draw(st.booleans()) else v
+
+    return FirmParams(lam1, lam2), (coordinate(), coordinate())
+
+
+@given(firm_cases())
+@settings(max_examples=500)
+def test_firm_shrinker_matches_firm_bit_for_bit(case):
+    params, (x1, x2) = case
+    got = firm_shrinker(params)((x1, x2))
+    with np.errstate(over="ignore"):  # firm evaluates its ramp at huge inputs too
+        want = (firm(x1, params), firm(x2, params))
+    assert struct.pack("<2d", *got) == struct.pack("<2d", *want)

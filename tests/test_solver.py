@@ -3,12 +3,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proxlab.core import Point2
 from proxlab.rng import Xoshiro256pp, stream
 from proxlab.scalar_ops import soft
 from proxlab.solver import (
     CYCLE_BLOCK,
+    DEFAULT_TOL,
+    DIVERGENCE_NORM,
     LinearModel,
     SolverParams,
     SpectralBounds,
@@ -224,6 +227,102 @@ def test_untraced_pfbs_reports_what_the_full_run_reports(period, max_iter):
         assert fast_calls < 3 * CYCLE_BLOCK
     else:
         assert fast_calls == max_iter
+
+
+# ------------------------------------------- stopping tests against hypot
+
+
+def _reference_pfbs(shrink, tol, max_iter):
+    """The splitting loop on ORBIT_MODEL with the unconditional hypot stopping tests."""
+    x1 = x2 = 0.0
+    for k in range(1, max_iter + 1):
+        n1, n2 = shrink((0.5 * x1, 0.5 * x2))  # h = x - (x - 0) / 2
+        step = math.hypot(n1 - x1, n2 - x2)
+        x1, x2 = float(n1), float(n2)
+        if math.hypot(x1, x2) > DIVERGENCE_NORM:
+            return x1, x2, k, "diverged"
+        if step <= tol:
+            return x1, x2, k, "converged"
+    return x1, x2, max_iter, "max_iter"
+
+
+def _scripted(points):
+    """A shrink that returns ``points`` in turn, then repeats the last; its calls are counted."""
+    calls = []
+
+    def shrink(h):
+        calls.append(h)
+        return points[min(len(calls), len(points)) - 1]
+
+    return shrink, calls
+
+
+def _assert_stops_like_reference(points, tol=DEFAULT_TOL):
+    # max_iter stays below one cycle-check block, so both loops run every iteration.
+    max_iter = CYCLE_BLOCK // 2
+    shrink, calls = _scripted(points)
+    x1, x2, iterations, reason = _reference_pfbs(shrink, tol, max_iter)
+    finite = math.isfinite(x1) and math.isfinite(x2)
+    traced_too = all(math.isfinite(v) for p in points for v in p)  # a trace holds Point2s
+    for record_trace in (False, True) if traced_too else (False,):
+        shrink, got_calls = _scripted(points)
+        if finite:
+            res = pfbs(ORBIT_MODEL, shrink, 0.5, tol=tol, max_iter=max_iter,
+                       record_trace=record_trace)
+            assert (_bits(res.x_hat), res.iterations, res.stop_reason) == (
+                struct.pack("<dd", x1, x2), iterations, reason)
+        else:  # a non-finite final iterate is no Point2
+            with pytest.raises(ValueError):
+                pfbs(ORBIT_MODEL, shrink, 0.5, tol=tol, max_iter=max_iter,
+                     record_trace=record_trace)
+        assert len(got_calls) == len(calls)
+
+
+def _ulps(v):
+    return (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))
+
+
+TOL_DIAG = DEFAULT_TOL / math.sqrt(2.0)
+STOPPING_CASES = (
+    # steps exactly at tol and one ulp either side, on an axis, on the diagonal,
+    # and at the pre-filter's own margin
+    [[(t, 0.0)] for t in _ulps(DEFAULT_TOL)]
+    + [[(0.0, -t)] for t in _ulps(DEFAULT_TOL)]
+    + [[(t, t)] for t in _ulps(TOL_DIAG)]
+    + [[(t, -TOL_DIAG)] for t in _ulps(TOL_DIAG)]
+    + [[(t, 0.0)] for t in _ulps(DEFAULT_TOL * (1.0 + 2.0 ** -50))]
+    + [[(1.0, 2.0), (1.0 + t, 2.0)] for t in (DEFAULT_TOL, 2 * DEFAULT_TOL)]
+    # iterates either side of the 7e11 pre-filter and of the 1e12 divergence norm
+    + [[(v, 0.0)] for v in _ulps(7e11)]
+    + [[(v, -v)] for v in _ulps(7e11)]
+    + [[(-v, 0.0)] for v in _ulps(DIVERGENCE_NORM)]
+    + [[(0.0, v)] for v in _ulps(DIVERGENCE_NORM)]
+    + [[(v, v)] for v in _ulps(DIVERGENCE_NORM / math.sqrt(2.0))]
+    # NaN and infinite iterates, and steps that overflow
+    + [[(math.nan, 0.0), (1.0, 2.0)], [(math.nan, 8e11), (1.0, 2.0)], [(0.0, math.nan)]]
+    + [[(math.inf, 0.0)], [(math.nan, -math.inf)], [(1.0, math.inf)]]
+    + [[(0.0, 1.7e308), (0.0, -1.7e308)], [(math.nan, 1.7e308), (math.nan, -1.7e308)]]
+)
+
+
+@pytest.mark.parametrize("points", STOPPING_CASES, ids=repr)
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.0, math.inf])
+def test_pfbs_stopping_tests_match_unconditional_hypot(points, tol):
+    _assert_stops_like_reference(points, tol)
+
+
+boundary = st.sampled_from(
+    [0.0, 1.0, math.nan, math.inf, 1.7e308, DIVERGENCE_NORM / math.sqrt(2.0)]
+    + [v for b in (DEFAULT_TOL, TOL_DIAG, 7e11, DIVERGENCE_NORM) for v in _ulps(b)])
+signed = st.tuples(st.one_of(boundary, st.floats()), st.booleans()).map(
+    lambda vs: -vs[0] if vs[1] else vs[0])
+
+
+@given(st.lists(st.tuples(signed, signed), min_size=1, max_size=4),
+       st.sampled_from([DEFAULT_TOL, 0.0, 1.0, 5e-324, math.inf]))
+@settings(max_examples=300)
+def test_pfbs_stops_like_the_unconditional_hypot_loop(points, tol):
+    _assert_stops_like_reference(points, tol)
 
 
 # ------------------------------------------------------------- rng streams
