@@ -3,10 +3,14 @@ desk-scale recovery experiments on 2-D linear models.
 
 The package splits into:
 
-* :mod:`proxlab.core` — planar points, weight pairs, set-valued results;
+* :mod:`proxlab.core` — planar points, weight pairs, and the set-valued
+  prox results ``ProxSet`` and ``ScalarProxSet``;
 * :mod:`proxlab.scalar_ops` — zero-counting penalties and 1-D shrinkage;
 * :mod:`proxlab.rowl` — ordered weighted l1 penalty, prox, and envelope;
-* :mod:`proxlab.erowl` — the single-valued relaxed operator family;
+  ``rowl_shrinker`` is the prox's single-valued selection for solvers;
+* :mod:`proxlab.erowl` — the single-valued relaxed operator family,
+  vectorized (``erowl``) and as a per-point solver closure
+  (``erowl_shrinker``);
 * :mod:`proxlab.transform` — grid conjugation, brute-force proxes, graph
   surgery between shrinkage families, operator checks;
 * :mod:`proxlab.solver` — proximal forward-backward splitting and step rules;
@@ -16,10 +20,7 @@ from .core import (
     Point2,
     ProxSet,
     ScalarProxSet,
-    SignedPermutation,
     WeightPair,
-    sorted_abs,
-    unsort,
 )
 from .erowl import (
     ErowlParams,
@@ -27,7 +28,6 @@ from .erowl import (
     classify_region,
     erowl,
     erowl_limit,
-    erowl_point,
     erowl_shrinker,
     reparameterize,
 )
@@ -95,11 +95,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Point2",
     "WeightPair",
-    "SignedPermutation",
     "ProxSet",
     "ScalarProxSet",
-    "sorted_abs",
-    "unsort",
     "MCParams",
     "FirmParams",
     "l0_norm",
@@ -120,7 +117,6 @@ __all__ = [
     "Region",
     "classify_region",
     "erowl",
-    "erowl_point",
     "erowl_limit",
     "erowl_shrinker",
     "reparameterize",

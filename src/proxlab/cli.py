@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .core import Point2, WeightPair
-from .erowl import ErowlParams, erowl_point
+from .erowl import ErowlParams, erowl_shrinker
 from .experiments import (
     ScenarioConfig,
     mean_mismatch,
@@ -130,7 +130,7 @@ def _cmd_prox(args) -> int:
         _print_point_set(prox_rowl_envelope_2d(x, w))
     else:  # erowl
         delta = float(_need(args, "delta"))
-        y = erowl_point(x.x1, x.x2, ErowlParams(w, delta))
+        y = erowl_shrinker(ErowlParams(w, delta))((x.x1, x.x2))
         print(f"{_fmt(y[0])},{_fmt(y[1])}")
     return 0
 

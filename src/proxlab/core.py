@@ -1,4 +1,9 @@
-"""Planar value types, signed-permutation bookkeeping, and set-valued prox results."""
+"""Planar value types and set-valued prox results.
+
+A planar prox returns a :class:`ProxSet` of kind ``single``, ``pair`` or
+``segment``; a scalar prox returns a :class:`ScalarProxSet` of kind
+``single``, ``pair`` or ``interval``.
+"""
 from __future__ import annotations
 
 import math
@@ -9,11 +14,8 @@ import numpy as np
 __all__ = [
     "Point2",
     "WeightPair",
-    "SignedPermutation",
     "ProxSet",
     "ScalarProxSet",
-    "sorted_abs",
-    "unsort",
 ]
 
 
@@ -91,51 +93,6 @@ class WeightPair:
     def __iter__(self):
         yield self.w1
         yield self.w2
-
-
-@dataclass(frozen=True)
-class SignedPermutation:
-    """Sign change plus optional swap taking a sorted-magnitude point back to its original frame."""
-
-    sign1: float
-    sign2: float
-    swapped: bool
-
-    def __post_init__(self) -> None:
-        if self.sign1 not in (-1.0, 1.0) or self.sign2 not in (-1.0, 1.0):
-            raise ValueError("signs must be +1 or -1")
-
-    def apply(self, y) -> Point2:
-        """Undo the sort and restore signs: maps sorted_abs(x)[0] back to x."""
-        p = Point2.of(y)
-        a, b = (p.x2, p.x1) if self.swapped else (p.x1, p.x2)
-        return Point2(self.sign1 * a, self.sign2 * b)
-
-    def invert(self, p) -> Point2:
-        """Inverse of :meth:`apply`: strips signs and re-sorts into the canonical frame."""
-        q = Point2.of(p)
-        a, b = self.sign1 * q.x1, self.sign2 * q.x2
-        return Point2(b, a) if self.swapped else Point2(a, b)
-
-
-def sorted_abs(x) -> tuple[Point2, SignedPermutation]:
-    """Magnitudes sorted in nonincreasing order plus the permutation that undoes the sort.
-
-    Ties keep the identity permutation, and the sign of a zero component is
-    taken as +1, so the round trip ``unsort(*sorted_abs(x))`` is exact.
-    """
-    p = Point2.of(x)
-    a1, a2 = abs(p.x1), abs(p.x2)
-    s1 = -1.0 if p.x1 < 0 else 1.0
-    s2 = -1.0 if p.x2 < 0 else 1.0
-    if a1 >= a2:
-        return Point2(a1, a2), SignedPermutation(s1, s2, swapped=False)
-    return Point2(a2, a1), SignedPermutation(s1, s2, swapped=True)
-
-
-def unsort(y, perm: SignedPermutation) -> Point2:
-    """Apply ``perm`` to a sorted-magnitude point, restoring order and signs."""
-    return perm.apply(y)
 
 
 def _seg_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:

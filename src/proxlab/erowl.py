@@ -23,7 +23,6 @@ __all__ = [
     "Region",
     "classify_region",
     "erowl",
-    "erowl_point",
     "erowl_limit",
     "reparameterize",
     "erowl_shrinker",
@@ -83,6 +82,20 @@ class Region(enum.Enum):
     SLAB_C2 = "slab"
 
 
+def _in_triangle_or_slab(a1, a2, params: ErowlParams):
+    """Disjoint triangle and slab masks at magnitudes ``(a1, a2)``.
+
+    Pass numpy values, not Python floats: ``~`` on a Python bool is not a
+    logical not.
+    """
+    dp1 = params.delta + 1.0
+    gate = params._axis_gate
+    below_diag_gate = (a1 + a2) <= params._diag_gate
+    in_c1 = below_diag_gate & ((-a1 + dp1 * a2) > gate) & ((dp1 * a1 - a2) > gate)
+    in_c2 = (~below_diag_gate) & (np.abs(a1 - a2) < params.eta)
+    return in_c1, in_c2
+
+
 def classify_region(x, params: ErowlParams) -> Region:
     """Classify a nonnegative-quadrant point into the operator's four branches.
 
@@ -92,52 +105,12 @@ def classify_region(x, params: ErowlParams) -> Region:
     p = Point2.of(x)
     if p.x1 < 0 or p.x2 < 0:
         raise ValueError(f"classify_region expects nonnegative components, got ({p.x1}, {p.x2})")
-    a1, a2 = p.x1, p.x2
-    dp1 = params.delta + 1.0
-    gate = params._axis_gate
-    below_diag_gate = (a1 + a2) <= params._diag_gate
-    if below_diag_gate and (-a1 + dp1 * a2) > gate and (dp1 * a1 - a2) > gate:
+    in_c1, in_c2 = _in_triangle_or_slab(np.float64(p.x1), np.float64(p.x2), params)
+    if in_c1:
         return Region.TRIANGLE_C1
-    if not below_diag_gate and abs(a1 - a2) < params.eta:
+    if in_c2:
         return Region.SLAB_C2
-    return Region.UPPER_BRANCH if a1 >= a2 else Region.LOWER_BRANCH
-
-
-def erowl_point(x1: float, x2: float, params: ErowlParams) -> tuple[float, float]:
-    """Scalar evaluation of the relaxed shrinkage operator at one point."""
-    delta = params.delta
-    w1, w2 = params.w.w1, params.w.w2
-    dp1 = delta + 1.0
-    a1, a2 = abs(x1), abs(x2)
-    s1 = -1.0 if x1 < 0 else 1.0
-    s2 = -1.0 if x2 < 0 else 1.0
-
-    gate = params._axis_gate
-    below_diag_gate = (a1 + a2) <= params._diag_gate
-    if below_diag_gate and (-a1 + dp1 * a2) > gate and (dp1 * a1 - a2) > gate:
-        m = (dp1 * (a1 + a2) + delta * w1) / (delta + 2.0)
-        d = (dp1 * a2 - m) / delta
-        y1 = m - w1 - d
-        y2 = d
-        if _CLAMP <= y1 < 0.0:
-            y1 = 0.0
-        if _CLAMP <= y2 < 0.0:
-            y2 = 0.0
-    elif not below_diag_gate and abs(a1 - a2) < params.eta:
-        alpha = 0.5 + dp1 * (a1 - a2) / (2.0 * delta * (w2 - w1))
-        y1 = a1 - (alpha * w1 + (1.0 - alpha) * w2) / dp1
-        y2 = a2 - (alpha * w2 + (1.0 - alpha) * w1) / dp1
-    elif a1 >= a2:
-        y1 = a1 - w1 / dp1
-        y2 = a2 - w2 / dp1
-        y1 = y1 if y1 > 0.0 else 0.0
-        y2 = y2 if y2 > 0.0 else 0.0
-    else:
-        y1 = a1 - w2 / dp1
-        y2 = a2 - w1 / dp1
-        y1 = y1 if y1 > 0.0 else 0.0
-        y2 = y2 if y2 > 0.0 else 0.0
-    return s1 * y1, s2 * y2
+    return Region.UPPER_BRANCH if p.x1 >= p.x2 else Region.LOWER_BRANCH
 
 
 def erowl(x, params: ErowlParams):
@@ -153,12 +126,8 @@ def erowl(x, params: ErowlParams):
     sgn = np.where(x < 0, -1.0, 1.0)
     a1, a2 = a[..., 0], a[..., 1]
 
-    gate = params._axis_gate
-    below_diag_gate = (a1 + a2) <= params._diag_gate
-    in_c1 = below_diag_gate & ((-a1 + dp1 * a2) > gate) & ((dp1 * a1 - a2) > gate)
-    in_c2 = (~below_diag_gate) & (np.abs(a1 - a2) < params.eta)
+    in_c1, in_c2 = _in_triangle_or_slab(a1, a2, params)
     upper = ~(in_c1 | in_c2) & (a1 >= a2)
-    lower = ~(in_c1 | in_c2) & (a1 < a2)
 
     m = (dp1 * (a1 + a2) + delta * w1) / (delta + 2.0)
     d = (dp1 * a2 - m) / delta
@@ -179,7 +148,7 @@ def erowl(x, params: ErowlParams):
     lo_y2 = np.maximum(a2 - w1 / dp1, 0.0)
 
     y1 = np.where(in_c1, c1_y1, np.where(in_c2, c2_y1, np.where(upper, up_y1, lo_y1)))
-    y2 = np.where(in_c1, c1_y2, np.where(in_c2, c2_y2, np.where(lower, lo_y2, up_y2)))
+    y2 = np.where(in_c1, c1_y2, np.where(in_c2, c2_y2, np.where(upper, up_y2, lo_y2)))
     return sgn * np.stack([y1, y2], axis=-1)
 
 
@@ -249,13 +218,13 @@ def erowl_shrinker(params: ErowlParams):
         elif a1 >= a2:
             y1 = a1 - w1s
             y2 = a2 - w2s
-            y1 = y1 if y1 > 0.0 else 0.0
-            y2 = y2 if y2 > 0.0 else 0.0
+            y1 = 0.0 if y1 <= 0.0 else y1
+            y2 = 0.0 if y2 <= 0.0 else y2
         else:
             y1 = a1 - w2s
             y2 = a2 - w1s
-            y1 = y1 if y1 > 0.0 else 0.0
-            y2 = y2 if y2 > 0.0 else 0.0
+            y1 = 0.0 if y1 <= 0.0 else y1
+            y2 = 0.0 if y2 <= 0.0 else y2
         return s1 * y1, s2 * y2
 
     return shrink

@@ -505,12 +505,17 @@ def scenario_c(cfg: ScenarioConfig) -> list[TrialRecord]:
     return records
 
 
+def _mismatch_groups(records) -> dict[tuple[str, float, float], list[float]]:
+    """Mismatches keyed by ``(method, snr_db, xtrue1)``, both in record order."""
+    groups: dict[tuple[str, float, float], list[float]] = {}
+    for r in records:
+        groups.setdefault((r.method, r.snr_db, r.x_true.x1), []).append(r.mismatch_db)
+    return groups
+
+
 def mean_mismatch(records) -> dict[tuple[str, float, float], float]:
     """Mean mismatch keyed by ``(method, snr_db, xtrue1)``, in record order."""
-    sums: dict[tuple[str, float, float], list[float]] = {}
-    for r in records:
-        sums.setdefault((r.method, r.snr_db, r.x_true.x1), []).append(r.mismatch_db)
-    return {k: sum(v) / len(v) for k, v in sums.items()}
+    return {k: sum(v) / len(v) for k, v in _mismatch_groups(records).items()}
 
 
 def _fmt(v) -> str:
@@ -535,11 +540,8 @@ def write_records_csv(path: str, records) -> None:
 def write_means_csv(path: str, records) -> None:
     """Write per-(method, SNR, truth) mean mismatches."""
     lines = ["scenario,method,snr_db,xtrue1,mean_mismatch_db,trials"]
-    groups: dict[tuple[str, float, float], list[float]] = {}
     scenario = records[0].scenario if records else ""
-    for r in records:
-        groups.setdefault((r.method, r.snr_db, r.x_true.x1), []).append(r.mismatch_db)
-    for (method, snr_db, x1), vals in sorted(groups.items()):
+    for (method, snr_db, x1), vals in sorted(_mismatch_groups(records).items()):
         lines.append(
             ",".join(
                 (scenario, method, _fmt(snr_db), _fmt(x1),

@@ -7,56 +7,17 @@ the connecting segment.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .core import Point2, ProxSet, WeightPair
 
 __all__ = [
-    "EnvelopeConstants",
     "rowl_penalty",
     "prox_rowl_2d",
     "rowl_envelope_2d",
     "prox_rowl_envelope_2d",
     "rowl_shrinker",
 ]
-
-
-def _default_v() -> np.ndarray:
-    r = 1.0 / math.sqrt(2.0)
-    return np.array([[r, r], [-r, r]])
-
-
-def _default_c() -> np.ndarray:
-    return 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])
-
-
-@dataclass(frozen=True)
-class EnvelopeConstants:
-    """The rank-one curvature-correction matrix of the planar envelope.
-
-    ``c_matrix`` equals ``V @ diag(1, 0) @ V.T`` for the rotation ``V`` by 45
-    degrees; the factorization is verified at construction.
-    """
-
-    c_matrix: np.ndarray = field(default_factory=_default_c)
-    v_matrix: np.ndarray = field(default_factory=_default_v)
-
-    def __post_init__(self) -> None:
-        c, v = self.c_matrix, self.v_matrix
-        recon = v @ np.diag([1.0, 0.0]) @ v.T
-        if not np.all(np.abs(recon - c) <= 1e-15):
-            raise ValueError("c_matrix does not factor as V diag(1,0) V^T")
-        if not np.all(np.abs(c - c.T) <= 1e-15):
-            raise ValueError("c_matrix must be symmetric")
-        eig = np.sort(np.linalg.eigvalsh(c))
-        if not np.all(np.abs(eig - np.array([0.0, 1.0])) <= 1e-12):
-            raise ValueError("c_matrix must have eigenvalues {0, 1}")
-
-
-ENVELOPE_CONSTANTS = EnvelopeConstants()
 
 
 def rowl_penalty(x, w):
@@ -80,8 +41,18 @@ def rowl_penalty(x, w):
     return out
 
 
-def _signs(x: np.ndarray) -> np.ndarray:
-    return np.where(x < 0, -1.0, 1.0)
+def _prox_2d(x, w: WeightPair, tie) -> ProxSet:
+    """Prox of the penalty and of its envelope; ``tie`` joins the two matchings on a tie."""
+    v = Point2.of(x).as_array()
+    a = np.abs(v)
+    s = np.where(v < 0, -1.0, 1.0)
+    cand_keep = np.maximum(a - w.as_array(), 0.0)
+    cand_swap = np.maximum(a - w.reversed_array(), 0.0)
+    if a[0] > a[1]:
+        return ProxSet.single(s * cand_keep)
+    if a[0] < a[1]:
+        return ProxSet.single(s * cand_swap)
+    return tie(s * cand_keep, s * cand_swap)
 
 
 def prox_rowl_2d(x, w: WeightPair) -> ProxSet:
@@ -91,16 +62,7 @@ def prox_rowl_2d(x, w: WeightPair) -> ProxSet:
     magnitude order and clip at zero.  On a magnitude tie both matchings are
     optimal, giving a two-point set (collapsed when the candidates coincide).
     """
-    p = Point2.of(x)
-    a = np.abs(p.as_array())
-    s = _signs(p.as_array())
-    cand_keep = np.maximum(a - w.as_array(), 0.0)
-    cand_swap = np.maximum(a - w.reversed_array(), 0.0)
-    if a[0] > a[1]:
-        return ProxSet.single(s * cand_keep)
-    if a[0] < a[1]:
-        return ProxSet.single(s * cand_swap)
-    return ProxSet.point_pair(s * cand_keep, s * cand_swap)
+    return _prox_2d(x, w, ProxSet.point_pair)
 
 
 def rowl_envelope_2d(x, w: WeightPair):
@@ -123,9 +85,8 @@ def rowl_envelope_2d(x, w: WeightPair):
     s1 = np.maximum(a[..., 0], a[..., 1])
     s2 = np.minimum(a[..., 0], a[..., 1])
     base = w.w1 * s1 + w.w2 * s2
-    v = np.stack([s1 + w.w1, s2 + w.w2], axis=-1)
-    c = ENVELOPE_CONSTANTS.c_matrix
-    quad = 0.5 * np.einsum("...i,ij,...j->...", v, c, v)
+    d = (s1 + w.w1) - (s2 + w.w2)
+    quad = 0.25 * d * d
     inner = w.w1 * (s1 + s2) + s1 * s2
     out = np.where(
         s1 >= s2 + w.spread,
@@ -143,16 +104,7 @@ def prox_rowl_envelope_2d(x, w: WeightPair) -> ProxSet:
     Identical to :func:`prox_rowl_2d` off ties; on a tie the two candidate
     points fill in to their connecting segment.
     """
-    p = Point2.of(x)
-    a = np.abs(p.as_array())
-    s = _signs(p.as_array())
-    cand_keep = np.maximum(a - w.as_array(), 0.0)
-    cand_swap = np.maximum(a - w.reversed_array(), 0.0)
-    if a[0] > a[1]:
-        return ProxSet.single(s * cand_keep)
-    if a[0] < a[1]:
-        return ProxSet.single(s * cand_swap)
-    return ProxSet.segment(s * cand_keep, s * cand_swap)
+    return _prox_2d(x, w, ProxSet.segment)
 
 
 def rowl_shrinker(w: WeightPair):

@@ -2,19 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from proxlab.core import (
     Point2,
     ProxSet,
     ScalarProxSet,
-    SignedPermutation,
     WeightPair,
-    sorted_abs,
-    unsort,
 )
-
-finite = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False)
 
 
 def test_point2_rejects_non_finite():
@@ -42,44 +36,6 @@ def test_weight_pair_ordering_enforced():
         WeightPair(2.0, 0.5)
     with pytest.raises(ValueError):
         WeightPair(-0.1, 1.0)
-
-
-def test_sorted_abs_examples():
-    s, perm = sorted_abs((-1.0, 3.0))
-    assert (s.x1, s.x2) == (3.0, 1.0)
-    assert unsort(s, perm) == Point2(-1.0, 3.0)
-
-    s, perm = sorted_abs((0.0, 0.0))
-    assert (s.x1, s.x2) == (0.0, 0.0)
-    assert not perm.swapped and perm.sign1 == perm.sign2 == 1.0
-
-    # exact ties keep the identity permutation
-    s, perm = sorted_abs((2.0, 2.0))
-    assert (s.x1, s.x2) == (2.0, 2.0)
-    assert not perm.swapped
-
-
-def test_unsort_round_trip_negative_zero_slot():
-    s, perm = sorted_abs((0.0, -5.0))
-    assert (s.x1, s.x2) == (5.0, 0.0)
-    assert unsort(Point2(5.0, 0.0), perm) == Point2(0.0, -5.0)
-
-
-@given(finite, finite)
-def test_sorted_abs_round_trip_is_exact(x1, x2):
-    """unsort is the exact inverse, bit for bit, and the output is sorted."""
-    s, perm = sorted_abs((x1, x2))
-    assert s.x1 >= s.x2 >= 0.0
-    back = unsort(s, perm)
-    assert back.x1 == x1 and back.x2 == x2
-
-
-def test_signed_permutation_apply_invert_round_trip():
-    perm = SignedPermutation(-1.0, 1.0, swapped=True)
-    p = Point2(3.0, 1.0)
-    assert perm.invert(perm.apply(p)) == p
-    with pytest.raises(ValueError):
-        SignedPermutation(0.5, 1.0, swapped=False)
 
 
 def test_prox_set_membership_and_distance():

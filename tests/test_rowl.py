@@ -1,11 +1,11 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from proxlab.core import Point2, WeightPair
 from proxlab.rowl import (
-    ENVELOPE_CONSTANTS,
-    EnvelopeConstants,
     prox_rowl_2d,
     prox_rowl_envelope_2d,
     rowl_envelope_2d,
@@ -17,14 +17,6 @@ from proxlab.transform import brute_force_prox, default_prox_box
 W02 = WeightPair(0.0, 2.0)
 
 coord = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
-
-
-def test_envelope_constants_factorization():
-    c = ENVELOPE_CONSTANTS.c_matrix
-    assert np.allclose(c, 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]]))
-    assert sorted(np.linalg.eigvalsh(c).round(12)) == [0.0, 1.0]
-    with pytest.raises(ValueError):
-        EnvelopeConstants(c_matrix=np.eye(2))
 
 
 def test_penalty_values():
@@ -204,3 +196,41 @@ def test_shrinker_selection_matches_prox():
 def test_envelope_rejects_wrong_trailing_dimension():
     with pytest.raises(ValueError):
         rowl_envelope_2d([1.0, 2.0, 3.0], W02)
+
+
+@st.composite
+def rowl_cases(draw):
+    """A weight pair plus a finite point with signs, signed zeros, ties and ``|x_i| = w_j``."""
+    w1 = draw(st.floats(min_value=0.0, max_value=3.0))
+    w = WeightPair(w1, w1 + draw(st.floats(min_value=0.0, max_value=3.0)))
+    special = st.sampled_from([0.0, w.w1, w.w2])
+    a2 = draw(st.one_of(special, st.floats(min_value=0.0, max_value=8.0)))
+    a1 = draw(st.one_of(special, st.just(a2), st.floats(min_value=0.0, max_value=8.0)))
+    toward = draw(st.sampled_from([math.inf, -math.inf]))
+    for _ in range(draw(st.integers(min_value=0, max_value=1))):
+        a1 = math.nextafter(a1, toward)
+    a1 = abs(a1)
+    x = [a1, a2]
+    if draw(st.booleans()):
+        x.reverse()
+    return w, tuple(-v if draw(st.booleans()) else v for v in x)
+
+
+@given(rowl_cases())
+@settings(max_examples=1000)
+@example((W02, (2.0, -2.0)))
+@example((W02, (-0.0, 0.0)))
+@example((WeightPair(0.5, 1.0), (-1.0, 0.5)))
+def test_shrinker_returns_a_prox_point(case):
+    """The closure picks a point of ``prox_rowl_2d``, the identity matching on ties.
+
+    Compared with ``==``: on a zero component the prox keeps the input's sign,
+    the closure returns +0.0.
+    """
+    w, x = case
+    got = rowl_shrinker(w)(x)
+    assert any(got == (p.x1, p.x2) for p in prox_rowl_2d(x, w).points()), (x, got)
+    a = (abs(x[0]), abs(x[1]))
+    if a[0] == a[1]:
+        keep = tuple(math.copysign(max(ai - wi, 0.0), xi) for ai, wi, xi in zip(a, w, x))
+        assert got == keep, (x, got)
