@@ -152,12 +152,10 @@ def _cmd_envelope(args) -> int:
     w = WeightPair(*_parse_floats(_need(args, "w"), 2, "--w"))
     if args.grid is not None:
         lo, step, hi = _parse_floats(args.grid, 3, "--grid")
-        grid = GridSpec.square(lo, hi, step)
-        a0, a1 = (ax.points() for ax in grid.axes)
-        xx, yy = np.meshgrid(a0, a1, indexing="ij")
-        vals = rowl_envelope_2d(np.stack([xx.ravel(), yy.ravel()], axis=-1), w)
+        pts = GridSpec.square(lo, hi, step).mesh().reshape(-1, 2)
+        vals = rowl_envelope_2d(pts, w)
         lines = ["axis0,axis1,value"]
-        for (p, q), v in zip(np.stack([xx.ravel(), yy.ravel()], axis=-1), vals):
+        for (p, q), v in zip(pts, vals):
             lines.append(f"{_fmt(p)},{_fmt(q)},{_fmt(float(v))}")
         _emit(args.out, lines)
     else:

@@ -34,6 +34,7 @@ from .solver import (
     DEFAULT_TOL,
     LinearModel,
     SpectralBounds,
+    _interpolated_step,
     pfbs,
     select_parameters,
     spectral_bounds,
@@ -364,7 +365,7 @@ def scenario_a(cfg: ScenarioConfig) -> ScenarioAResult:
     snr_db = cfg.snr_list_db[0]
     a, bounds, _, noise = _draw_trial(cfg, 0)
     model = _observe(a, noise, snr_db, cfg.x_true)
-    params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu, cfg.tol, cfg.max_iter)
+    params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu)
     mu = _solver_mu(cfg, params)
 
     records: list[TrialRecord] = []
@@ -405,7 +406,7 @@ def _cell_records(
 
 def _trial_records_b(cfg: ScenarioConfig, trial: int) -> tuple[list[TrialRecord], int]:
     a, bounds, resamples, noise = _draw_trial(cfg, trial)
-    params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu, cfg.tol, cfg.max_iter)
+    params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu)
     mu = _solver_mu(cfg, params)
     runs = (
         ("ROWL", rowl_shrinker(cfg.w_rowl), mu),
@@ -425,7 +426,7 @@ def _rowl_weights_for(cfg: ScenarioConfig, snr_db: float) -> WeightPair:
 
 def _trial_records_c(cfg: ScenarioConfig, trial: int) -> tuple[list[TrialRecord], int]:
     a, bounds, resamples, noise = _draw_trial(cfg, trial)
-    params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu, cfg.tol, cfg.max_iter)
+    params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu)
     mu = _solver_mu(cfg, params)
     erowl = erowl_shrinker(ErowlParams(cfg.w_erowl, _solver_delta(cfg, params)))
     fp, mu_f = firm_rule(bounds, cfg.firm_lambda2, cfg.gamma_mu)
@@ -455,8 +456,7 @@ def firm_rule(bounds, lambda2: float, gamma_mu: float) -> tuple[FirmParams, floa
     rho, kappa = bounds.rho, bounds.kappa
     lam1 = rho * lambda2 / (kappa + rho)
     beta_f = kappa / (kappa + rho)
-    mu_f = gamma_mu * (1.0 - beta_f) / rho + (1.0 - gamma_mu) * (1.0 + beta_f) / kappa
-    return FirmParams(lam1, lambda2), mu_f
+    return FirmParams(lam1, lambda2), _interpolated_step(bounds, beta_f, gamma_mu)
 
 
 def _sort_key(r: TrialRecord):

@@ -99,14 +99,10 @@ class SolverParams:
     gamma_delta: float
     gamma_mu: float
     mu_interval: tuple[float, float]
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
 
     def __post_init__(self) -> None:
         if abs(self.beta - self.delta / (1.0 + self.delta)) > 1e-15:
             raise ValueError("beta must equal delta / (1 + delta)")
-        if not self.tol > 0 or self.max_iter < 1:
-            raise ValueError("need tol > 0 and max_iter >= 1")
 
 
 def spectral_bounds(a_matrix) -> SpectralBounds:
@@ -124,12 +120,13 @@ def spectral_bounds(a_matrix) -> SpectralBounds:
     return SpectralBounds(rho, kappa)
 
 
+def _interpolated_step(bounds: SpectralBounds, beta: float, gamma_mu: float) -> float:
+    """``gamma_mu * (1 - beta) / rho + (1 - gamma_mu) * (1 + beta) / kappa``."""
+    return gamma_mu * (1.0 - beta) / bounds.rho + (1.0 - gamma_mu) * (1.0 + beta) / bounds.kappa
+
+
 def select_parameters(
-    bounds: SpectralBounds,
-    gamma_delta: float = 1.01,
-    gamma_mu: float = 0.5,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    bounds: SpectralBounds, gamma_delta: float = 1.01, gamma_mu: float = 0.5
 ) -> SolverParams:
     """Pick the relaxation and step size from the Gram spectrum.
 
@@ -149,7 +146,7 @@ def select_parameters(
     if delta <= 0.0:
         raise ValueError("kappa equals rho: no relaxation needed, delta undefined")
     beta = delta / (1.0 + delta)
-    mu = gamma_mu * (1.0 - beta) / rho + (1.0 - gamma_mu) * (1.0 + beta) / kappa
+    mu = _interpolated_step(bounds, beta, gamma_mu)
     interval = ((1.0 - beta) * rho, (1.0 + beta) / kappa)
     return SolverParams(
         delta=delta,
@@ -158,8 +155,6 @@ def select_parameters(
         gamma_delta=gamma_delta,
         gamma_mu=gamma_mu,
         mu_interval=interval,
-        tol=tol,
-        max_iter=max_iter,
     )
 
 
@@ -207,8 +202,10 @@ def pfbs(
 ) -> PfbsResult:
     """Proximal forward-backward splitting ``x <- shrink(x - mu * A^T (A x - y))``.
 
-    Stops when the iterate displacement drops to ``tol``; flags divergence
-    when the iterate norm passes 1e12.  ``shrink`` maps a coordinate pair to a
+    Stops when the iterate displacement drops to ``tol`` (``tol = 0`` stops
+    only at an exact fixed point).  Flags divergence when the next iterate's
+    norm passes 1e12 or is NaN; ``x_hat`` is then that iterate if it is
+    finite, else the last finite one.  ``shrink`` maps a coordinate pair to a
     coordinate pair.  The trace stores ``(x_k, x_{k+1/2})`` per iteration.
 
     Without a trace, the iterate's bit pattern is compared every
@@ -223,13 +220,16 @@ def pfbs(
     """
     if not (math.isfinite(mu) and mu > 0):
         raise ValueError(f"mu must be positive and finite, got {mu!r}")
+    max_iter = int(max_iter)
+    if not tol >= 0.0 or max_iter < 1:
+        raise ValueError(f"need tol >= 0 and max_iter >= 1, got {tol!r} and {max_iter!r}")
     g11, g12, g22, c1, c2 = model.gram_terms()
     x1, x2 = Point2.of(x0)
     trace: list[tuple[Point2, Point2]] | None = [] if record_trace else None
-    max_iter = int(max_iter)
     # Exact pre-filters: hypot is only taken where it can decide the test.
-    # A NaN coordinate makes the norm NaN unless the other one is infinite,
-    # and a NaN step component passes the step filter to hypot.
+    # A NaN coordinate fails the norm filter and makes the norm NaN (or inf),
+    # so a NaN iterate diverges too; the norm test runs on the new iterate
+    # before it replaces the last one, which a non-finite iterate never does.
     norm_hi, norm_lo = _NORM_GUARD, -_NORM_GUARD
     tol_hi = tol * _TOL_GUARD
     tol_lo = -tol_hi
@@ -244,14 +244,16 @@ def pfbs(
             n1, n2 = shrink((h1, h2))
             if trace is not None:
                 trace.append((Point2(x1, x2), Point2(h1, h2)))
+            iterations += 1
+            if not (n1 < norm_hi and n1 > norm_lo and n2 < norm_hi and n2 > norm_lo) and not (
+                    math.hypot(n1, n2) <= DIVERGENCE_NORM):
+                if math.isfinite(n1) and math.isfinite(n2):
+                    x1, x2 = float(n1), float(n2)
+                stop_reason = "diverged"
+                break
             d1 = n1 - x1
             d2 = n2 - x2
             x1, x2 = float(n1), float(n2)
-            iterations += 1
-            if (x1 >= norm_hi or x1 <= norm_lo or x2 >= norm_hi or x2 <= norm_lo) and (
-                    math.hypot(x1, x2) > DIVERGENCE_NORM):
-                stop_reason = "diverged"
-                break
             if not (d1 > tol_hi or d1 < tol_lo or d2 > tol_hi or d2 < tol_lo) and (
                     math.hypot(d1, d2) <= tol):
                 stop_reason = "converged"

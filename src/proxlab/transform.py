@@ -3,8 +3,9 @@
 Everything here is deliberately independent of the closed forms elsewhere in
 the package, so it can serve as an oracle against them: a naive grid Legendre
 transform, the weakly convex envelope built from a double conjugation, an
-exhaustive grid prox search with cluster detection, and a graph-inversion
-routine converting a scalar shrinkage operator into its relaxed counterpart.
+exhaustive grid prox search with cluster detection, and the linear map of a
+filled graph that converts a scalar shrinkage operator into its relaxed
+counterpart.
 """
 from __future__ import annotations
 
@@ -448,23 +449,24 @@ class MonotoneGraph1D:
                 if s.vertical:
                     ys.extend((s.y0, s.y1))
                 else:
-                    ys.append(s.y0 + (s.y1 - s.y0) * (x - s.x0) / (s.x1 - s.x0))
+                    # From the nearer end: from a far one (1e6 away on a
+                    # truncated tail) the slope's rounding error grows with
+                    # the distance and the sum cancels.
+                    ex, ey = (s.x0, s.y0) if x - s.x0 <= s.x1 - x else (s.x1, s.y1)
+                    ys.append(ey + (s.y1 - s.y0) * (x - ex) / (s.x1 - s.x0))
         if min(ys) < max(ys):
             return ScalarProxSet.interval(min(ys), max(ys))
         return ScalarProxSet.single(ys[0])
 
 
-_CONVERT_RESIDUAL = 1e-12
-
-
 def convert_1d(graph: MonotoneGraph1D, delta: float, q: float) -> float:
-    """Relax a scalar shrinkage operator by graph inversion.
+    """Relax a scalar shrinkage operator by mapping its filled graph.
 
-    Finds the point ``(x, p)`` on the filled graph with
-    ``x + delta * p = (delta + 1) * q`` and returns ``p``; this is the value at
-    ``q`` of the relaxed operator obtained by scaling the underlying penalty
-    down by ``delta + 1``.  Solved by monotone bisection along the graph
-    piece containing the target, to residual ``1e-12`` (or float exhaustion).
+    The relaxed operator, obtained by scaling the underlying penalty down by
+    ``delta + 1``, has as graph the image of the filled graph under the linear
+    map ``(x, p) -> ((x + delta * p) / (delta + 1), p)``.  Each mapped piece
+    slopes, so the relaxed graph has one value at ``q``; it is read off
+    exactly, with no iteration.
     """
     delta = float(delta)
     if not (math.isfinite(delta) and delta > 0):
@@ -472,62 +474,13 @@ def convert_1d(graph: MonotoneGraph1D, delta: float, q: float) -> float:
     q = float(q)
     if not math.isfinite(q):
         raise ValueError(f"q must be finite, got {q!r}")
-    target = (delta + 1.0) * q
-
-    def fval(x: float, y: float) -> float:
-        return x + delta * y
-
-    first, last = graph.segments[0], graph.segments[-1]
-    if target < fval(first.x0, first.y0) or target > fval(last.x1, last.y1):
-        raise ValueError(f"query {q} maps outside the representable graph range")
-
-    for seg in graph.segments:
-        f_lo = fval(seg.x0, seg.y0)
-        f_hi = fval(seg.x1, seg.y1)
-        if not f_lo <= target <= f_hi:
-            continue
-        if seg.vertical:
-            # Bisect the jump on the value axis.
-            lo, hi = seg.y0, seg.y1
-
-            def value(t: float) -> float:
-                return t
-
-            def resid(t: float) -> float:
-                return fval(seg.x0, t) - target
-
-        else:
-            slope = (seg.y1 - seg.y0) / (seg.x1 - seg.x0)
-            lo, hi = seg.x0, seg.x1
-
-            def value(t: float, s=seg, sl=slope) -> float:
-                return s.y0 + sl * (t - s.x0)
-
-            def resid(t: float) -> float:
-                return fval(t, value(t)) - target
-
-        r_lo = resid(lo)
-        if abs(r_lo) <= _CONVERT_RESIDUAL:
-            return value(lo)
-        r_hi = resid(hi)
-        if abs(r_hi) <= _CONVERT_RESIDUAL:
-            return value(hi)
-        best_t, best_r = (lo, abs(r_lo)) if abs(r_lo) < abs(r_hi) else (hi, abs(r_hi))
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            r = resid(mid)
-            if abs(r) < best_r:
-                best_t, best_r = mid, abs(r)
-            if abs(r) <= _CONVERT_RESIDUAL:
-                return value(mid)
-            if r < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return value(best_t)
-    raise ValueError("target not bracketed by any graph piece")  # pragma: no cover
+    scale = delta + 1.0
+    relaxed = MonotoneGraph1D(
+        GraphSegment((s.x0 + delta * s.y0) / scale, s.y0, (s.x1 + delta * s.y1) / scale, s.y1)
+        for s in graph.segments
+    )
+    (p,) = relaxed.image_at(q).values()
+    return p
 
 
 @dataclass(frozen=True)

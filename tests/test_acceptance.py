@@ -7,6 +7,7 @@ determinism check can reuse their outputs.
 import dataclasses
 import hashlib
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,8 +316,8 @@ def test_criterion_11_determinism(
     again_a = tmp_path_factory.mktemp("scen_a_again")
     scenario_a(dataclasses.replace(cfg_a, out_path=str(again_a)))
     for name in ("trajectory_rowl.csv", "trajectory_erowl.csv", "summary.csv"):
-        first = open(f"{cfg_a.out_path}/{name}", "rb").read()
-        second = open(f"{again_a}/{name}", "rb").read()
+        first = Path(cfg_a.out_path, name).read_bytes()
+        second = Path(again_a, name).read_bytes()
         assert first == second, name
 
     cfg_b, _, _ = scenario_b_run
@@ -324,8 +325,8 @@ def test_criterion_11_determinism(
     scenario_b(dataclasses.replace(cfg_b, out_path=str(again_b)))
     assert reversed_trials == list(range(cfg_b.trials))[::-1]
     for name in ("records.csv", "means.csv"):
-        first = open(f"{cfg_b.out_path}/{name}", "rb").read()
-        second = open(f"{again_b}/{name}", "rb").read()
+        first = Path(cfg_b.out_path, name).read_bytes()
+        second = Path(again_b, name).read_bytes()
         assert first == second, name
 
     cfg_c, _, _ = scenario_c_run
@@ -334,8 +335,8 @@ def test_criterion_11_determinism(
     scenario_c(dataclasses.replace(cfg_c, out_path=str(again_c)))
     assert reversed_trials == list(range(cfg_c.trials))[::-1]
     for name in ("records.csv", "means.csv"):
-        first = open(f"{cfg_c.out_path}/{name}", "rb").read()
-        second = open(f"{again_c}/{name}", "rb").read()
+        first = Path(cfg_c.out_path, name).read_bytes()
+        second = Path(again_c, name).read_bytes()
         assert first == second, name
 
 

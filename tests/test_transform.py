@@ -11,6 +11,7 @@ from proxlab.scalar_ops import SQRT2, FirmParams, firm, l0_envelope, l0_norm
 from proxlab.transform import (
     Axis,
     BoxTooSmallError,
+    GraphSegment,
     GridSpec,
     MonotoneGraph1D,
     SampledFunction,
@@ -354,6 +355,14 @@ def test_hard_graph_structure():
         MonotoneGraph1D.hard_graph(-1.0)
 
 
+def test_image_at_interpolates_a_long_tail_piece_from_its_near_end():
+    # A tail truncated at -1e6, as in hard_graph, but with slope 1/3: read from
+    # the far end, q - x0 cancels and the value is off by up to 4e-11.
+    tail = MonotoneGraph1D([GraphSegment(-1e6, -1e6 / 3, -1.0, -1.0 / 3)])
+    for q in (-1.5, -2.0, -3.0, -7.0):
+        assert tail.image_at(q).values() == pytest.approx((q / 3,), abs=1e-15)
+
+
 def test_graph_inversion_reproduces_two_threshold_shrinkage():
     g = MonotoneGraph1D.hard_graph(SQRT2)
     delta = 0.5
@@ -365,12 +374,12 @@ def test_graph_inversion_reproduces_two_threshold_shrinkage():
     assert convert_1d(g, delta, 2.0) == pytest.approx(2.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("delta", [0.5, 2.0])
+@pytest.mark.parametrize("delta", [1e-3, 0.5, 1.0, 2.0, 50.0])
 def test_graph_inversion_identity_on_a_sweep(delta):
     g = MonotoneGraph1D.hard_graph(SQRT2)
     params = FirmParams(SQRT2 / (delta + 1.0), SQRT2)
     for q in np.linspace(-4.0, 4.0, 161):
-        assert convert_1d(g, delta, q) == pytest.approx(firm(q, params), abs=1e-9)
+        assert convert_1d(g, delta, q) == pytest.approx(firm(q, params), abs=1e-12)
 
 
 def test_graph_inversion_rejects_bad_arguments():
