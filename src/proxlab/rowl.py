@@ -126,6 +126,7 @@ def rowl_shrinker(w: WeightPair):
             lo, hi = w2, w1
         y1 = a1 - lo
         y2 = a2 - hi
-        return (s1 * y1 if y1 > 0 else 0.0, s2 * y2 if y2 > 0 else 0.0)
+        # A NaN fails `<= 0` and passes through, as in erowl_shrinker.
+        return (0.0 if y1 <= 0 else s1 * y1, 0.0 if y2 <= 0 else s2 * y2)
 
     return shrink

@@ -206,7 +206,8 @@ def pfbs(
     only at an exact fixed point).  Flags divergence when the next iterate's
     norm passes 1e12 or is NaN; ``x_hat`` is then that iterate if it is
     finite, else the last finite one.  ``shrink`` maps a coordinate pair to a
-    coordinate pair.  The trace stores ``(x_k, x_{k+1/2})`` per iteration.
+    coordinate pair.  The trace stores ``(x_k, x_{k+1/2})`` per iteration
+    whose half-step ``x_{k+1/2}`` is finite.
 
     Without a trace, the iterate's bit pattern is compared every
     ``CYCLE_BLOCK`` iterations with the one a block earlier.  A match means
@@ -242,7 +243,7 @@ def pfbs(
             h1 = x1 - mu * (g11 * x1 + g12 * x2 - c1)
             h2 = x2 - mu * (g12 * x1 + g22 * x2 - c2)
             n1, n2 = shrink((h1, h2))
-            if trace is not None:
+            if trace is not None and math.isfinite(h1) and math.isfinite(h2):
                 trace.append((Point2(x1, x2), Point2(h1, h2)))
             iterations += 1
             if not (n1 < norm_hi and n1 > norm_lo and n2 < norm_hi and n2 > norm_lo) and not (

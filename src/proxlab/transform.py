@@ -233,6 +233,14 @@ def _best_index(obj: np.ndarray, flat_idx: np.ndarray) -> int:
     return int(flat_idx[int(np.argmin(sub))])
 
 
+def _objective_min(obj: np.ndarray) -> float:
+    """``np.min(obj)``; the scan for a finite sample runs only when it is not finite."""
+    lowest = np.min(obj)
+    if not np.isfinite(lowest) and not np.any(np.isfinite(obj)):
+        raise ValueError("objective is +inf everywhere on the box")
+    return lowest
+
+
 @functools.lru_cache(maxsize=2)
 def _sampled(penalty, box: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """The box mesh and ``penalty`` on it, both read-only, memoised per (penalty, box).
@@ -262,10 +270,8 @@ def _brute_force_prox_1d(penalty, x: float, gamma: float, box: GridSpec) -> Scal
     ax = box.axes[0]
     ys, pen = _penalty_samples(penalty, box)
     obj = pen + (x - ys) ** 2 / (2.0 * gamma)
-    if not np.any(np.isfinite(obj)):
-        raise ValueError("objective is +inf everywhere on the box")
     tol = _cluster_tol(ax.step, gamma)
-    sel = np.flatnonzero(obj <= np.min(obj) + tol)
+    sel = np.flatnonzero(obj <= _objective_min(obj) + tol)
     if sel[0] == 0 or sel[-1] == ys.size - 1:
         raise BoxTooSmallError("minimizer cluster touches the search-box boundary")
     runs = np.split(sel, np.flatnonzero(np.diff(sel) > 1) + 1)
@@ -287,9 +293,9 @@ def _clusters(mask: np.ndarray) -> list[np.ndarray]:
     Components are numbered in row-major order of their first cell, as
     ``scipy.ndimage.label`` numbers them with a 3x3 structure.
     """
-    cells = [tuple(c) for c in np.argwhere(mask).tolist()]
-    unseen = set(cells)
     width = mask.shape[1]
+    cells = [divmod(c, width) for c in np.flatnonzero(mask).tolist()]
+    unseen = set(cells)
     out = []
     for start in cells:
         if start not in unseen:
@@ -310,19 +316,15 @@ def _clusters(mask: np.ndarray) -> list[np.ndarray]:
 def _brute_force_prox_2d(penalty, x, gamma: float, box: GridSpec) -> ProxSet:
     mesh, pen = _penalty_samples(penalty, box)
     p = Point2.of(x)
-    obj = pen + ((p.x1 - mesh[..., 0]) ** 2 + (p.x2 - mesh[..., 1]) ** 2) / (2.0 * gamma)
-    if not np.any(np.isfinite(obj)):
-        raise ValueError("objective is +inf everywhere on the box")
+    # Squared distances per axis, summed by broadcasting: each cell adds the
+    # same two squares a full-mesh evaluation would, so every bit is the same.
+    d0 = (p.x1 - mesh[:, 0, 0]) ** 2
+    d1 = (p.x2 - mesh[0, :, 1]) ** 2
+    obj = pen + (d0[:, None] + d1[None, :]) / (2.0 * gamma)
     step = box.max_step
     tol = _cluster_tol(step, gamma)
-    mask = obj <= np.min(obj) + tol
-    idx = np.argwhere(mask)
-    if (
-        np.any(idx[:, 0] == 0)
-        or np.any(idx[:, 0] == box.shape[0] - 1)
-        or np.any(idx[:, 1] == 0)
-        or np.any(idx[:, 1] == box.shape[1] - 1)
-    ):
+    mask = obj <= _objective_min(obj) + tol
+    if mask[0].any() or mask[-1].any() or mask[:, 0].any() or mask[:, -1].any():
         raise BoxTooSmallError("minimizer cluster touches the search-box boundary")
     clusters = _clusters(mask)
     flat_mesh = mesh.reshape(-1, 2)
@@ -356,7 +358,9 @@ def brute_force_prox(penalty, x, gamma: float, box: GridSpec):
 
     ``penalty`` must evaluate vectorized on the box mesh, which it receives
     read-only, and must be a pure function of its argument: its samples on a
-    box are reused by later calls with the same (penalty, box).  Near-optimal
+    box are reused by later calls with the same (penalty, box).  On a box the
+    squared distance to ``x`` is summed by broadcasting from its per-axis
+    terms, which gives the bits of a full-mesh evaluation.  Near-optimal
     grid cells (within a curvature-scaled tolerance) are merged into clusters
     by adjacency; one compact cluster reports a single point, one elongated
     collinear cluster reports a segment/interval, two clusters report a pair.

@@ -193,6 +193,15 @@ def test_shrinker_selection_matches_prox():
     assert shrink((t, t)) == (t - w.w1, t - w.w2)
 
 
+
+@pytest.mark.parametrize(
+    "x", [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan), (-math.nan, 3.0), (3.0, -math.nan)])
+def test_shrinker_passes_nan_through(x):
+    """A NaN coordinate stays NaN; the clip used to turn it into 0.0."""
+    for w in (WeightPair(0.0, 1.0), WeightPair(0.5, 1.0)):
+        got = rowl_shrinker(w)(x)
+        assert [math.isnan(v) for v in got] == [math.isnan(v) for v in x], (w, x, got)
+
 def test_envelope_rejects_wrong_trailing_dimension():
     with pytest.raises(ValueError):
         rowl_envelope_2d([1.0, 2.0, 3.0], W02)

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proxlab.core import Point2
+from proxlab.core import Point2, WeightPair
+from proxlab.erowl import ErowlParams, erowl_shrinker
 from proxlab.rng import Xoshiro256pp, stream
-from proxlab.scalar_ops import soft
+from proxlab.rowl import rowl_shrinker
+from proxlab.scalar_ops import FirmParams, firm_shrinker, soft
 from proxlab.solver import (
     CYCLE_BLOCK,
     DEFAULT_TOL,
@@ -201,6 +203,43 @@ def test_a_non_finite_iterate_diverges_at_the_last_finite_one(bad, record_trace)
     if record_trace:
         assert res.trajectory()[-1] == res.x_hat
 
+
+
+# The entries are finite but the Gram matrix overflows (g11 = g22 = inf), so
+# the first forward half-step is inf * 0 = NaN.
+OVERFLOWING_GRAM = LinearModel(np.eye(2) * 1e200, np.ones(2))
+SHRINKERS = {
+    "rowl": rowl_shrinker(WeightPair(0.0, 1.0)),
+    "erowl": erowl_shrinker(ErowlParams(WeightPair(0.0, 1.0), 1.0)),
+    "firm": firm_shrinker(FirmParams(0.5, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHRINKERS))
+def test_a_nan_half_step_diverges_in_both_trace_modes(name):
+    bare = pfbs(OVERFLOWING_GRAM, SHRINKERS[name], 0.5, record_trace=False)
+    assert (bare.stop_reason, bare.iterations, _bits(bare.x_hat)) == (
+        "diverged", 1, _bits(Point2(0.0, 0.0)))
+    traced = pfbs(OVERFLOWING_GRAM, SHRINKERS[name], 0.5, record_trace=True)
+    assert (traced.stop_reason, traced.iterations, _bits(traced.x_hat)) == (
+        bare.stop_reason, bare.iterations, _bits(bare.x_hat))
+    assert traced.trace == ()
+    assert traced.trajectory() == [traced.x_hat]
+
+
+def test_a_non_finite_half_step_is_left_out_of_the_trace():
+    # g11 = 1e300 is finite, but once x1 = 1e10 the product g11 * x1 overflows.
+    model = LinearModel(np.eye(2) * 1e150, np.zeros(2))
+    runs = []
+    for record_trace in (False, True):
+        first = iter([(1e10, 0.0)])
+        runs.append(pfbs(model, lambda h: next(first, h), 0.5, record_trace=record_trace))
+    bare, traced = runs
+    assert (bare.stop_reason, bare.iterations, _bits(bare.x_hat)) == (
+        "diverged", 2, _bits(Point2(1e10, 0.0)))
+    assert (traced.stop_reason, traced.iterations, _bits(traced.x_hat)) == (
+        bare.stop_reason, bare.iterations, _bits(bare.x_hat))
+    assert traced.trace == ((Point2(0.0, 0.0), Point2(0.0, 0.0)),)
 
 # With A = I, y = 0 and mu = 1/2 the forward step is h = x / 2 exactly, so
 # these shrinks make x -> -x, x -> (x2, -x1) and x -> (x2, -x1 - x2): exact

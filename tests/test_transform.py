@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import math
 import pickle
 
@@ -5,7 +7,8 @@ import numpy as np
 import pytest
 
 from proxlab import transform
-from proxlab.core import Point2, WeightPair
+from proxlab.core import Point2, ProxSet, WeightPair
+from proxlab.erowl import ErowlParams, erowl
 from proxlab.rowl import rowl_envelope_2d, rowl_penalty
 from proxlab.scalar_ops import SQRT2, FirmParams, firm, l0_envelope, l0_norm
 from proxlab.transform import (
@@ -311,18 +314,233 @@ def test_penalties_evaluate_on_a_read_only_mesh():
             assert np.array_equal(fn(frozen), fn(box.mesh()))
 
 
+def _bfs_components(mask: np.ndarray) -> list[np.ndarray]:
+    """8-connected components by breadth-first search, seeded in row-major order."""
+    n0, n1 = mask.shape
+    label = np.zeros(mask.shape, dtype=int)
+    out = []
+    for seed in zip(*np.nonzero(mask)):
+        if label[seed]:
+            continue
+        k = len(out) + 1
+        label[seed] = k
+        queue = collections.deque([seed])
+        while queue:
+            i, j = queue.popleft()
+            for a in range(max(i - 1, 0), min(i + 2, n0)):
+                for b in range(max(j - 1, 0), min(j + 2, n1)):
+                    if mask[a, b] and not label[a, b]:
+                        label[a, b] = k
+                        queue.append((a, b))
+        out.append(np.flatnonzero(label.reshape(-1) == k))
+    return out
+
+
+def _random_masks(count: int = 300):
+    rng = np.random.default_rng(3)
+    for _ in range(count):
+        yield rng.random(tuple(rng.integers(1, 20, size=2))) < rng.uniform(0.05, 0.7)
+
+
+def test_clusters_match_breadth_first_numbering():
+    for mask in _random_masks():
+        got, ref = transform._clusters(mask), _bfs_components(mask)
+        assert len(got) == len(ref)
+        for flat, want in zip(got, ref):
+            assert np.array_equal(flat, want)
+
+
 def test_clusters_match_scipy_label_numbering():
     ndimage = pytest.importorskip("scipy.ndimage")
     from proxlab.transform import _clusters
 
-    rng = np.random.default_rng(3)
-    for _ in range(300):
-        mask = rng.random(tuple(rng.integers(1, 20, size=2))) < rng.uniform(0.05, 0.7)
+    for mask in _random_masks():
         labels, n = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
         got = _clusters(mask)
         assert len(got) == n
         for k, flat in enumerate(got, start=1):
             assert np.array_equal(flat, np.flatnonzero(labels.reshape(-1) == k))
+
+
+def _reference_prox_2d(penalty, x, gamma, box):
+    """The planar grid prox as first written: the objective on the full
+    ``(n0, n1, 2)`` mesh, and the box edges found through ``argwhere``."""
+    mesh = box.mesh()
+    pen = np.asarray(penalty(mesh), dtype=float)
+    p = Point2.of(x)
+    obj = pen + ((p.x1 - mesh[..., 0]) ** 2 + (p.x2 - mesh[..., 1]) ** 2) / (2.0 * gamma)
+    if not np.any(np.isfinite(obj)):
+        raise ValueError("objective is +inf everywhere on the box")
+    step = box.max_step
+    mask = obj <= np.min(obj) + (1e-9 + step * step / gamma)
+    idx = np.argwhere(mask)
+    if (
+        np.any(idx[:, 0] == 0)
+        or np.any(idx[:, 0] == box.shape[0] - 1)
+        or np.any(idx[:, 1] == 0)
+        or np.any(idx[:, 1] == box.shape[1] - 1)
+    ):
+        raise BoxTooSmallError("minimizer cluster touches the search-box boundary")
+    clusters = _bfs_components(mask)
+    flat_mesh = mesh.reshape(-1, 2)
+    flat_obj = obj.reshape(-1)
+
+    def cluster_best(flat):
+        return flat_mesh[flat[int(np.argmin(flat_obj[flat]))]]
+
+    if len(clusters) == 1:
+        [flat] = clusters
+        cells = np.column_stack(np.unravel_index(flat, mask.shape))
+        if max(cells.max(axis=0) - cells.min(axis=0)) <= 3:
+            return ProxSet.single(cluster_best(flat))
+        pts = flat_mesh[flat]
+        dev = pts - pts.mean(axis=0)
+        evecs = np.linalg.eigh(dev.T @ dev)[1]
+        if np.max(np.abs(dev @ evecs[:, 0])) > 1.5 * step:
+            raise ValueError("optimizer cluster spans a 2-D blob, not a segment")
+        proj = dev @ evecs[:, 1]
+        return ProxSet.segment(pts[int(np.argmin(proj))], pts[int(np.argmax(proj))])
+    if len(clusters) == 2:
+        return ProxSet.point_pair(*(cluster_best(flat) for flat in clusters))
+    raise ValueError(f"found {len(clusters)} optimizer clusters; expected at most 2")
+
+
+def _outcome(fn, *args):
+    """The pickled result of ``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return pickle.dumps(fn(*args))
+    except Exception as exc:  # the exception is the outcome being compared
+        return type(exc), str(exc)
+
+
+def _with_inf_off_disc(fn, radius):
+    def penalty(z):
+        return np.where(np.sum(z * z, axis=-1) <= radius * radius, fn(z), np.inf)
+    return penalty
+
+
+def _with_nan_at(fn, cell):
+    def penalty(z):
+        out = np.array(fn(z), dtype=float)
+        out[cell] = np.nan
+        return out
+    return penalty
+
+
+def _three_wells(z):
+    # Wells at (±1, 0) and (0, 1), equally far from the origin: three clusters.
+    out = np.zeros(z.shape[:-1])
+    for c in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)):
+        out[np.all(np.abs(z - c) < 1e-9, axis=-1)] = -10.0
+    return out
+
+
+def _flat_disc(z):
+    # Cancels the distance term on the unit disc around the origin: a 2-D blob.
+    r2 = np.sum(z * z, axis=-1)
+    return np.where(r2 <= 1.0, -0.5 * r2, 0.0)
+
+
+_ROWL = lambda z: rowl_penalty(z, W02.as_array())
+_ENVELOPE = lambda z: rowl_envelope_2d(z, W02)
+_PROX_BOXES = [
+    GridSpec.square(-6.0, 6.0, 0.05),
+    GridSpec.box(Axis(-5.0, 4.0, 0.05), Axis(-4.5, 6.5, 0.05)),
+    GridSpec.box(Axis(-4.0, 4.0, 0.1), Axis(-3.0, 5.0, 0.04)),
+]
+_PROX_PENALTIES = {
+    "rowl": _ROWL,
+    "envelope": _ENVELOPE,
+    "relaxed": lambda z: 0.5 * _ENVELOPE(z),
+    "inf_off_disc": _with_inf_off_disc(_ROWL, 3.0),
+    "nan_sample": _with_nan_at(_ENVELOPE, (3, 5)),
+    "all_inf": lambda z: np.full(z.shape[:-1], np.inf),
+    "three_wells": _three_wells,
+    "flat_disc": _flat_disc,
+}
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.7, 1.0, 2.0])
+@pytest.mark.parametrize("name", sorted(_PROX_PENALTIES))
+def test_planar_grid_prox_matches_full_mesh_reference_bit_for_bit(name, gamma):
+    penalty = _PROX_PENALTIES[name]
+    rng = np.random.default_rng(11)
+    points = [(0.0, 0.0), (1.5, 1.5), (-1.5, 1.5), (2.0, -2.0)] + list(rng.uniform(-4.0, 4.0, (6, 2)))
+    for box in _PROX_BOXES:
+        for x in points:
+            got = _outcome(brute_force_prox, penalty, x, gamma, box)
+            assert got == _outcome(_reference_prox_2d, penalty, x, gamma, box), (name, box, x)
+
+
+@pytest.mark.parametrize(
+    "x, edge",
+    [((-10.0, 0.3), (0, slice(None))), ((10.0, 0.3), (-1, slice(None))),
+     ((0.3, -10.0), (slice(None), 0)), ((0.3, 10.0), (slice(None), -1))],
+    ids=["first-row", "last-row", "first-column", "last-column"],
+)
+def test_each_box_edge_alone_is_too_small(x, edge):
+    box = GridSpec.box(Axis(-2.0, 2.0, 0.1), Axis(-1.5, 2.5, 0.1))
+    zero = lambda z: np.zeros(z.shape[:-1])
+    mesh = box.mesh()
+    obj = np.sum((np.asarray(x) - mesh) ** 2, axis=-1) / 2.0
+    mask = obj <= np.min(obj) + 0.01 + 1e-9
+    touched = [e for e in ((0, slice(None)), (-1, slice(None)), (slice(None), 0), (slice(None), -1))
+               if mask[e].any()]
+    assert touched == [edge]
+    for prox in (brute_force_prox, _reference_prox_2d):
+        with pytest.raises(BoxTooSmallError, match="touches the search-box boundary"):
+            prox(zero, x, 1.0, box)
+
+
+def _words(result) -> list[str]:
+    """A prox set as its kind and the ``float.hex`` of each coordinate."""
+    if isinstance(result, ProxSet):
+        coords = [v for p in result.points() for v in (p.x1, p.x2)]
+    else:
+        coords = list(result.values())
+    return [result.kind] + [float(v).hex() for v in coords]
+
+
+def _grid_oracle_digest() -> str:
+    """sha256 over the outputs of a seeded set of grid-oracle queries.
+
+    Planar and line :func:`verify_inclusion` queries give their two prox sets,
+    distance and verdict; R_delta cases give a coarse and a fine
+    :func:`brute_force_prox` set and the fine set's distance to ``erowl``.
+    """
+    rng = np.random.default_rng(9)
+    words: list[str] = []
+    planar_box = GridSpec.square(-6.0, 6.0, 0.05)
+    planar = list(rng.uniform(-4.0, 4.0, (20, 2))) + [(1.5, 1.5), (-1.5, 1.5), (-0.5, -0.5)]
+    reports = [verify_inclusion(_ROWL, _ENVELOPE, x, planar_box) for x in planar]
+    line = list(rng.uniform(-4.0, 4.0, 20)) + [SQRT2, -SQRT2]
+    reports += [verify_inclusion(l0_norm, l0_envelope, x, GridSpec.line(-5.0, 5.0, 0.01))
+                for x in line]
+    for r in reports:
+        words += _words(r.prox_penalty) + _words(r.prox_envelope)
+        words += [r.max_distance.hex(), float(r.included).hex()]
+    for k in range(12):
+        delta = (0.5, 1.0, 5.0)[k % 3]
+        w2 = rng.uniform(0.2, 4.0)
+        w = WeightPair(rng.uniform(0.0, w2), w2)
+        x = rng.uniform(-6.0, 6.0, size=2)
+        penalty = lambda z: rowl_envelope_2d(z, w) / (delta + 1.0)
+        coarse = brute_force_prox(penalty, x, 1.0, default_prox_box(x, w2, 0.05))
+        c = coarse.points()[0]
+        fine_box = GridSpec(tuple(Axis(ci - 0.08, ci - 0.08 + 16 * 0.01, 0.01) for ci in c))
+        fine = brute_force_prox(penalty, x, 1.0, fine_box)
+        y = erowl(x, ErowlParams(w, delta))
+        words += _words(coarse) + _words(fine) + [fine.distance(Point2(y[0], y[1])).hex()]
+    return hashlib.sha256(" ".join(words).encode()).hexdigest()
+
+
+# Pinned from the grid oracle as it stood before its objective was summed per
+# axis; any change to a point, a distance or a verdict moves it.
+GRID_ORACLE_SHA256 = "65dc6760806b9d8360a06e4f9f60a4c23f18c1eb5e30b36e988dea66b20e921c"
+
+
+def test_grid_oracle_outputs_match_their_golden_digest():
+    assert _grid_oracle_digest() == GRID_ORACLE_SHA256
 
 
 def test_default_prox_box_is_symmetric_about_the_query():
