@@ -13,6 +13,7 @@ finds a failing check.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -193,7 +194,11 @@ def _experiment_config(args) -> ScenarioConfig:
         overrides["gamma_delta"] = args.gamma_delta
     if args.gamma_mu is not None:
         overrides["gamma_mu"] = args.gamma_mu
+    if args.delta is not None:
+        overrides["delta_override"] = args.delta
     if args.scenario == "a":
+        if args.trials is not None or args.snr is not None:
+            raise _UsageError("experiment a is one noiseless trial: --trials and --snr do not apply")
         cfg = ScenarioConfig.scenario_a_defaults(**overrides)
     else:
         if args.trials is not None:
@@ -202,15 +207,8 @@ def _experiment_config(args) -> ScenarioConfig:
             overrides["snr_list_db"] = _parse_snr(args.snr)
         maker = ScenarioConfig.scenario_b_defaults if args.scenario == "b" else ScenarioConfig.scenario_c_defaults
         cfg = maker(**overrides)
-    replace: dict = {}
     if args.w is not None:
-        replace["w_erowl"] = WeightPair(*_parse_floats(args.w, 2, "--w"))
-    if args.delta is not None:
-        replace["delta_override"] = args.delta
-    if replace:
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, **replace)
+        cfg = dataclasses.replace(cfg, w_erowl=WeightPair(*_parse_floats(args.w, 2, "--w")))
     return cfg
 
 

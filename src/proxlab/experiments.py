@@ -2,11 +2,14 @@
 
 Three scenarios on the model ``y = A x + noise`` with a 2-D ground truth:
 
-* A: one noiseless run on a fixed ill-conditioned design, trajectories kept;
-* B: repeated noisy trials at given SNRs, mean mismatch per method;
-* C: like B with a random design and a swept first ground-truth component,
-  adding componentwise firm shrinkage to the method set.
+* A: one noiseless run on the fixed ill-conditioned 2x2 design, trajectories kept;
+* B: repeated noisy trials on the fixed design at given SNRs, mean mismatch
+  per method;
+* C: like B on a 4x2 Gaussian design drawn per trial, with a swept first
+  ground-truth component and componentwise firm shrinkage added to the
+  method set.
 
+The scenario decides the design.  B and C run through one trial worker.
 Every trial draws from its own counter-based stream keyed by
 ``(seed, scenario, trial)``, so record sets are bitwise reproducible under any
 trial order.  A trial draws its design and its unit noise once and reuses
@@ -66,6 +69,8 @@ MISMATCH_FLOOR_DB = -400.0
 
 _SINGULAR_RTOL = 1e-12
 _MAX_RESAMPLES = 100
+#: Rows of the Gaussian design that each scenario C trial draws.
+_GAUSSIAN_ROWS = 4
 
 RECORD_COLUMNS = (
     "scenario",
@@ -106,8 +111,6 @@ class ScenarioConfig:
     seed: int
     snr_list_db: tuple[float, ...]
     x_true: Point2
-    matrix_kind: str
-    m_rows: int
     w_rowl: WeightPair
     w_erowl: WeightPair
     firm_lambda2: float = 3.0
@@ -124,14 +127,10 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIO_IDS:
             raise ValueError(f"scenario must be one of {sorted(SCENARIO_IDS)}, got {self.scenario!r}")
-        if self.matrix_kind not in ("fixed", "gaussian"):
-            raise ValueError(f"matrix_kind must be 'fixed' or 'gaussian', got {self.matrix_kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.snr_list_db:
             raise ValueError("snr_list_db must be nonempty")
-        if self.matrix_kind == "fixed" and self.m_rows != 2:
-            raise ValueError("the fixed design matrix has 2 rows")
         object.__setattr__(self, "snr_list_db", tuple(float(s) for s in self.snr_list_db))
         object.__setattr__(self, "x1_sweep", tuple(float(v) for v in self.x1_sweep))
 
@@ -144,8 +143,6 @@ class ScenarioConfig:
             seed=seed,
             snr_list_db=(math.inf,),
             x_true=Point2(0.0, 1.0),
-            matrix_kind="fixed",
-            m_rows=2,
             w_rowl=WeightPair(0.0, 0.03),
             w_erowl=WeightPair(0.0, 2.0),
             mu_override=2.0,
@@ -159,8 +156,6 @@ class ScenarioConfig:
         seed: int = 12345,
         trials: int = 500,
         snr_list_db: tuple[float, ...] = (20.0,),
-        matrix_kind: str = "fixed",
-        m_rows: int = 2,
         out_path: str | None = None,
         **kw,
     ) -> "ScenarioConfig":
@@ -171,8 +166,6 @@ class ScenarioConfig:
             seed=seed,
             snr_list_db=snr_list_db,
             x_true=Point2(0.01, 1.0),
-            matrix_kind=matrix_kind,
-            m_rows=m_rows,
             w_rowl=WeightPair(0.0, 0.01),
             w_erowl=WeightPair(0.0, 1.0),
             out_path=out_path,
@@ -196,8 +189,6 @@ class ScenarioConfig:
             seed=seed,
             snr_list_db=snr_list_db,
             x_true=Point2(1.0, 0.01),
-            matrix_kind="gaussian",
-            m_rows=4,
             w_rowl=WeightPair(0.0, 0.1),
             w_erowl=WeightPair(0.0, 1.0),
             x1_sweep=x1_sweep,
@@ -263,17 +254,18 @@ def _draw_trial(
 ) -> tuple[np.ndarray, SpectralBounds, int, list[float]]:
     """The trial's design, its spectral bounds, the number of redraws, and its unit noise.
 
-    All come from the trial's own stream: a random design first (row major),
-    redrawn while singular, then one unit normal per row.
+    All come from the trial's own stream: in scenario C a 4x2 Gaussian design
+    first (row major), redrawn while singular, then one unit normal per row.
+    Scenarios A and B use :func:`fixed_design_matrix`.
     """
     gen = stream(cfg.seed, SCENARIO_IDS[cfg.scenario], trial_index)
     resamples = 0
-    if cfg.matrix_kind == "fixed":
+    if cfg.scenario != "C":
         a = fixed_design_matrix()
         bounds = spectral_bounds(a)
     else:
         for _ in range(_MAX_RESAMPLES):
-            a = np.array([[gen.normal(), gen.normal()] for _ in range(cfg.m_rows)])
+            a = np.array([[gen.normal(), gen.normal()] for _ in range(_GAUSSIAN_ROWS)])
             bounds = spectral_bounds(a)
             if bounds.rho > _SINGULAR_RTOL * max(bounds.kappa, 1.0):
                 break
@@ -284,7 +276,7 @@ def _draw_trial(
             )
         else:
             raise RuntimeError(f"could not draw a nonsingular design in {_MAX_RESAMPLES} tries")
-    noise = [gen.normal() for _ in range(cfg.m_rows)]
+    noise = [gen.normal() for _ in range(len(a))]
     return a, bounds, resamples, noise
 
 
@@ -305,8 +297,8 @@ def _observe(a: np.ndarray, noise: list[float], snr_db: float, x_true: Point2) -
 def generate_model(cfg: ScenarioConfig, trial_index: int, snr_db: float) -> LinearModel:
     """Design matrix and observation for one trial, drawn from the trial's own stream.
 
-    The stream is keyed by ``(seed, scenario, trial)``; a random design is
-    drawn first (row major), then unit noise, scaled to the requested SNR via
+    The stream is keyed by ``(seed, scenario, trial)``; scenario C draws its
+    Gaussian design first (row major), then unit noise, scaled to the requested SNR via
     ``sigma^2 = ||A x_true||^2 10^(-snr/10) / M``.  An (almost surely
     impossible) singular design is redrawn from the same stream.  The noise
     does not depend on the SNR or on ``x_true``.
@@ -392,56 +384,32 @@ def scenario_a(cfg: ScenarioConfig) -> ScenarioAResult:
     return ScenarioAResult(tuple(records), trajectories)
 
 
-def _cell_records(
-    cfg: ScenarioConfig, trial: int, snr_db: float, model: LinearModel, runs
-) -> list[TrialRecord]:
-    """LS plus one solve per ``(method, shrink, step)`` run on one cell's model."""
-    x_true = model.x_true
-    out = [_record(cfg, "LS", trial, snr_db, x_true, _least_squares(model), 0, "converged")]
-    for method, shrink, step in runs:
-        res = pfbs(model, shrink, step, tol=cfg.tol, max_iter=cfg.max_iter, record_trace=False)
-        out.append(_record(cfg, method, trial, snr_db, x_true, res.x_hat, res.iterations, res.stop_reason))
-    return out
+def _trial_records(cfg: ScenarioConfig, trial: int) -> tuple[list[TrialRecord], int]:
+    """LS, ROWL and eROWL (and firm in scenario C) on each (SNR, x1) cell of one trial.
 
-
-def _trial_records_b(cfg: ScenarioConfig, trial: int) -> tuple[list[TrialRecord], int]:
+    The cells share the trial's design, bounds, unit noise and shrinkers; the
+    ROWL weights may differ per SNR.  Also returns the number of redraws.
+    """
     a, bounds, resamples, noise = _draw_trial(cfg, trial)
     params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu)
     mu = _solver_mu(cfg, params)
-    runs = (
-        ("ROWL", rowl_shrinker(cfg.w_rowl), mu),
-        ("eROWL", erowl_shrinker(ErowlParams(cfg.w_erowl, _solver_delta(cfg, params))), mu),
-    )
+    erowl = ("eROWL", erowl_shrinker(ErowlParams(cfg.w_erowl, _solver_delta(cfg, params))), mu)
+    firm = ()
+    if cfg.scenario == "C":
+        fp, mu_f = firm_rule(bounds, cfg.firm_lambda2, cfg.gamma_mu)
+        firm = (("firm", firm_shrinker(fp), mu_f),)
     out: list[TrialRecord] = []
     for snr_db in cfg.snr_list_db:
-        out += _cell_records(cfg, trial, snr_db, _observe(a, noise, snr_db, cfg.x_true), runs)
-    return out, resamples
-
-
-def _rowl_weights_for(cfg: ScenarioConfig, snr_db: float) -> WeightPair:
-    if cfg.rowl_w_by_snr and snr_db in cfg.rowl_w_by_snr:
-        return cfg.rowl_w_by_snr[snr_db]
-    return cfg.w_rowl
-
-
-def _trial_records_c(cfg: ScenarioConfig, trial: int) -> tuple[list[TrialRecord], int]:
-    a, bounds, resamples, noise = _draw_trial(cfg, trial)
-    params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu)
-    mu = _solver_mu(cfg, params)
-    erowl = erowl_shrinker(ErowlParams(cfg.w_erowl, _solver_delta(cfg, params)))
-    fp, mu_f = firm_rule(bounds, cfg.firm_lambda2, cfg.gamma_mu)
-    firm = firm_shrinker(fp)
-    sweep = cfg.x1_sweep if cfg.x1_sweep else (cfg.x_true.x1,)
-    out: list[TrialRecord] = []
-    for snr_db in cfg.snr_list_db:
-        runs = (
-            ("ROWL", rowl_shrinker(_rowl_weights_for(cfg, snr_db)), mu),
-            ("eROWL", erowl, mu),
-            ("firm", firm, mu_f),
-        )
-        for x1 in sweep:
-            model = _observe(a, noise, snr_db, Point2(x1, cfg.x_true.x2))
-            out += _cell_records(cfg, trial, snr_db, model, runs)
+        w_rowl = (cfg.rowl_w_by_snr or {}).get(snr_db, cfg.w_rowl)
+        runs = (("ROWL", rowl_shrinker(w_rowl), mu), erowl, *firm)
+        for x1 in cfg.x1_sweep or (cfg.x_true.x1,):
+            x_true = Point2(x1, cfg.x_true.x2)
+            model = _observe(a, noise, snr_db, x_true)
+            out.append(_record(cfg, "LS", trial, snr_db, x_true, _least_squares(model), 0, "converged"))
+            for method, shrink, step in runs:
+                res = pfbs(model, shrink, step, tol=cfg.tol, max_iter=cfg.max_iter, record_trace=False)
+                out.append(_record(cfg, method, trial, snr_db, x_true,
+                                   res.x_hat, res.iterations, res.stop_reason))
     return out, resamples
 
 
@@ -475,16 +443,12 @@ def _run_tasks(cfg: ScenarioConfig, trials, worker) -> tuple[list[TrialRecord], 
     return records, resampled
 
 
-def scenario_b(cfg: ScenarioConfig) -> list[TrialRecord]:
-    """Repeated noisy trials of LS, plain, and relaxed shrinkage at each SNR.
-
-    Writes ``records.csv``, ``means.csv`` and ``meta.json`` when an output
-    directory is configured.  Returns records sorted by method, SNR, trial.
-    """
-    records, resampled = _run_tasks(cfg, range(cfg.trials), _trial_records_b)
+def _run(cfg: ScenarioConfig) -> list[TrialRecord]:
+    """Every trial of a B or C run, sorted; writes its bundle when configured."""
+    records, resampled = _run_tasks(cfg, range(cfg.trials), _trial_records)
     if cfg.out_path is not None:
         extra: dict = {"resampled_trials": resampled}
-        if cfg.matrix_kind == "fixed":
+        if cfg.scenario != "C":
             bounds = spectral_bounds(fixed_design_matrix())
             params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu)
             extra.update(rho=bounds.rho, kappa=bounds.kappa, delta=params.delta,
@@ -493,16 +457,22 @@ def scenario_b(cfg: ScenarioConfig) -> list[TrialRecord]:
     return records
 
 
+def scenario_b(cfg: ScenarioConfig) -> list[TrialRecord]:
+    """Repeated noisy trials of LS, plain, and relaxed shrinkage at each SNR.
+
+    Writes ``records.csv``, ``means.csv`` and ``meta.json`` when an output
+    directory is configured.  Returns records sorted by method, SNR, trial.
+    """
+    return _run(cfg)
+
+
 def scenario_c(cfg: ScenarioConfig) -> list[TrialRecord]:
     """Random-design trials sweeping the large truth component, firm shrinkage included.
 
     Each trial draws its design and unit noise once and solves every
     (SNR, x1) cell on them.
     """
-    records, resampled = _run_tasks(cfg, range(cfg.trials), _trial_records_c)
-    if cfg.out_path is not None:
-        _write_run(cfg, records, {"resampled_trials": resampled})
-    return records
+    return _run(cfg)
 
 
 def _mismatch_groups(records) -> dict[tuple[str, float, float], list[float]]:
@@ -528,13 +498,15 @@ def _fmt(v) -> str:
     return format(float(v), ".17g")
 
 
-def write_records_csv(path: str, records) -> None:
-    """Write trial records with 17-significant-digit decimals."""
-    lines = [",".join(RECORD_COLUMNS)]
-    for r in records:
-        lines.append(",".join(_fmt(v) for v in r.row()))
+def _write_lines(path: str, lines) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_records_csv(path: str, records) -> None:
+    """Write trial records with 17-significant-digit decimals."""
+    rows = [",".join(_fmt(v) for v in r.row()) for r in records]
+    _write_lines(path, [",".join(RECORD_COLUMNS)] + rows)
 
 
 def write_means_csv(path: str, records) -> None:
@@ -548,16 +520,14 @@ def write_means_csv(path: str, records) -> None:
                  _fmt(sum(vals) / len(vals)), str(len(vals)))
             )
         )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def _write_trajectory(path: str, traj) -> None:
     lines = ["step,x1,x2"]
     for k, p in enumerate(traj):
         lines.append(",".join((_fmt(0.5 * k), _fmt(p.x1), _fmt(p.x2))))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def _jsonable(v):
@@ -572,14 +542,12 @@ def _jsonable(v):
 
 def _write_meta(cfg: ScenarioConfig, extra: dict) -> None:
     meta = {
-        "schema": 2,
+        "schema": 3,
         "scenario": cfg.scenario,
         "config": _jsonable(dataclasses.asdict(cfg)),
         "derived": _jsonable(extra),
     }
-    with open(os.path.join(cfg.out_path, "meta.json"), "w", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_lines(os.path.join(cfg.out_path, "meta.json"), [json.dumps(meta, indent=2, sort_keys=True)])
 
 
 def _write_run(cfg: ScenarioConfig, records, extra: dict) -> None:

@@ -96,8 +96,6 @@ class SolverParams:
     delta: float
     beta: float
     mu: float
-    gamma_delta: float
-    gamma_mu: float
     mu_interval: tuple[float, float]
 
     def __post_init__(self) -> None:
@@ -148,14 +146,7 @@ def select_parameters(
     beta = delta / (1.0 + delta)
     mu = _interpolated_step(bounds, beta, gamma_mu)
     interval = ((1.0 - beta) * rho, (1.0 + beta) / kappa)
-    return SolverParams(
-        delta=delta,
-        beta=beta,
-        mu=mu,
-        gamma_delta=gamma_delta,
-        gamma_mu=gamma_mu,
-        mu_interval=interval,
-    )
+    return SolverParams(delta=delta, beta=beta, mu=mu, mu_interval=interval)
 
 
 @dataclass(frozen=True)

@@ -234,10 +234,16 @@ def _best_index(obj: np.ndarray, flat_idx: np.ndarray) -> int:
 
 
 def _objective_min(obj: np.ndarray) -> float:
-    """``np.min(obj)``; the scan for a finite sample runs only when it is not finite."""
+    """``np.min(obj)``, raising on a NaN cell or an all-+inf box.
+
+    Both checks run only when the minimum is not finite.
+    """
     lowest = np.min(obj)
-    if not np.isfinite(lowest) and not np.any(np.isfinite(obj)):
-        raise ValueError("objective is +inf everywhere on the box")
+    if not np.isfinite(lowest):
+        if np.isnan(lowest):
+            raise ValueError("objective has a NaN cell on the box")
+        if not np.any(np.isfinite(obj)):
+            raise ValueError("objective is +inf everywhere on the box")
     return lowest
 
 

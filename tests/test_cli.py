@@ -108,6 +108,15 @@ def test_experiment_a_writes_bundle(tmp_path, capsys):
         assert (out_dir / name).exists()
 
 
+def test_experiment_a_rejects_trials_and_snr(tmp_path, capsys):
+    # Scenario A is one noiseless trial; the options must not be dropped silently.
+    for extra in (["--trials", "7"], ["--snr", "10"], ["--trials", "7", "--snr", "10"]):
+        rc, out, err = run(capsys, "experiment", "a", *extra, "--out", str(tmp_path / "run"))
+        assert rc == 1 and out == ""
+        assert "--trials and --snr do not apply" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_experiment_b_reruns_are_byte_identical(tmp_path, capsys, request):
     d1, d2 = tmp_path / "one", tmp_path / "two"
     rc, _, _ = run(capsys, "experiment", "b", "--trials", "3", "--snr", "20", "--out", str(d1))

@@ -49,14 +49,12 @@ def test_system_mismatch_values():
 def test_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig.scenario_b_defaults(trials=0)
-    with pytest.raises(ValueError):
-        ScenarioConfig.scenario_b_defaults(matrix_kind="fixed", m_rows=4)
     with pytest.raises(TypeError):  # no thread-count field: trials run in one loop
         ScenarioConfig.scenario_b_defaults(threads=2)
+    with pytest.raises(TypeError):  # no design field: the scenario decides the design
+        ScenarioConfig.scenario_b_defaults(matrix_kind="gaussian")
     with pytest.raises(ValueError):
         ScenarioConfig.scenario_b_defaults(snr_list_db=())
-    with pytest.raises(ValueError):
-        ScenarioConfig.scenario_b_defaults(matrix_kind="dense")
 
 
 def test_generate_model_is_deterministic_per_key():
@@ -65,7 +63,9 @@ def test_generate_model_is_deterministic_per_key():
     m2 = generate_model(cfg, 1, 20.0)
     assert np.array_equal(m1.a_matrix, m2.a_matrix)
     assert np.array_equal(m1.y, m2.y)
-    assert m1.a_matrix.shape == (cfg.m_rows, 2)
+    assert m1.a_matrix.shape == (4, 2)
+    assert np.array_equal(generate_model(ScenarioConfig.scenario_b_defaults(), 1, 20.0).a_matrix,
+                          fixed_design_matrix())
 
     other = generate_model(cfg, 2, 20.0)
     assert not np.array_equal(m1.a_matrix, other.a_matrix)
@@ -198,37 +198,42 @@ def _cell_model(cfg, trial, snr_db, x1):
 
 
 def _cell_reference(cfg, trial, snr_db, x1):
-    """One scenario C cell built on its own: its own model draw, bounds and shrinkers."""
+    """One scenario B or C cell built on its own: its own model draw, bounds and shrinkers."""
     model = _cell_model(cfg, trial, snr_db, x1)
     bounds = spectral_bounds(model.a_matrix)
     params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu)
-    fp, mu_f = firm_rule(bounds, cfg.firm_lambda2, cfg.gamma_mu)
-    w_rowl = cfg.rowl_w_by_snr.get(snr_db, cfg.w_rowl)
-    x_hat = {"LS": (experiments._least_squares(model), 0, "converged")}
-    for method, shrink, mu in (
+    w_rowl = (cfg.rowl_w_by_snr or {}).get(snr_db, cfg.w_rowl)
+    runs = [
         ("ROWL", rowl_shrinker(w_rowl), params.mu),
         ("eROWL", erowl_shrinker(ErowlParams(cfg.w_erowl, params.delta)), params.mu),
-        ("firm", firm_shrinker(fp), mu_f),
-    ):
+    ]
+    if cfg.scenario == "C":
+        fp, mu_f = firm_rule(bounds, cfg.firm_lambda2, cfg.gamma_mu)
+        runs.append(("firm", firm_shrinker(fp), mu_f))
+    x_hat = {"LS": (experiments._least_squares(model), 0, "converged")}
+    for method, shrink, mu in runs:
         res = pfbs(model, shrink, mu, tol=cfg.tol, max_iter=cfg.max_iter, record_trace=False)
         x_hat[method] = (res.x_hat, res.iterations, res.stop_reason)
     return [
-        TrialRecord("C", method, trial, snr_db, model.x_true, xh, system_mismatch(xh, model.x_true),
-                    iterations, reason)
+        TrialRecord(cfg.scenario, method, trial, snr_db, model.x_true, xh,
+                    system_mismatch(xh, model.x_true), iterations, reason)
         for method, (xh, iterations, reason) in x_hat.items()
     ]
 
 
+def _cells(cfg):
+    """The (SNR, x1) cells of a run: B has one per SNR, at its own truth."""
+    return [(snr_db, x1) for snr_db in cfg.snr_list_db for x1 in cfg.x1_sweep or (cfg.x_true.x1,)]
+
+
 def _trial_reference(cfg, trial):
-    records = [r for snr_db in cfg.snr_list_db for x1 in cfg.x1_sweep
-               for r in _cell_reference(cfg, trial, snr_db, x1)]
+    records = [r for snr_db, x1 in _cells(cfg) for r in _cell_reference(cfg, trial, snr_db, x1)]
     return sorted(records, key=lambda r: (r.method, r.snr_db, r.x_true.x1))
 
 
-def test_scenario_c_cells_solve_the_models_generate_model_draws(monkeypatch):
-    # Each trial draws its design and noise once; every cell's model must still
-    # be the one generate_model draws for that (trial, SNR, x1) on its own.
-    cfg = ScenarioConfig.scenario_c_defaults(seed=7, trials=3, snr_list_db=(20.0, 10.0, math.inf))
+def _assert_cells_solve_generate_model_draws(scenario, cfg, monkeypatch):
+    """Every cell's solves ran on the model generate_model draws for that cell
+    on its own, and each trial's records equal the cell-by-cell reference."""
     solved = collections.Counter()
     real_pfbs = experiments.pfbs
 
@@ -237,18 +242,33 @@ def test_scenario_c_cells_solve_the_models_generate_model_draws(monkeypatch):
         return real_pfbs(model, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "pfbs", recording_pfbs)
-    records = scenario_c(cfg)
+    records = scenario(cfg)
+    solves_per_cell = 3 if cfg.scenario == "C" else 2
     expected = collections.Counter()
     for trial in range(cfg.trials):
-        for snr_db in cfg.snr_list_db:
-            for x1 in cfg.x1_sweep:
-                model = _cell_model(cfg, trial, snr_db, x1)
-                expected[(model.a_matrix.tobytes(), model.y.tobytes(), model.x_true)] += 3
-    assert len(expected) == cfg.trials * 3 * len(cfg.x1_sweep)
+        for snr_db, x1 in _cells(cfg):
+            model = _cell_model(cfg, trial, snr_db, x1)
+            expected[(model.a_matrix.tobytes(), model.y.tobytes(), model.x_true)] += solves_per_cell
     assert solved == expected
     for trial in range(cfg.trials):
         got = [r for r in records if r.trial == trial]
         assert _exact(got) == _exact(_trial_reference(cfg, trial))
+    return expected
+
+
+def test_scenario_b_cells_solve_the_models_generate_model_draws(monkeypatch):
+    # One cell per SNR on the fixed design: noiseless cells of all trials coincide.
+    cfg = ScenarioConfig.scenario_b_defaults(seed=7, trials=3, snr_list_db=(20.0, 10.0, math.inf))
+    expected = _assert_cells_solve_generate_model_draws(scenario_b, cfg, monkeypatch)
+    assert len(expected) == cfg.trials * 2 + 1
+
+
+def test_scenario_c_cells_solve_the_models_generate_model_draws(monkeypatch):
+    # Each trial draws its design and noise once; every cell's model must still
+    # be the one generate_model draws for that (trial, SNR, x1) on its own.
+    cfg = ScenarioConfig.scenario_c_defaults(seed=7, trials=3, snr_list_db=(20.0, 10.0, math.inf))
+    expected = _assert_cells_solve_generate_model_draws(scenario_c, cfg, monkeypatch)
+    assert len(expected) == cfg.trials * 3 * len(cfg.x1_sweep)
 
 
 def test_scenario_c_counts_a_resampled_trial_once(monkeypatch, tmp_path):
@@ -267,11 +287,35 @@ def test_scenario_c_counts_a_resampled_trial_once(monkeypatch, tmp_path):
 
     records = scenario_c(cfg)
     meta = json.loads((tmp_path / "meta.json").read_text())
-    assert meta["schema"] == 2
+    assert meta["schema"] == 3
     assert meta["derived"]["resampled_trials"] == 1  # not once per (SNR, x1) cell
     assert "threads" not in meta["config"]
     got = [r for r in records if r.trial == 1]
     assert _exact(got) == _exact(_trial_reference(cfg, 1))
+
+
+_CONFIG_KEYS = [
+    "delta_override", "firm_lambda2", "gamma_delta", "gamma_mu", "max_iter", "mu_override",
+    "out_path", "rowl_w_by_snr", "scenario", "seed", "snr_list_db", "tol", "trials",
+    "w_erowl", "w_rowl", "x1_sweep", "x_true",
+]
+_FIXED_DESIGN_KEYS = ["beta", "delta", "kappa", "mu", "resampled_trials", "rho"]
+
+
+@pytest.mark.parametrize("scenario, cfg, derived", [
+    (scenario_a, ScenarioConfig.scenario_a_defaults(), _FIXED_DESIGN_KEYS),
+    (scenario_b, ScenarioConfig.scenario_b_defaults(trials=1), _FIXED_DESIGN_KEYS),
+    (scenario_c, ScenarioConfig.scenario_c_defaults(trials=1, snr_list_db=(20.0,), x1_sweep=(1.5,)),
+     ["resampled_trials"]),
+], ids=["A", "B", "C"])
+def test_meta_json_layout_is_pinned_by_its_schema(scenario, cfg, derived, tmp_path):
+    # A change to these key lists must come with a new schema number.
+    scenario(dataclasses.replace(cfg, out_path=str(tmp_path)))
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    assert sorted(meta) == ["config", "derived", "scenario", "schema"]
+    assert meta["schema"] == 3
+    assert sorted(meta["config"]) == _CONFIG_KEYS
+    assert sorted(meta["derived"]) == derived
 
 
 def test_scenario_c_trial_order_does_not_change_results(tmp_path, request):

@@ -87,10 +87,7 @@ def test_select_parameters_rejects_bad_inputs():
 
 def test_solver_params_checks_beta_consistency():
     with pytest.raises(ValueError):
-        SolverParams(
-            delta=1.0, beta=0.6, mu=0.1, gamma_delta=1.01, gamma_mu=0.5,
-            mu_interval=(0.0, 1.0),
-        )
+        SolverParams(delta=1.0, beta=0.6, mu=0.1, mu_interval=(0.0, 1.0))
 
 
 def test_pfbs_zero_data_fixed_point():

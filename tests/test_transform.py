@@ -226,6 +226,20 @@ def test_brute_force_prox_box_too_small():
         brute_force_prox(np.zeros_like, 0.0, 0.0, GridSpec.line(-2.0, 2.0, 0.1))
 
 
+def test_brute_force_prox_scalar_reports_a_nan_objective():
+    box = GridSpec.line(-4.0, 4.0, 0.01)
+
+    def nan_at_7(y):
+        out = l0_norm(y)
+        out[7] = np.nan
+        return out
+
+    with pytest.raises(ValueError, match="objective has a NaN cell"):
+        brute_force_prox(nan_at_7, 1.0, 1.0, box)
+    with pytest.raises(ValueError, match="objective has a NaN cell"):
+        brute_force_prox(l0_norm, math.nan, 1.0, box)
+
+
 class _Counting:
     """A penalty that counts its evaluations and keeps the meshes it was given."""
 
@@ -469,7 +483,10 @@ def test_planar_grid_prox_matches_full_mesh_reference_bit_for_bit(name, gamma):
     for box in _PROX_BOXES:
         for x in points:
             got = _outcome(brute_force_prox, penalty, x, gamma, box)
-            assert got == _outcome(_reference_prox_2d, penalty, x, gamma, box), (name, box, x)
+            if name == "nan_sample":  # the reference finds 0 clusters; the prox names the NaN
+                assert got == (ValueError, "objective has a NaN cell on the box"), (box, x)
+            else:
+                assert got == _outcome(_reference_prox_2d, penalty, x, gamma, box), (name, box, x)
 
 
 @pytest.mark.parametrize(
