@@ -67,6 +67,8 @@ def _parse_snr(text: str) -> tuple[float, ...]:
             lo, step, hi = (float(p) for p in parts)
         except ValueError:
             raise _UsageError(f"could not parse SNR sweep {text!r}") from None
+        if not all(map(math.isfinite, (lo, step, hi))):
+            raise _UsageError(f"SNR sweep bounds and step must be finite, got {text!r}")
         if step <= 0 or hi < lo:
             raise _UsageError(f"SNR sweep must have step > 0 and hi >= lo, got {text!r}")
         count = int(math.floor((hi - lo) / step + 1e-9)) + 1

@@ -32,10 +32,12 @@ class Point2:
     x1: float
     x2: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x1", float(self.x1))
-        object.__setattr__(self, "x2", float(self.x2))
-        _require_finite("Point2", self.x1, self.x2)
+    def __init__(self, x1: float, x2: float) -> None:
+        x1, x2 = float(x1), float(x2)
+        if not (math.isfinite(x1) and math.isfinite(x2)):
+            _require_finite("Point2", x1, x2)
+        object.__setattr__(self, "x1", x1)
+        object.__setattr__(self, "x2", x2)
 
     @classmethod
     def of(cls, p) -> "Point2":

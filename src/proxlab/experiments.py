@@ -12,18 +12,21 @@ Three scenarios on the model ``y = A x + noise`` with a 2-D ground truth:
 The scenario decides the design.  B and C run through one trial worker.
 Every trial draws from its own counter-based stream keyed by
 ``(seed, scenario, trial)``, so record sets are bitwise reproducible under any
-trial order.  A trial draws its design and its unit noise once and reuses
-them in each of its (SNR, x1) cells.  Output files are plain CSV with
+trial order.  A B run takes one design and one set of bounds for all its
+trials; a C trial draws its own.  A trial draws its unit noise once and
+reuses it in each of its (SNR, x1) cells.  Output files are plain CSV with
 17-significant-digit decimals plus a ``meta.json`` of the resolved setup.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,6 +135,9 @@ class ScenarioConfig:
         if not self.snr_list_db:
             raise ValueError("snr_list_db must be nonempty")
         object.__setattr__(self, "snr_list_db", tuple(float(s) for s in self.snr_list_db))
+        for snr_db in self.snr_list_db:
+            if math.isnan(snr_db) or snr_db == -math.inf:
+                raise ValueError(f"SNR must be a finite number of dB or +inf (noiseless), got {snr_db!r}")
         object.__setattr__(self, "x1_sweep", tuple(float(v) for v in self.x1_sweep))
 
     @classmethod
@@ -198,8 +204,7 @@ class ScenarioConfig:
         )
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     """Outcome of one method on one trial.
 
     ``stop_reason`` is the solver's :attr:`~proxlab.solver.PfbsResult.stop_reason`
@@ -250,17 +255,20 @@ def system_mismatch(x_hat, x_true) -> float:
 
 
 def _draw_trial(
-    cfg: ScenarioConfig, trial_index: int
+    cfg: ScenarioConfig, trial_index: int, design: tuple[np.ndarray, SpectralBounds] | None = None
 ) -> tuple[np.ndarray, SpectralBounds, int, list[float]]:
     """The trial's design, its spectral bounds, the number of redraws, and its unit noise.
 
-    All come from the trial's own stream: in scenario C a 4x2 Gaussian design
-    first (row major), redrawn while singular, then one unit normal per row.
-    Scenarios A and B use :func:`fixed_design_matrix`.
+    The trial's own stream yields, in scenario C, a 4x2 Gaussian design first
+    (row major), redrawn while singular, then one unit normal per row.
+    Scenarios A and B use :func:`fixed_design_matrix`; a B run passes its one
+    ``design`` and bounds, so its trials share them.
     """
     gen = stream(cfg.seed, SCENARIO_IDS[cfg.scenario], trial_index)
     resamples = 0
-    if cfg.scenario != "C":
+    if design is not None:
+        a, bounds = design
+    elif cfg.scenario != "C":
         a = fixed_design_matrix()
         bounds = spectral_bounds(a)
     else:
@@ -291,7 +299,7 @@ def _observe(a: np.ndarray, noise: list[float], snr_db: float, x_true: Point2) -
             power += v * v
         sigma = math.sqrt(power * 10.0 ** (-snr_db / 10.0) / len(clean))
         y = [v + sigma * z for v, z in zip(clean, noise)]
-    return LinearModel(a, np.array(y), x_true=x_true)
+    return LinearModel(a, np.array(y), x_true)
 
 
 def generate_model(cfg: ScenarioConfig, trial_index: int, snr_db: float) -> LinearModel:
@@ -319,17 +327,8 @@ def _record(
     cfg: ScenarioConfig, method: str, trial: int, snr_db: float, x_true: Point2,
     x_hat: Point2, iterations: int, stop_reason: str,
 ) -> TrialRecord:
-    return TrialRecord(
-        scenario=cfg.scenario,
-        method=method,
-        trial=trial,
-        snr_db=snr_db,
-        x_true=x_true,
-        x_hat=x_hat,
-        mismatch_db=system_mismatch(x_hat, x_true),
-        iterations=iterations,
-        stop_reason=stop_reason,
-    )
+    return TrialRecord(cfg.scenario, method, trial, snr_db, x_true, x_hat,
+                       system_mismatch(x_hat, x_true), iterations, stop_reason)
 
 
 def _solver_mu(cfg: ScenarioConfig, params) -> float:
@@ -384,13 +383,14 @@ def scenario_a(cfg: ScenarioConfig) -> ScenarioAResult:
     return ScenarioAResult(tuple(records), trajectories)
 
 
-def _trial_records(cfg: ScenarioConfig, trial: int) -> tuple[list[TrialRecord], int]:
+def _trial_records(cfg: ScenarioConfig, trial: int, design=None) -> tuple[list[TrialRecord], int]:
     """LS, ROWL and eROWL (and firm in scenario C) on each (SNR, x1) cell of one trial.
 
-    The cells share the trial's design, bounds, unit noise and shrinkers; the
-    ROWL weights may differ per SNR.  Also returns the number of redraws.
+    The cells share the trial's design (a B run's shared ``design``), bounds,
+    unit noise and shrinkers; the ROWL weights may differ per SNR.  Also
+    returns the number of redraws.
     """
-    a, bounds, resamples, noise = _draw_trial(cfg, trial)
+    a, bounds, resamples, noise = _draw_trial(cfg, trial, design)
     params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu)
     mu = _solver_mu(cfg, params)
     erowl = ("eROWL", erowl_shrinker(ErowlParams(cfg.w_erowl, _solver_delta(cfg, params))), mu)
@@ -445,11 +445,15 @@ def _run_tasks(cfg: ScenarioConfig, trials, worker) -> tuple[list[TrialRecord], 
 
 def _run(cfg: ScenarioConfig) -> list[TrialRecord]:
     """Every trial of a B or C run, sorted; writes its bundle when configured."""
-    records, resampled = _run_tasks(cfg, range(cfg.trials), _trial_records)
+    design = None
+    if cfg.scenario != "C":
+        a = fixed_design_matrix()
+        design = (a, spectral_bounds(a))
+    records, resampled = _run_tasks(cfg, range(cfg.trials), functools.partial(_trial_records, design=design))
     if cfg.out_path is not None:
         extra: dict = {"resampled_trials": resampled}
-        if cfg.scenario != "C":
-            bounds = spectral_bounds(fixed_design_matrix())
+        if design is not None:
+            bounds = design[1]
             params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu)
             extra.update(rho=bounds.rho, kappa=bounds.kappa, delta=params.delta,
                          beta=params.beta, mu=_solver_mu(cfg, params))
@@ -489,12 +493,6 @@ def mean_mismatch(records) -> dict[tuple[str, float, float], float]:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
     return format(float(v), ".17g")
 
 
@@ -504,8 +502,10 @@ def _write_lines(path: str, lines) -> None:
 
 
 def write_records_csv(path: str, records) -> None:
-    """Write trial records with 17-significant-digit decimals."""
-    rows = [",".join(_fmt(v) for v in r.row()) for r in records]
+    """Write trial records with 17-significant-digit decimals, one template per row."""
+    rows = ["%s,%s,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%s" % (
+        r.scenario, r.method, r.trial, r.snr_db, r.x_true.x1, r.x_true.x2, r.x_hat.x1, r.x_hat.x2,
+        r.mismatch_db, r.iterations, "true" if r.converged else "false") for r in records]
     _write_lines(path, [",".join(RECORD_COLUMNS)] + rows)
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,11 +42,12 @@ _TOL_GUARD = 1.0 + 2.0 ** -50
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Observation model ``y = A x + noise`` with an ``(M, 2)`` design matrix."""
+    """Observation model ``y = A x + noise`` with an ``(M, 2)`` design matrix, Gram sums taken once."""
 
     a_matrix: np.ndarray
     y: np.ndarray
     x_true: Point2 | None = None
+    _gram: tuple[float, float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(self.a_matrix, dtype=float)
@@ -54,25 +56,24 @@ class LinearModel:
             raise ValueError(f"a_matrix must be (M, 2) with M >= 1, got {a.shape}")
         if y.shape != (a.shape[0],):
             raise ValueError(f"y must have shape ({a.shape[0]},), got {y.shape}")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(y))):
-            raise ValueError("model entries must be finite")
-        object.__setattr__(self, "a_matrix", a)
-        object.__setattr__(self, "y", y)
-
-    @property
-    def m_rows(self) -> int:
-        return self.a_matrix.shape[0]
-
-    def gram_terms(self) -> tuple[float, float, float, float, float]:
-        """Entries of ``A^T A`` and ``A^T y`` accumulated in fixed row order."""
         g11 = g12 = g22 = c1 = c2 = 0.0
-        for (a1, a2), yi in zip(self.a_matrix.tolist(), self.y.tolist()):
+        for (a1, a2), yi in zip(a.tolist(), y.tolist()):
             g11 += a1 * a1
             g12 += a1 * a2
             g22 += a2 * a2
             c1 += a1 * yi
             c2 += a2 * yi
-        return g11, g12, g22, c1, c2
+        # A NaN or infinite entry makes g11, g22 or c1 non-finite, so finite
+        # sums clear every entry; only an overflowed sum needs the entry check.
+        if not math.isfinite(g11 + g22 + c1 + c2) and not (np.isfinite(a).all() and np.isfinite(y).all()):
+            raise ValueError("model entries must be finite")
+        object.__setattr__(self, "a_matrix", a)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "_gram", (g11, g12, g22, c1, c2))
+
+    def gram_terms(self) -> tuple[float, float, float, float, float]:
+        """Entries of ``A^T A`` and ``A^T y`` accumulated in fixed row order."""
+        return self._gram
 
 
 @dataclass(frozen=True)
@@ -129,9 +130,10 @@ def select_parameters(
     """Pick the relaxation and step size from the Gram spectrum.
 
     ``delta = gamma_delta * (kappa - rho) / (2 * rho)`` exceeds the convexity
-    threshold for any ``gamma_delta > 1``; the step interpolates between the
-    endpoints of the admissible interval ``[(1 - beta) * rho, (1 + beta) / kappa)``
-    with weight ``gamma_mu`` on the lower-end formula ``(1 - beta) / rho``.
+    threshold for any ``gamma_delta > 1``, and ``beta = delta / (1 + delta)``.
+    The step is ``mu = gamma_mu * (1 - beta) / rho + (1 - gamma_mu) * (1 + beta) / kappa``.
+    ``mu_interval`` holds ``((1 - beta) * rho, (1 + beta) / kappa)``; its lower
+    end is not the ``(1 - beta) / rho`` the step uses, but ``rho**2`` times it.
     """
     rho, kappa = bounds.rho, bounds.kappa
     if rho <= 0.0:
@@ -149,8 +151,7 @@ def select_parameters(
     return SolverParams(delta=delta, beta=beta, mu=mu, mu_interval=interval)
 
 
-@dataclass(frozen=True)
-class PfbsResult:
+class PfbsResult(NamedTuple):
     """Terminal iterate of the splitting iteration plus its recorded path.
 
     ``stop_reason`` says how the run ended: ``"converged"``, ``"diverged"``,
@@ -216,7 +217,8 @@ def pfbs(
     if not tol >= 0.0 or max_iter < 1:
         raise ValueError(f"need tol >= 0 and max_iter >= 1, got {tol!r} and {max_iter!r}")
     g11, g12, g22, c1, c2 = model.gram_terms()
-    x1, x2 = Point2.of(x0)
+    x0 = Point2.of(x0)
+    x1, x2 = x0.x1, x0.x2
     trace: list[tuple[Point2, Point2]] | None = [] if record_trace else None
     # Exact pre-filters: hypot is only taken where it can decide the test.
     # A NaN coordinate fails the norm filter and makes the norm NaN (or inf),
@@ -259,9 +261,4 @@ def pfbs(
             mark = bits
             continue
         break  # converged or diverged
-    return PfbsResult(
-        x_hat=Point2(x1, x2),
-        iterations=iterations,
-        stop_reason=stop_reason,
-        trace=tuple(trace) if trace is not None else None,
-    )
+    return PfbsResult(Point2(x1, x2), iterations, stop_reason, None if trace is None else tuple(trace))

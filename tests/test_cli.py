@@ -140,6 +140,18 @@ def test_experiment_snr_sweep_parsing(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("snr, message", [
+    ("-inf", "got -inf"),
+    ("nan", "got nan"),
+    ("0:1:inf", "must be finite, got '0:1:inf'"),
+])
+def test_experiment_rejects_an_snr_without_meaning(capsys, snr, message):
+    # -inf is not "noiseless" (+inf is), NaN has no noise scale, and a sweep needs finite ends.
+    rc, out, err = run(capsys, "experiment", "b", "--trials", "2", f"--snr={snr}")
+    assert rc == 1 and out == ""
+    assert message in err and "Traceback" not in err
+
+
 def _console_script_target() -> str:
     """The ``module:func`` target of ``proxlab`` in ``[project.scripts]``."""
     try:

@@ -55,6 +55,10 @@ def test_config_validation():
         ScenarioConfig.scenario_b_defaults(matrix_kind="gaussian")
     with pytest.raises(ValueError):
         ScenarioConfig.scenario_b_defaults(snr_list_db=())
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            ScenarioConfig.scenario_b_defaults(snr_list_db=(20.0, bad))
+    assert ScenarioConfig.scenario_b_defaults(snr_list_db=(math.inf,)).snr_list_db == (math.inf,)
 
 
 def test_generate_model_is_deterministic_per_key():
@@ -368,3 +372,75 @@ def test_records_carry_the_solver_stop_reason_outside_the_csv(tmp_path):
     assert "stop_reason" not in RECORD_COLUMNS
     header = (tmp_path / "records.csv").read_text().splitlines()[0]
     assert header == ",".join(RECORD_COLUMNS)
+
+
+def _field_text(v) -> str:
+    """Reference text of one ``records.csv`` field: 17 significant digits, ``true``/``false``."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return format(float(v), ".17g")
+
+
+def test_records_csv_rows_match_the_field_formatter_on_edge_values(tmp_path):
+    tiny = 5e-324  # the smallest subnormal
+    edges = [
+        ("B", "LS", 0, 20.0, (0.01, 1.0), (0.0, -0.0), MISMATCH_FLOOR_DB, 0, "converged"),
+        ("C", "ROWL", 499, math.inf, (-0.0, 0.01), (tiny, -tiny), -0.0, 10**15, "cycled"),
+        ("C", "firm", 7, -3.5, (0.1 + 0.2, 1.0 / 3.0), (2.2250738585072014e-308 / 3.0, 1e308),
+         math.inf, 100_000, "max_iter"),
+        ("B", "eROWL", 12, 1e-17, (123456789.12345679, -9.999999999999999e22),
+         (-1.7976931348623157e308, 4.9406564584124654e-320), -12.345678901234567, 1, "diverged"),
+        ("C", "eROWL", 1, 0.0, (6.0, 0.01), (5.999999999999999, 0.010000000000000002),
+         math.nan, 67_267, "converged"),
+    ]
+    records = [TrialRecord(sc, m, t, snr, Point2(*xt), Point2(*xh), db, it, why)
+               for sc, m, t, snr, xt, xh, db, it, why in edges]
+    path = tmp_path / "records.csv"
+    write_records_csv(str(path), records)
+    lines = path.read_text().splitlines()
+    assert lines[1:] == [",".join(_field_text(v) for v in r.row()) for r in records]
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["true", "false", "false", "false", "true"]
+
+
+def _counting_spectral_bounds(monkeypatch, reject=None):
+    """Count calls of ``experiments.spectral_bounds``; a design equal to ``reject`` reads singular."""
+    calls = []
+    real_bounds = experiments.spectral_bounds
+
+    def counted(a):
+        calls.append(np.array(a))
+        bounds = real_bounds(a)
+        if reject is not None and np.array_equal(a, reject):
+            return SpectralBounds(0.0, bounds.kappa)
+        return bounds
+
+    monkeypatch.setattr(experiments, "spectral_bounds", counted)
+    return calls
+
+
+def test_scenario_b_builds_its_design_and_bounds_once_per_run(monkeypatch, tmp_path):
+    calls = _counting_spectral_bounds(monkeypatch)
+    cfg = ScenarioConfig.scenario_b_defaults(seed=4, trials=5, snr_list_db=(20.0, 10.0),
+                                             out_path=str(tmp_path))
+    records = scenario_b(cfg)
+    assert len(calls) == 1 and np.array_equal(calls[0], fixed_design_matrix())
+    assert len(records) == 5 * 2 * 3
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    bounds = spectral_bounds(fixed_design_matrix())
+    assert (meta["derived"]["rho"], meta["derived"]["kappa"]) == (bounds.rho, bounds.kappa)
+
+
+def test_scenario_c_takes_bounds_once_per_drawn_design(monkeypatch):
+    cfg = ScenarioConfig.scenario_c_defaults(seed=3, trials=3, x1_sweep=(1.5, 4.0))
+    calls = _counting_spectral_bounds(monkeypatch)
+    scenario_c(cfg)
+    assert len(calls) == cfg.trials
+    rejected = generate_model(cfg, 1, 20.0).a_matrix
+    calls = _counting_spectral_bounds(monkeypatch, reject=rejected)
+    scenario_c(cfg)
+    assert len(calls) == cfg.trials + 1  # trial 1 draws a second design
+    assert np.array_equal(calls[1], rejected)

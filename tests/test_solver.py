@@ -31,8 +31,53 @@ def test_model_validation():
     with pytest.raises(ValueError):
         LinearModel(np.ones((3, 2)), np.array([0.0, np.inf, 0.0]))
     m = LinearModel(np.eye(2), np.array([1.0, 2.0]), x_true=Point2(1.0, 2.0))
-    assert m.m_rows == 2
     assert m.gram_terms() == (1.0, 0.0, 1.0, 1.0, 2.0)
+
+
+def test_model_rejects_every_nonfinite_entry():
+    # Each entry is checked, also where it meets a zero in the Gram sums.
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in range(3):
+            for j in range(2):
+                a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+                a[i, j] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    LinearModel(a, np.ones(3))
+            y = np.ones(3)
+            y[i] = bad
+            with pytest.raises(ValueError, match="finite"):
+                LinearModel(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), y)
+    with pytest.raises(ValueError, match="finite"):
+        LinearModel(np.eye(2) * 1e200, np.array([1.0, np.inf]))
+
+
+def _row_order_gram(a, y):
+    g11 = g12 = g22 = c1 = c2 = 0.0
+    for (a1, a2), yi in zip(a.tolist(), y.tolist()):
+        g11 += a1 * a1
+        g12 += a1 * a2
+        g22 += a2 * a2
+        c1 += a1 * yi
+        c2 += a2 * yi
+    return g11, g12, g22, c1, c2
+
+
+def _sum_bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def test_gram_terms_equal_the_row_order_sums_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        m = int(rng.integers(1, 9))
+        a = rng.normal(size=(m, 2)) * 10.0 ** rng.integers(-150, 150, size=(m, 2))
+        y = rng.normal(size=m) * 10.0 ** rng.integers(-150, 150, size=m)
+        model = LinearModel(a, y)
+        assert _sum_bits(model.gram_terms()) == _sum_bits(_row_order_gram(a, y))
+    # Finite entries whose sums overflow are a valid model.
+    big = LinearModel(np.eye(2) * 1e200, np.ones(2))
+    assert big.gram_terms() == (math.inf, 0.0, math.inf, 1e200, 1e200)
+    assert _sum_bits(big.gram_terms()) == _sum_bits(_row_order_gram(big.a_matrix, big.y))
 
 
 def test_spectral_bounds_simple_cases():
@@ -53,6 +98,15 @@ def test_spectral_bounds_match_dense_eigensolver():
         lo, hi = np.linalg.eigvalsh(a.T @ a)
         assert b.rho == pytest.approx(max(lo, 0.0), abs=1e-10)
         assert b.kappa == pytest.approx(hi, abs=1e-10)
+
+
+@pytest.mark.parametrize("bounds", [SpectralBounds(0.00819025, 0.819025), SpectralBounds(0.3, 7.5)])
+def test_select_parameters_step_interpolates_its_two_ends(bounds):
+    rho, kappa = bounds.rho, bounds.kappa
+    for gamma_mu in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0):
+        params = select_parameters(bounds, gamma_mu=gamma_mu)
+        beta = params.beta
+        assert params.mu == gamma_mu * (1 - beta) / rho + (1 - gamma_mu) * (1 + beta) / kappa
 
 
 def test_select_parameters_frozen_tall_spectrum():
