@@ -36,6 +36,10 @@ from .verify import SUITE_NAMES, run_all, run_suite
 __all__ = ["run_cli", "main"]
 
 
+#: Most values an SNR sweep ``lo:step:hi`` may expand to.
+MAX_SNR_POINTS = 10_000
+
+
 class _UsageError(Exception):
     pass
 
@@ -71,8 +75,10 @@ def _parse_snr(text: str) -> tuple[float, ...]:
             raise _UsageError(f"SNR sweep bounds and step must be finite, got {text!r}")
         if step <= 0 or hi < lo:
             raise _UsageError(f"SNR sweep must have step > 0 and hi >= lo, got {text!r}")
-        count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        return tuple(lo + i * step for i in range(count))
+        span = (hi - lo) / step + 1e-9
+        if not span < MAX_SNR_POINTS:  # also an infinite span, before any value is built
+            raise _UsageError(f"SNR sweep {text!r} has more than {MAX_SNR_POINTS} values")
+        return tuple(lo + i * step for i in range(int(math.floor(span)) + 1))
     try:
         return tuple(math.inf if p.strip() in ("inf", "+inf") else float(p) for p in text.split(","))
     except ValueError:

@@ -227,4 +227,7 @@ def erowl_shrinker(params: ErowlParams):
             y2 = 0.0 if y2 <= 0.0 else y2
         return s1 * y1, s2 * y2
 
+    # Lets pfbs run this arithmetic in its own loop (see solver.pfbs).
+    shrink._pfbs_inline = ("erowl", shrink.__code__, delta, w1, w2, dp1, dp2, diag_gate, gate, eta,
+                           denom, w1s, w2s, _CLAMP)
     return shrink

@@ -139,6 +139,12 @@ class ScenarioConfig:
             if math.isnan(snr_db) or snr_db == -math.inf:
                 raise ValueError(f"SNR must be a finite number of dB or +inf (noiseless), got {snr_db!r}")
         object.__setattr__(self, "x1_sweep", tuple(float(v) for v in self.x1_sweep))
+        for name in ("snr_list_db", "x1_sweep"):
+            seen: set[float] = set()
+            for v in getattr(self, name):
+                if v in seen:
+                    raise ValueError(f"{name} repeats {v!r}: its cells would be solved and counted twice")
+                seen.add(v)
 
     @classmethod
     def scenario_a_defaults(cls, seed: int = 12345, out_path: str | None = None, **kw) -> "ScenarioConfig":

@@ -129,4 +129,6 @@ def rowl_shrinker(w: WeightPair):
         # A NaN fails `<= 0` and passes through, as in erowl_shrinker.
         return (0.0 if y1 <= 0 else s1 * y1, 0.0 if y2 <= 0 else s2 * y2)
 
+    # Lets pfbs run this arithmetic in its own loop (see solver.pfbs).
+    shrink._pfbs_inline = ("rowl", shrink.__code__, w1, w2)
     return shrink

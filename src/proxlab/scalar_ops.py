@@ -187,4 +187,6 @@ def firm_shrinker(params: FirmParams):
             y2 = x2
         return y1, y2
 
+    # Lets pfbs run this arithmetic in its own loop (see solver.pfbs).
+    shrink._pfbs_inline = ("firm", shrink.__code__, lam1, lam2, gap)
     return shrink

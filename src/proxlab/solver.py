@@ -210,6 +210,17 @@ def pfbs(
     the same ``x_hat`` bits) with ``stop_reason == "cycled"``.  This assumes
     ``shrink`` is a deterministic function of its input.  Cycles whose period
     does not divide ``CYCLE_BLOCK`` still run to ``max_iter``.
+
+    A shrinker built by :func:`~proxlab.rowl.rowl_shrinker`,
+    :func:`~proxlab.erowl.erowl_shrinker` or
+    :func:`~proxlab.scalar_ops.firm_shrinker` carries its constants in a
+    ``_pfbs_inline`` marker, and its arithmetic runs inline in this loop: the
+    same float operations in the same order, without a call per iteration.
+    Any other callable, a wrapper around a library shrinker included, is
+    called, with bit-for-bit the same results.  The loop stays in this
+    function's own frame, with ``iterations`` advanced every iteration: a
+    sampler may find the running solve through ``pfbs.__code__`` and read
+    that counter.
     """
     if not (math.isfinite(mu) and mu > 0):
         raise ValueError(f"mu must be positive and finite, got {mu!r}")
@@ -228,6 +239,15 @@ def pfbs(
     tol_hi = tol * _TOL_GUARD
     tol_lo = -tol_hi
     block = max_iter if record_trace else CYCLE_BLOCK
+    spec = getattr(shrink, "_pfbs_inline", None)
+    # functools.wraps copies the marker onto a wrapper but not the code object.
+    kind = spec[0] if spec is not None and spec[1] is getattr(shrink, "__code__", None) else "call"
+    if kind == "rowl":
+        w1, w2 = spec[2:]
+    elif kind == "erowl":
+        delta, w1, w2, dp1, dp2, diag_gate, gate, eta, denom, w1s, w2s, clamp = spec[2:]
+    elif kind == "firm":
+        lam1, lam2, gap = spec[2:]
     mark = None
     iterations = 0
     stop_reason = "max_iter"
@@ -235,7 +255,74 @@ def pfbs(
         for _ in range(min(block, max_iter - iterations)):
             h1 = x1 - mu * (g11 * x1 + g12 * x2 - c1)
             h2 = x2 - mu * (g12 * x1 + g22 * x2 - c2)
-            n1, n2 = shrink((h1, h2))
+            # Each inline branch makes its factory closure's float operations, in its order.
+            if kind == "erowl":
+                if h1 < 0:
+                    a1 = -h1
+                    s1 = -1.0
+                else:
+                    a1 = h1
+                    s1 = 1.0
+                if h2 < 0:
+                    a2 = -h2
+                    s2 = -1.0
+                else:
+                    a2 = h2
+                    s2 = 1.0
+                below = (a1 + a2) <= diag_gate
+                if below and (-a1 + dp1 * a2) > gate and (dp1 * a1 - a2) > gate:
+                    m = (dp1 * (a1 + a2) + delta * w1) / dp2
+                    d = (dp1 * a2 - m) / delta
+                    y1 = m - w1 - d
+                    y2 = d
+                    if clamp <= y1 < 0.0:
+                        y1 = 0.0
+                    if clamp <= y2 < 0.0:
+                        y2 = 0.0
+                elif not below and (a1 - a2 if a1 >= a2 else a2 - a1) < eta:
+                    alpha = 0.5 + dp1 * (a1 - a2) / denom
+                    y1 = a1 - (alpha * w1 + (1.0 - alpha) * w2) / dp1
+                    y2 = a2 - (alpha * w2 + (1.0 - alpha) * w1) / dp1
+                elif a1 >= a2:
+                    y1 = a1 - w1s
+                    y2 = a2 - w2s
+                    y1 = 0.0 if y1 <= 0.0 else y1
+                    y2 = 0.0 if y2 <= 0.0 else y2
+                else:
+                    y1 = a1 - w2s
+                    y2 = a2 - w1s
+                    y1 = 0.0 if y1 <= 0.0 else y1
+                    y2 = 0.0 if y2 <= 0.0 else y2
+                n1, n2 = s1 * y1, s2 * y2
+            elif kind == "rowl":
+                a1, a2 = abs(h1), abs(h2)
+                s1 = -1.0 if h1 < 0 else 1.0
+                s2 = -1.0 if h2 < 0 else 1.0
+                if a1 >= a2:
+                    y1 = a1 - w1
+                    y2 = a2 - w2
+                else:
+                    y1 = a1 - w2
+                    y2 = a2 - w1
+                n1 = 0.0 if y1 <= 0 else s1 * y1
+                n2 = 0.0 if y2 <= 0 else s2 * y2
+            elif kind == "firm":
+                a1 = abs(h1)
+                if a1 <= lam1:
+                    n1 = 0.0
+                elif a1 <= lam2:
+                    n1 = (-1.0 if h1 < 0 else 1.0) * lam2 * (a1 - lam1) / gap
+                else:
+                    n1 = h1
+                a2 = abs(h2)
+                if a2 <= lam1:
+                    n2 = 0.0
+                elif a2 <= lam2:
+                    n2 = (-1.0 if h2 < 0 else 1.0) * lam2 * (a2 - lam1) / gap
+                else:
+                    n2 = h2
+            else:
+                n1, n2 = shrink((h1, h2))
             if trace is not None and math.isfinite(h1) and math.isfinite(h2):
                 trace.append((Point2(x1, x2), Point2(h1, h2)))
             iterations += 1

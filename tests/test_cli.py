@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import proxlab
-from proxlab.cli import run_cli
+from proxlab.cli import MAX_SNR_POINTS, _parse_snr, run_cli
 
 
 def run(capsys, *argv):
@@ -150,6 +150,23 @@ def test_experiment_rejects_an_snr_without_meaning(capsys, snr, message):
     rc, out, err = run(capsys, "experiment", "b", "--trials", "2", f"--snr={snr}")
     assert rc == 1 and out == ""
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("snr", ["0:5e-324:1", "0:1e-9:40", "-1e308:1:1e308", f"0:1:{MAX_SNR_POINTS}"])
+def test_experiment_rejects_an_snr_sweep_too_long_to_build(capsys, snr):
+    # Each sweep is refused from its lo, step and hi alone, before a value is built.
+    rc, out, err = run(capsys, "experiment", "b", "--trials", "2", f"--snr={snr}")
+    assert rc == 1 and out == ""
+    assert f"more than {MAX_SNR_POINTS} values" in err and "Traceback" not in err
+    assert len(_parse_snr(f"0:1:{MAX_SNR_POINTS - 1}")) == MAX_SNR_POINTS
+
+
+@pytest.mark.parametrize("snr", ["20,20", "20,10,20.0", "0,-0", "1e16:1:10000000000000002"])
+def test_experiment_rejects_a_repeated_snr(capsys, snr):
+    # 1e16 + 1 rounds to 1e16, so that sweep repeats its first value.
+    rc, out, err = run(capsys, "experiment", "b", "--trials", "2", f"--snr={snr}")
+    assert rc == 1 and out == ""
+    assert "snr_list_db repeats" in err and "Traceback" not in err
 
 
 def _console_script_target() -> str:

@@ -59,6 +59,12 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"got {bad!r}"):
             ScenarioConfig.scenario_b_defaults(snr_list_db=(20.0, bad))
     assert ScenarioConfig.scenario_b_defaults(snr_list_db=(math.inf,)).snr_list_db == (math.inf,)
+    with pytest.raises(ValueError, match="snr_list_db repeats 20.0"):
+        ScenarioConfig.scenario_b_defaults(snr_list_db=(20.0, 10.0, 20))
+    with pytest.raises(ValueError, match="snr_list_db repeats inf"):
+        ScenarioConfig.scenario_c_defaults(snr_list_db=(math.inf, math.inf))
+    with pytest.raises(ValueError, match="x1_sweep repeats 1.5"):
+        ScenarioConfig.scenario_c_defaults(x1_sweep=(1.0, 1.5, 2.0, 1.5))
 
 
 def test_generate_model_is_deterministic_per_key():

@@ -1,12 +1,15 @@
+import functools
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from proxlab.core import Point2, WeightPair
 from proxlab.erowl import ErowlParams, erowl_shrinker
+from proxlab.experiments import ScenarioConfig, firm_rule, fixed_design_matrix, generate_model
 from proxlab.rng import Xoshiro256pp, stream
 from proxlab.rowl import rowl_shrinker
 from proxlab.scalar_ops import FirmParams, firm_shrinker, soft
@@ -427,6 +430,217 @@ signed = st.tuples(st.one_of(boundary, st.floats()), st.booleans()).map(
 @settings(max_examples=300)
 def test_pfbs_stops_like_the_unconditional_hypot_loop(points, tol):
     _assert_stops_like_reference(points, tol)
+
+
+# ------------------------------------- library shrinkers inline in the loop
+
+
+def _outcome(res):
+    trace = None if res.trace is None else [(_bits(x), _bits(h)) for x, h in res.trace]
+    return _bits(res.x_hat), res.iterations, res.stop_reason, trace
+
+
+def _assert_inline_matches_call(model, shrink, mu, **kwargs):
+    """``pfbs`` on a library shrinker equals ``pfbs`` on a lambda around it, bit for bit."""
+    inline = pfbs(model, shrink, mu, **kwargs)
+    called = pfbs(model, lambda p: shrink(p), mu, **kwargs)
+    assert _outcome(inline) == _outcome(called), (kwargs, inline, called)
+    return inline
+
+
+def _shrinker(kind, draw):
+    """A library shrinker of ``kind`` with drawn parameters, and the magnitudes where it switches."""
+    if kind == "firm":
+        lam1 = draw(st.floats(min_value=1e-3, max_value=3.0))
+        params = FirmParams(lam1, lam1 + draw(st.floats(min_value=1e-3, max_value=3.0)))
+        return firm_shrinker(params), [params.lambda1, params.lambda2]
+    w1 = draw(st.floats(min_value=0.0, max_value=3.0))
+    w = WeightPair(w1, w1 + draw(st.floats(min_value=0.0, max_value=3.0)))
+    if kind == "rowl":
+        return rowl_shrinker(w), [w.w1, w.w2]
+    params = ErowlParams(w, draw(st.floats(min_value=1e-3, max_value=100.0)))
+    return erowl_shrinker(params), [w.w1, w.w2, params.eta, params._diag_gate, params._axis_gate]
+
+
+@st.composite
+def gate_points(draw):
+    """A library shrinker and a point on, or a few ulps off, a place where its formula switches.
+
+    Ties ``|h1| = |h2|``, eROWL's diagonal, axis and slab gates (whose
+    rounding lands the triangle formula inside ``_CLAMP``), firm's two
+    thresholds and signed zeros.
+    """
+    kind = draw(st.sampled_from(["rowl", "erowl", "firm"]))
+    shrink, special = _shrinker(kind, draw)
+    a2 = draw(st.one_of(st.sampled_from([0.0] + special), st.floats(min_value=0.0, max_value=8.0)))
+    candidates = [0.0, a2, draw(st.floats(min_value=0.0, max_value=8.0))] + special
+    if kind == "erowl":
+        dp1, _, diag_gate, gate, eta = shrink._pfbs_inline[5:10]
+        candidates += [diag_gate - a2, dp1 * a2 - gate, (a2 + gate) / dp1, a2 + eta, a2 - eta]
+    a1 = draw(st.sampled_from(candidates))
+    toward = draw(st.sampled_from([math.inf, -math.inf]))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        a1 = math.nextafter(a1, toward)
+    x = [abs(a1), a2]
+    if draw(st.booleans()):
+        x.reverse()
+    return shrink, tuple(-v if draw(st.booleans()) else v for v in x)
+
+
+@given(gate_points())
+@settings(max_examples=1000)
+# a firm threshold hit from below zero: the dead zone gives 0.0, the ramp -0.0
+@example((firm_shrinker(FirmParams(0.5, 1.0)), (-0.5, -0.5)))
+# at lambda2 the ramp rounds to 3.1890000000000005, not to the identity's 3.189
+@example((firm_shrinker(FirmParams(1.435, 3.189)), (3.189, -3.189)))
+# a magnitude tie: the identity matching, not the swapped one
+@example((rowl_shrinker(WeightPair(0.0, 1.0)), (2.0, -2.0)))
+# the triangle formula rounds y1, then y2, just below zero, and _CLAMP lifts it
+@example((erowl_shrinker(ErowlParams(WeightPair(0.5, 2.0), 1.0)), (0.36200532040757316, 0.47401064081514627)))
+@example((erowl_shrinker(ErowlParams(WeightPair(0.2, 1.0), 0.5)), (0.8331330395647772, 0.5998664708209627)))
+def test_inline_shrinkers_match_their_closures_at_every_gate(case):
+    # On ORBIT_MODEL with mu = 1/2 the half-step from x0 = 2p is p, so one
+    # iteration applies the shrinker at p and x_hat is its output.
+    shrink, p = case
+    x0 = Point2(2.0 * p[0], 2.0 * p[1])
+    for record_trace in (False, True):
+        res = _assert_inline_matches_call(ORBIT_MODEL, shrink, 0.5, x0=x0, max_iter=1,
+                                          record_trace=record_trace)
+    h = res.trace[0][1]
+    assert h == Point2(*p)
+    assert _bits(res.x_hat) == struct.pack("<dd", *shrink((h.x1, h.x2)))
+
+
+coefficient = st.floats(min_value=-2.0, max_value=2.0)
+
+
+@st.composite
+def solves(draw):
+    """A library shrinker on a drawn 2x2 model, step, start, tolerance and iteration budget."""
+    shrink, _ = _shrinker(draw(st.sampled_from(["rowl", "erowl", "firm"])), draw)
+    a = np.array([[draw(coefficient), draw(coefficient)], [draw(coefficient), draw(coefficient)]])
+    y = np.array([draw(coefficient), draw(coefficient)])
+    start = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=-3.0, max_value=3.0))
+    return shrink, LinearModel(a, y), dict(
+        mu=draw(st.floats(min_value=0.01, max_value=3.0)),
+        x0=Point2(draw(start), draw(start)),
+        tol=draw(st.sampled_from([DEFAULT_TOL, 0.0, 1e-3])),
+        max_iter=draw(st.integers(min_value=1, max_value=300)),
+    )
+
+
+@given(solves())
+@settings(max_examples=300)
+def test_inline_solves_match_the_call_path_bit_for_bit(case):
+    shrink, model, kwargs = case
+    mu = kwargs.pop("mu")
+    for record_trace in (False, True):
+        _assert_inline_matches_call(model, shrink, mu, record_trace=record_trace, **kwargs)
+
+
+def _cycling_rowl_case():
+    """Scenario C, trial 20, 20 dB, x1 = 1: a ROWL solve caught in an exact cycle."""
+    cfg = ScenarioConfig.scenario_c_defaults()
+    model = generate_model(cfg, 20, 20.0)
+    mu = select_parameters(spectral_bounds(model.a_matrix)).mu
+    return model, rowl_shrinker(cfg.rowl_w_by_snr[20.0]), mu
+
+
+FIXED_B = generate_model(ScenarioConfig.scenario_b_defaults(), 0, 20.0)
+_FIXED_BOUNDS = spectral_bounds(fixed_design_matrix())
+FIXED_B_MU = select_parameters(_FIXED_BOUNDS).mu
+LONG_EROWL_MODEL = generate_model(ScenarioConfig.scenario_b_defaults(), 300, 20.0)
+# The scenario's shrinkers and steps on the fixed design, firm's from its own rule.
+FIXED_B_RUNS = [
+    (rowl_shrinker(WeightPair(0.0, 0.01)), FIXED_B_MU),
+    (erowl_shrinker(ErowlParams(WeightPair(0.0, 1.0), select_parameters(_FIXED_BOUNDS).delta)), FIXED_B_MU),
+    (firm_shrinker(firm_rule(_FIXED_BOUNDS, 3.0, 0.5)[0]), firm_rule(_FIXED_BOUNDS, 3.0, 0.5)[1]),
+]
+# (ending, what brings it about, model, shrink, mu, pfbs keywords)
+ENDING_CASES = [
+    ("converged", "fixed-design", FIXED_B, shrink, mu, {}) for shrink, mu in FIXED_B_RUNS
+] + [
+    ("max_iter", "fixed-design", FIXED_B, shrink, mu, {"max_iter": 50}) for shrink, mu in FIXED_B_RUNS
+] + [
+    ("diverged", "nan-half-step", OVERFLOWING_GRAM, shrink, 0.5, {}) for shrink in SHRINKERS.values()
+] + [
+    ("diverged", "growing-norm", LinearModel(np.eye(2), np.ones(2)), shrink, 5.0, {})
+    for shrink in SHRINKERS.values()
+] + [
+    ("cycled", "scenario-c-trial-20", *_cycling_rowl_case(), {"max_iter": 5000}),
+]
+
+
+@pytest.mark.parametrize("ending, model, shrink, mu, kwargs", [c[:1] + c[2:] for c in ENDING_CASES],
+                         ids=[f"{c[0]}-{c[1]}-{c[3]._pfbs_inline[0]}" for c in ENDING_CASES])
+def test_inline_solves_match_the_call_path_at_every_ending(ending, model, shrink, mu, kwargs):
+    bare = _assert_inline_matches_call(model, shrink, mu, record_trace=False, **kwargs)
+    assert bare.stop_reason == ending
+    traced = _assert_inline_matches_call(model, shrink, mu, record_trace=True, **kwargs)
+    assert _bits(traced.x_hat) == _bits(bare.x_hat)
+
+
+def _calls_of(code, shrink):
+    """A short solve with ``shrink``, and how often a function with ``code`` was entered in it."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is code
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        res = pfbs(FIXED_B, shrink, FIXED_B_MU, max_iter=10, tol=0.0)
+    finally:
+        sys.setprofile(previous)
+    assert res.iterations == 10
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(SHRINKERS))
+def test_only_an_unwrapped_library_shrinker_runs_inline(name):
+    shrink = SHRINKERS[name]
+    assert _calls_of(shrink.__code__, shrink) == 0
+    assert _calls_of(shrink.__code__, lambda p: shrink(p)) == 10
+    # functools.wraps copies the marker onto a wrapper, which must still run.
+    wrapped_calls = []
+
+    @functools.wraps(shrink)
+    def wrapper(p):
+        wrapped_calls.append(p)
+        return shrink(p)
+
+    assert wrapper._pfbs_inline is shrink._pfbs_inline
+    assert _calls_of(shrink.__code__, wrapper) == len(wrapped_calls) == 10
+
+
+def test_the_solver_frame_counts_its_iterations_as_it_runs():
+    # The eROWL solve of scenario B's trial 300 takes 67,267 iterations.
+    # A wall-clock sampler finds the running solve through pfbs.__code__ and
+    # reads its ``iterations`` to rate long solves: the loop must stay in
+    # pfbs's own frame with the counter advancing every iteration.
+    seen = []
+
+    def local(frame, event, arg):
+        if event == "line":
+            seen.append(frame.f_locals.get("iterations"))
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is pfbs.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        res = pfbs(LONG_EROWL_MODEL, FIXED_B_RUNS[1][0], FIXED_B_MU, max_iter=1200, record_trace=False)
+    finally:
+        sys.settrace(previous)
+    assert res.iterations == 1200
+    counts = [v for v in seen if v is not None]
+    assert all(type(v) is int for v in counts)
+    assert counts == sorted(counts)
+    assert set(range(res.iterations)) <= set(counts)
 
 
 # ------------------------------------------------------------- rng streams
