@@ -3,8 +3,8 @@ desk-scale recovery experiments on 2-D linear models.
 
 The package splits into:
 
-* :mod:`proxlab.core` — planar points, weight pairs, and the set-valued
-  prox results ``ProxSet`` and ``ScalarProxSet``;
+* :mod:`proxlab.core` — planar points, weight pairs, and ``ProxSet``, the
+  set-valued prox result on ℝ and ℝ²;
 * :mod:`proxlab.scalar_ops` — zero-counting penalties and 1-D shrinkage;
 * :mod:`proxlab.rowl` — ordered weighted l1 penalty, prox, and envelope;
   ``rowl_shrinker`` is the prox's single-valued selection for solvers;
@@ -19,7 +19,6 @@ The package splits into:
 from .core import (
     Point2,
     ProxSet,
-    ScalarProxSet,
     WeightPair,
 )
 from .erowl import (
@@ -96,7 +95,6 @@ __all__ = [
     "Point2",
     "WeightPair",
     "ProxSet",
-    "ScalarProxSet",
     "MCParams",
     "FirmParams",
     "l0_norm",

@@ -89,22 +89,13 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _print_scalar_set(s) -> None:
-    if s.kind == "interval":
-        lo, hi = s.values()
-        print(f"interval {_fmt(lo)} {_fmt(hi)}")
+def _print_set(s) -> None:
+    """One line per point, or one line naming a segment or interval and its ends."""
+    texts = [",".join(map(_fmt, p)) if isinstance(p, Point2) else _fmt(p) for p in s.points()]
+    if s.kind in ("segment", "interval"):
+        print(s.kind, *texts)
     else:
-        for v in s.values():
-            print(_fmt(v))
-
-
-def _print_point_set(s) -> None:
-    if s.kind == "segment":
-        a, b = s.points()
-        print(f"segment {_fmt(a.x1)},{_fmt(a.x2)} {_fmt(b.x1)},{_fmt(b.x2)}")
-    else:
-        for p in s.points():
-            print(f"{_fmt(p.x1)},{_fmt(p.x2)}")
+        print(*texts, sep="\n")
 
 
 def _need(args, name: str):
@@ -119,9 +110,9 @@ def _cmd_prox(args) -> int:
     if op in ("l0", "l0-env", "hard", "soft", "firm"):
         (x,) = _parse_floats(args.x, 1, "--x")
         if op == "l0":
-            _print_scalar_set(prox_l0(x, args.gamma))
+            _print_set(prox_l0(x, args.gamma))
         elif op == "l0-env":
-            _print_scalar_set(prox_l0_envelope(x))
+            _print_set(prox_l0_envelope(x))
         elif op == "hard":
             print(_fmt(float(hard(x, float(_need(args, "threshold"))))))
         elif op == "soft":
@@ -134,9 +125,9 @@ def _cmd_prox(args) -> int:
     x = Point2(*_parse_floats(args.x, 2, "--x"))
     w = WeightPair(*_parse_floats(_need(args, "w"), 2, "--w"))
     if op == "rowl":
-        _print_point_set(prox_rowl_2d(x, w))
+        _print_set(prox_rowl_2d(x, w))
     elif op == "rowl-env":
-        _print_point_set(prox_rowl_envelope_2d(x, w))
+        _print_set(prox_rowl_envelope_2d(x, w))
     else:  # erowl
         delta = float(_need(args, "delta"))
         y = erowl_shrinker(ErowlParams(w, delta))((x.x1, x.x2))

@@ -1,8 +1,7 @@
 """Planar value types and set-valued prox results.
 
-A planar prox returns a :class:`ProxSet` of kind ``single``, ``pair`` or
-``segment``; a scalar prox returns a :class:`ScalarProxSet` of kind
-``single``, ``pair`` or ``interval``.
+Every prox returns a :class:`ProxSet`: of kind ``single``, ``pair`` or
+``segment`` in ℝ², and ``single``, ``pair`` or ``interval`` on ℝ.
 """
 from __future__ import annotations
 
@@ -15,7 +14,6 @@ __all__ = [
     "Point2",
     "WeightPair",
     "ProxSet",
-    "ScalarProxSet",
 ]
 
 
@@ -107,127 +105,68 @@ def _seg_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.hypot(*(p - proj)))
 
 
+_KIND_SIZES = {"single": 1, "pair": 2, "segment": 2, "interval": 2}
+
+
+def _prox_point(p) -> float | Point2:
+    """A float on the line, a :class:`Point2` in the plane."""
+    if isinstance(p, float) or np.ndim(p) == 0:
+        v = float(p)
+        _require_finite("ProxSet", v)
+        return v
+    return Point2.of(p)
+
+
 @dataclass(frozen=True)
 class ProxSet:
-    """Result of a set-valued planar prox: a point, an unordered pair, or a segment."""
+    """Result of a set-valued prox on ℝ or ℝ²: one point, an unordered pair, or a segment.
+
+    Its points are floats on ℝ and :class:`Point2` in ℝ².  A segment on ℝ has
+    kind ``interval`` and holds its low end first.
+    """
 
     kind: str
-    a: Point2
-    b: Point2 | None = None
-
-    _KINDS = ("single", "pair", "segment")
+    _points: tuple
 
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown ProxSet kind {self.kind!r}")
-        if self.kind == "single":
-            if self.b is not None:
-                raise ValueError("single ProxSet carries exactly one point")
-        else:
-            if self.b is None:
-                raise ValueError(f"{self.kind} ProxSet needs two points")
-            if (self.a.x1, self.a.x2) == (self.b.x1, self.b.x2):
-                raise ValueError(f"{self.kind} ProxSet points must be distinct")
+        pts = self._points
+        if _KIND_SIZES.get(self.kind) != len(pts) or (len(pts) == 2 and pts[0] == pts[1]):
+            raise ValueError(f"malformed {self.kind!r} ProxSet {pts!r}")
 
     @classmethod
     def single(cls, p) -> "ProxSet":
-        return cls("single", Point2.of(p))
+        return cls("single", (_prox_point(p),))
 
     @classmethod
-    def point_pair(cls, p, q) -> "ProxSet":
+    def pair(cls, p, q) -> "ProxSet":
         """Two distinct candidate points; collapses to a single point when they coincide."""
-        a, b = Point2.of(p), Point2.of(q)
-        if (a.x1, a.x2) == (b.x1, b.x2):
-            return cls("single", a)
-        return cls("pair", a, b)
+        a, b = _prox_point(p), _prox_point(q)
+        return cls("single", (a,)) if a == b else cls("pair", (a, b))
 
     @classmethod
     def segment(cls, p, q) -> "ProxSet":
         """The closed segment between two endpoints; collapses when they coincide."""
-        a, b = Point2.of(p), Point2.of(q)
-        if (a.x1, a.x2) == (b.x1, b.x2):
-            return cls("single", a)
-        return cls("segment", a, b)
+        a, b = _prox_point(p), _prox_point(q)
+        if a == b:
+            return cls("single", (a,))
+        if isinstance(a, Point2):
+            return cls("segment", (a, b))
+        return cls("interval", (min(a, b), max(a, b)))
 
-    def points(self) -> tuple[Point2, ...]:
-        """The defining points (segment endpoints for the segment variant)."""
-        if self.kind == "single":
-            return (self.a,)
-        return (self.a, self.b)
+    def points(self) -> tuple:
+        """The defining points (the ends of a segment or interval)."""
+        return self._points
 
     def distance(self, p) -> float:
         """Euclidean distance from ``p`` to the set."""
+        pts = self._points
+        if not isinstance(pts[0], Point2):
+            v = float(p)
+            if self.kind == "interval":
+                lo, hi = pts
+                return lo - v if v < lo else v - hi if v > hi else 0.0
+            return min(abs(v - u) for u in pts)
         q = Point2.of(p).as_array()
         if self.kind == "segment":
-            return _seg_distance(q, self.a.as_array(), self.b.as_array())
-        return min(float(np.hypot(*(q - r.as_array()))) for r in self.points())
-
-    def contains(self, p, tol: float = 0.0) -> bool:
-        return self.distance(p) <= tol
-
-
-@dataclass(frozen=True)
-class ScalarProxSet:
-    """Result of a set-valued scalar prox: a value, an unordered pair, or a closed interval."""
-
-    kind: str
-    a: float
-    b: float | None = None
-
-    _KINDS = ("single", "pair", "interval")
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", float(self.a))
-        if self.b is not None:
-            object.__setattr__(self, "b", float(self.b))
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown ScalarProxSet kind {self.kind!r}")
-        if self.kind == "single":
-            if self.b is not None:
-                raise ValueError("single ScalarProxSet carries exactly one value")
-            _require_finite("ScalarProxSet", self.a)
-        else:
-            if self.b is None:
-                raise ValueError(f"{self.kind} ScalarProxSet needs two values")
-            _require_finite("ScalarProxSet", self.a, self.b)
-            if self.kind == "pair" and self.a == self.b:
-                raise ValueError("pair values must be distinct")
-            if self.kind == "interval" and not self.a < self.b:
-                raise ValueError("interval needs lo < hi")
-
-    @classmethod
-    def single(cls, v: float) -> "ScalarProxSet":
-        return cls("single", v)
-
-    @classmethod
-    def pair(cls, u: float, v: float) -> "ScalarProxSet":
-        if float(u) == float(v):
-            return cls("single", u)
-        return cls("pair", u, v)
-
-    @classmethod
-    def interval(cls, lo: float, hi: float) -> "ScalarProxSet":
-        lo, hi = float(lo), float(hi)
-        if lo == hi:
-            return cls("single", lo)
-        if lo > hi:
-            lo, hi = hi, lo
-        return cls("interval", lo, hi)
-
-    def values(self) -> tuple[float, ...]:
-        if self.kind == "single":
-            return (self.a,)
-        return (self.a, self.b)
-
-    def distance(self, v: float) -> float:
-        v = float(v)
-        if self.kind == "interval":
-            if v < self.a:
-                return self.a - v
-            if v > self.b:
-                return v - self.b
-            return 0.0
-        return min(abs(v - u) for u in self.values())
-
-    def contains(self, v: float, tol: float = 0.0) -> bool:
-        return self.distance(v) <= tol
+            return _seg_distance(q, pts[0].as_array(), pts[1].as_array())
+        return min(float(np.hypot(*(q - r.as_array()))) for r in pts)

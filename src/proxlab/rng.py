@@ -84,9 +84,6 @@ class Xoshiro256pp:
         self._cached_normal = r * math.sin(theta)
         return r * math.cos(theta)
 
-    def normals(self, n: int) -> list[float]:
-        return [self.normal() for _ in range(n)]
-
 
 def stream(seed: int, scenario_id: int, trial_index: int) -> Xoshiro256pp:
     """Independent generator keyed by ``(seed, scenario_id, trial_index)``."""

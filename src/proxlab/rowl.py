@@ -62,7 +62,7 @@ def prox_rowl_2d(x, w: WeightPair) -> ProxSet:
     magnitude order and clip at zero.  On a magnitude tie both matchings are
     optimal, giving a two-point set (collapsed when the candidates coincide).
     """
-    return _prox_2d(x, w, ProxSet.point_pair)
+    return _prox_2d(x, w, ProxSet.pair)
 
 
 def rowl_envelope_2d(x, w: WeightPair):

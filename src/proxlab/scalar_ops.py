@@ -2,7 +2,8 @@
 
 All value functions and single-valued shrinkers broadcast over numpy arrays;
 scalar input yields a plain float.  Set-valued proxes are pointwise and return
-:class:`~proxlab.core.ScalarProxSet`.
+a :class:`~proxlab.core.ProxSet` of floats, of kind ``single``, ``pair`` or
+``interval``.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ScalarProxSet
+from .core import ProxSet
 
 __all__ = [
     "SQRT2",
@@ -93,7 +94,7 @@ def l0_envelope(x):
     return _maybe_scalar(x, np.where(a <= SQRT2, SQRT2 * a - a * a / 2.0, 1.0))
 
 
-def prox_l0(x: float, gamma: float = 1.0) -> ScalarProxSet:
+def prox_l0(x: float, gamma: float = 1.0) -> ProxSet:
     """Set-valued prox of the zero-counting penalty at step ``gamma``.
 
     Keeps 0 below the threshold ``sqrt(2*gamma)``, keeps ``x`` above it, and
@@ -107,13 +108,13 @@ def prox_l0(x: float, gamma: float = 1.0) -> ScalarProxSet:
     thr = math.sqrt(2.0 * gamma)
     a = abs(x)
     if a < thr:
-        return ScalarProxSet.single(0.0)
+        return ProxSet.single(0.0)
     if a == thr:
-        return ScalarProxSet.pair(0.0, x)
-    return ScalarProxSet.single(x)
+        return ProxSet.pair(0.0, x)
+    return ProxSet.single(x)
 
 
-def prox_l0_envelope(x: float) -> ScalarProxSet:
+def prox_l0_envelope(x: float) -> ProxSet:
     """Set-valued prox of :func:`l0_envelope` at unit step.
 
     The two-point jump of :func:`prox_l0` at ``|x| = sqrt(2)`` fills in to the
@@ -124,10 +125,10 @@ def prox_l0_envelope(x: float) -> ScalarProxSet:
         raise ValueError(f"x must be finite, got {x!r}")
     a = abs(x)
     if a < SQRT2:
-        return ScalarProxSet.single(0.0)
+        return ProxSet.single(0.0)
     if a == SQRT2:
-        return ScalarProxSet.interval(min(0.0, x), max(0.0, x))
-    return ScalarProxSet.single(x)
+        return ProxSet.segment(0.0, x)
+    return ProxSet.single(x)
 
 
 def hard(x, threshold: float):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Point2, ProxSet, ScalarProxSet
+from .core import Point2, ProxSet
 
 __all__ = [
     "Axis",
@@ -89,10 +89,6 @@ class GridSpec:
         ax = Axis(lo, hi, step)
         return cls((ax, ax))
 
-    @classmethod
-    def box(cls, ax0: Axis, ax1: Axis) -> "GridSpec":
-        return cls((ax0, ax1))
-
     @property
     def dims(self) -> int:
         return len(self.axes)
@@ -132,25 +128,6 @@ class SampledFunction:
     def sample(cls, grid: GridSpec, fn) -> "SampledFunction":
         """Evaluate a vectorized function on the grid (1-D gets points, 2-D gets ``(..., 2)``)."""
         return cls(grid, np.asarray(fn(grid.mesh()), dtype=float))
-
-    def value_at(self, point) -> float:
-        """Multilinear interpolation at an interior point."""
-        if self.grid.dims == 1:
-            x = float(np.asarray(point).reshape(()))
-            ax = self.grid.axes[0]
-            if not ax.lo <= x <= ax.hi:
-                raise ValueError(f"{x} outside grid [{ax.lo}, {ax.hi}]")
-            return float(np.interp(x, ax.points(), self.values))
-        p = Point2.of(point)
-        out = self.values
-        for k, (ax, coord) in enumerate(zip(self.grid.axes, (p.x1, p.x2))):
-            if not ax.lo <= coord <= ax.hi:
-                raise ValueError(f"{coord} outside grid axis {k} [{ax.lo}, {ax.hi}]")
-            t = (coord - ax.lo) / ax.step
-            i = min(int(t), ax.count - 2)
-            frac = t - i
-            out = (1.0 - frac) * out[i] + frac * out[i + 1]
-        return float(out)
 
 
 def _conjugate_lines(xs: np.ndarray, vals: np.ndarray, us: np.ndarray) -> np.ndarray:
@@ -272,7 +249,7 @@ def _penalty_samples(penalty, box: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return _sampled(penalty, box)
 
 
-def _brute_force_prox_1d(penalty, x: float, gamma: float, box: GridSpec) -> ScalarProxSet:
+def _brute_force_prox_1d(penalty, x: float, gamma: float, box: GridSpec) -> ProxSet:
     ax = box.axes[0]
     ys, pen = _penalty_samples(penalty, box)
     obj = pen + (x - ys) ** 2 / (2.0 * gamma)
@@ -284,12 +261,10 @@ def _brute_force_prox_1d(penalty, x: float, gamma: float, box: GridSpec) -> Scal
     if len(runs) == 1:
         run = runs[0]
         if run.size > 3:
-            return ScalarProxSet.interval(ys[run[0]], ys[run[-1]])
-        return ScalarProxSet.single(ys[_best_index(obj, run)])
+            return ProxSet.segment(ys[run[0]], ys[run[-1]])
+        return ProxSet.single(ys[_best_index(obj, run)])
     if len(runs) == 2:
-        return ScalarProxSet.pair(
-            ys[_best_index(obj, runs[0])], ys[_best_index(obj, runs[1])]
-        )
+        return ProxSet.pair(ys[_best_index(obj, runs[0])], ys[_best_index(obj, runs[1])])
     raise ValueError(f"found {len(runs)} optimizer clusters; expected at most 2")
 
 
@@ -355,11 +330,11 @@ def _brute_force_prox_2d(penalty, x, gamma: float, box: GridSpec) -> ProxSet:
         proj = dev @ axis_dir
         return ProxSet.segment(pts[int(np.argmin(proj))], pts[int(np.argmax(proj))])
     if len(clusters) == 2:
-        return ProxSet.point_pair(*(cluster_best(flat) for flat in clusters))
+        return ProxSet.pair(*(cluster_best(flat) for flat in clusters))
     raise ValueError(f"found {len(clusters)} optimizer clusters; expected at most 2")
 
 
-def brute_force_prox(penalty, x, gamma: float, box: GridSpec):
+def brute_force_prox(penalty, x, gamma: float, box: GridSpec) -> ProxSet:
     """Exhaustive grid prox: minimize ``penalty(y) + ||x - y||^2 / (2*gamma)`` over ``box``.
 
     ``penalty`` must evaluate vectorized on the box mesh, which it receives
@@ -441,13 +416,11 @@ class MonotoneGraph1D:
     def x_range(self) -> tuple[float, float]:
         return self.segments[0].x0, self.segments[-1].x1
 
-    def breakpoints(self) -> list[tuple[float, ScalarProxSet]]:
+    def breakpoints(self) -> list[tuple[float, ProxSet]]:
         """Jump locations with the interval of values filling each jump."""
-        return [
-            (s.x0, ScalarProxSet.interval(s.y0, s.y1)) for s in self.segments if s.vertical
-        ]
+        return [(s.x0, ProxSet.segment(s.y0, s.y1)) for s in self.segments if s.vertical]
 
-    def image_at(self, x: float) -> ScalarProxSet:
+    def image_at(self, x: float) -> ProxSet:
         """All graph values above ``x`` (an interval at breakpoints)."""
         x = float(x)
         lo_x, hi_x = self.x_range
@@ -464,9 +437,8 @@ class MonotoneGraph1D:
                     # the distance and the sum cancels.
                     ex, ey = (s.x0, s.y0) if x - s.x0 <= s.x1 - x else (s.x1, s.y1)
                     ys.append(ey + (s.y1 - s.y0) * (x - ex) / (s.x1 - s.x0))
-        if min(ys) < max(ys):
-            return ScalarProxSet.interval(min(ys), max(ys))
-        return ScalarProxSet.single(ys[0])
+        # Equal ends collapse to min(ys), which is ys[0] when all values are equal.
+        return ProxSet.segment(min(ys), max(ys))
 
 
 def convert_1d(graph: MonotoneGraph1D, delta: float, q: float) -> float:
@@ -489,7 +461,7 @@ def convert_1d(graph: MonotoneGraph1D, delta: float, q: float) -> float:
         GraphSegment((s.x0 + delta * s.y0) / scale, s.y0, (s.x1 + delta * s.y1) / scale, s.y1)
         for s in graph.segments
     )
-    (p,) = relaxed.image_at(q).values()
+    (p,) = relaxed.image_at(q).points()
     return p
 
 
@@ -497,8 +469,8 @@ def convert_1d(graph: MonotoneGraph1D, delta: float, q: float) -> float:
 class InclusionReport:
     """Outcome of an oracle check that one prox set sits inside another."""
 
-    prox_penalty: object
-    prox_envelope: object
+    prox_penalty: ProxSet
+    prox_envelope: ProxSet
     max_distance: float
     included: bool
 
@@ -513,12 +485,8 @@ def verify_inclusion(penalty, envelope, x, box: GridSpec, gamma: float = 1.0) ->
     """
     prox_pen = brute_force_prox(penalty, x, gamma, box)
     prox_env = brute_force_prox(envelope, x, gamma, box)
-    step = box.max_step
-    if box.dims == 1:
-        dist = max(prox_env.distance(v) for v in prox_pen.values())
-    else:
-        dist = max(prox_env.distance(p) for p in prox_pen.points())
-    return InclusionReport(prox_pen, prox_env, float(dist), bool(dist <= 2.0 * step))
+    dist = max(prox_env.distance(p) for p in prox_pen.points())
+    return InclusionReport(prox_pen, prox_env, float(dist), bool(dist <= 2.0 * box.max_step))
 
 
 def _sample_pairs(pairs: int, seed: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:

@@ -86,7 +86,7 @@ def _suite_scalar(seed: int) -> list[CheckResult]:
                       below == 0.0 and above == thr + 1e-9))
     s = prox_l0(thr)
     out.append(_check("scalar", "l0 prox doubles exactly at threshold",
-                      s.kind == "pair" and set(s.values()) == {0.0, thr}))
+                      s.kind == "pair" and set(s.points()) == {0.0, thr}))
 
     p = FirmParams(0.5, 2.0)
     grid = np.sort(rng.uniform(-5.0, 5.0, size=400))

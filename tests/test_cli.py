@@ -198,3 +198,45 @@ def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1.5,1.5", proc.stderr
+
+
+SQRT2_TEXT = repr(2.0 ** 0.5)
+_SCALAR_XS = ["1", SQRT2_TEXT, "-" + SQRT2_TEXT, "2", "0", "-0.0"]
+_PLANAR_XS = ["2,2", "0.5,0.5", "1.1,1.1", "2,-2", "-1.5,1.5", "-0.7,-0.7", "0,-0.0",
+              "-0.0,-0.0", "-0.0,0", "0,0", "3,1", "-1,2.5", "0.2,-0.1"]
+_WEIGHTS = ["0,2", "0.3,1.1", "1,1", "0,0"]
+
+
+def _prox_sweep() -> list[list[str]]:
+    """``proxlab prox`` argument lists: the scalar and planar set-valued ops
+    at thresholds, ties, anti-ties and signed zeros, then the README examples."""
+    cases = [["--op", op, f"--x={x}"] for op in ("l0", "l0-env") for x in _SCALAR_XS]
+    cases += [["--op", "l0", f"--x={x}", "--gamma", "2"] for x in ("2", "-2", "1.9")]
+    for w in _WEIGHTS:
+        for x in _PLANAR_XS:
+            cases += [["--op", op, f"--x={x}", "--w", w] for op in ("rowl", "rowl-env")]
+            cases.append(["--op", "erowl", f"--x={x}", "--w", w, "--delta", "0.5"])
+    cases += [
+        ["--op", "erowl", "--w", "0,2", "--delta", "1", "--x", "2,2"],
+        ["--op", "rowl", "--w", "0,2", "--x", "2,2"],
+        ["--op", "rowl-env", "--w", "0,2", "--x", "2,2"],
+        ["--op", "firm", "--lambda1", "1", "--lambda2", "2", "--x", "1.5"],
+    ]
+    return [["prox", *case] for case in cases] + [["envelope", "--op", "rowl", "--w", "0,2", "--x", "1,1"]]
+
+
+SWEEP_TRANSCRIPT = Path(__file__).with_name("cli_prox_sweep.txt")
+
+
+def _sweep_transcript(capsys) -> str:
+    lines = []
+    for argv in _prox_sweep():
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0 and err == "", (argv, err)
+        lines.append("$ proxlab " + " ".join(argv) + "\n" + out)
+    return "".join(lines)
+
+
+def test_prox_sweep_prints_the_pinned_bytes(capsys):
+    # Pinned output: a changed line is a change to what the CLI prints.
+    assert _sweep_transcript(capsys) == SWEEP_TRANSCRIPT.read_text()

@@ -6,7 +6,6 @@ import pytest
 from proxlab.core import (
     Point2,
     ProxSet,
-    ScalarProxSet,
     WeightPair,
 )
 
@@ -40,33 +39,33 @@ def test_weight_pair_ordering_enforced():
 
 def test_prox_set_membership_and_distance():
     single = ProxSet.single((1.0, 0.0))
-    assert single.contains((1.0, 0.0))
+    assert single.distance((1.0, 0.0)) <= 0.0
     assert single.distance((1.0, 1.0)) == 1.0
 
-    pair = ProxSet.point_pair((2.0, 0.0), (0.0, 2.0))
+    pair = ProxSet.pair((2.0, 0.0), (0.0, 2.0))
     assert pair.kind == "pair"
-    assert pair.contains((0.0, 2.0))
+    assert pair.distance((0.0, 2.0)) <= 0.0
     # midpoint belongs to the segment variant only
     assert pair.distance((1.0, 1.0)) == pytest.approx(math.sqrt(2.0))
 
     seg = ProxSet.segment((2.0, 0.0), (0.0, 2.0))
     for t in np.linspace(0.0, 1.0, 11):
         probe = (2.0 * (1 - t), 2.0 * t)
-        assert seg.contains(probe, tol=1e-12)
+        assert seg.distance(probe) <= 1e-12
     assert seg.distance((2.0, 2.0)) == pytest.approx(math.sqrt(2.0))
 
 
 def test_prox_set_collapses_coincident_points():
-    assert ProxSet.point_pair((1.0, 1.0), (1.0, 1.0)).kind == "single"
+    assert ProxSet.pair((1.0, 1.0), (1.0, 1.0)).kind == "single"
     assert ProxSet.segment((1.0, 1.0), (1.0, 1.0)).kind == "single"
 
 
 def test_scalar_prox_set_variants():
-    pair = ScalarProxSet.pair(0.0, 2.0)
-    assert set(pair.values()) == {0.0, 2.0}
+    pair = ProxSet.pair(0.0, 2.0)
+    assert set(pair.points()) == {0.0, 2.0}
     assert pair.distance(1.0) == 1.0
 
-    iv = ScalarProxSet.interval(3.0, -1.0)  # endpoints given out of order
-    assert (iv.a, iv.b) == (-1.0, 3.0)
-    assert iv.contains(0.0) and iv.distance(4.0) == 1.0
-    assert ScalarProxSet.pair(1.0, 1.0).kind == "single"
+    iv = ProxSet.segment(3.0, -1.0)  # endpoints given out of order
+    assert iv.kind == "interval" and iv.points() == (-1.0, 3.0)
+    assert iv.distance(0.0) <= 0.0 and iv.distance(4.0) == 1.0
+    assert ProxSet.pair(1.0, 1.0).kind == "single"

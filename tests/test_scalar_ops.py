@@ -62,10 +62,10 @@ def test_l0_envelope_minorant_and_weak_convexity():
 
 
 def test_prox_l0_three_cases():
-    assert prox_l0(1.0).values() == (0.0,)
+    assert prox_l0(1.0).points() == (0.0,)
     s = prox_l0(SQRT2)
-    assert s.kind == "pair" and set(s.values()) == {0.0, SQRT2}
-    assert prox_l0(2.0).values() == (2.0,)
+    assert s.kind == "pair" and set(s.points()) == {0.0, SQRT2}
+    assert prox_l0(2.0).points() == (2.0,)
     with pytest.raises(ValueError):
         prox_l0(1.0, gamma=0.0)
 
@@ -73,21 +73,21 @@ def test_prox_l0_three_cases():
 def test_prox_l0_threshold_scales_with_gamma():
     gamma = 2.0
     thr = math.sqrt(2.0 * gamma)
-    assert prox_l0(thr - 1e-9, gamma).values() == (0.0,)
-    assert prox_l0(thr + 1e-9, gamma).values() == (thr + 1e-9,)
+    assert prox_l0(thr - 1e-9, gamma).points() == (0.0,)
+    assert prox_l0(thr + 1e-9, gamma).points() == (thr + 1e-9,)
     pair = prox_l0(thr, gamma)
     # both members attain the same prox objective
-    obj = [l0_norm(v) + (thr - v) ** 2 / (2.0 * gamma) for v in pair.values()]
+    obj = [l0_norm(v) + (thr - v) ** 2 / (2.0 * gamma) for v in pair.points()]
     assert abs(obj[0] - obj[1]) < 1e-12
 
 
 def test_prox_l0_envelope_cases():
-    assert prox_l0_envelope(1.0).values() == (0.0,)
+    assert prox_l0_envelope(1.0).points() == (0.0,)
     iv = prox_l0_envelope(SQRT2)
-    assert iv.kind == "interval" and (iv.a, iv.b) == (0.0, SQRT2)
+    assert iv.kind == "interval" and iv.points() == (0.0, SQRT2)
     neg = prox_l0_envelope(-SQRT2)
-    assert neg.kind == "interval" and (neg.a, neg.b) == (-SQRT2, 0.0)
-    assert prox_l0_envelope(3.0).values() == (3.0,)
+    assert neg.kind == "interval" and neg.points() == (-SQRT2, 0.0)
+    assert prox_l0_envelope(3.0).points() == (3.0,)
 
 
 def test_prox_l0_contained_in_envelope_prox():
@@ -95,8 +95,8 @@ def test_prox_l0_contained_in_envelope_prox():
     xs = np.concatenate([np.linspace(-5.0, 5.0, 999), [SQRT2, -SQRT2]])
     for x in xs:
         env_set = prox_l0_envelope(float(x))
-        for v in prox_l0(float(x)).values():
-            assert env_set.contains(v, tol=1e-12)
+        for v in prox_l0(float(x)).points():
+            assert env_set.distance(v) <= 1e-12
 
 
 def test_hard_boundary_belongs_to_zero_branch():

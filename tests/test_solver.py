@@ -651,7 +651,8 @@ def test_stream_is_replayable():
     b = stream(7, 2, 13)
     assert [a.next_u64() for _ in range(16)] == [b.next_u64() for _ in range(16)]
     c = stream(7, 2, 13)
-    assert c.normals(9) == stream(7, 2, 13).normals(9)
+    d = stream(7, 2, 13)
+    assert [c.normal() for _ in range(9)] == [d.normal() for _ in range(9)]
 
 
 def test_stream_keys_separate_trials_and_scenarios():
@@ -677,7 +678,7 @@ def test_generator_outputs_are_well_distributed():
     assert abs(np.mean(us) - 0.5) < 0.01
 
     g2 = stream(123, 3, 5)
-    ns = np.array(g2.normals(20_000))
+    ns = np.array([g2.normal() for _ in range(20_000)])
     assert abs(np.mean(ns)) < 0.03
     assert abs(np.std(ns) - 1.0) < 0.03
 

@@ -51,17 +51,25 @@ def test_gridspec_shapes():
     sq = GridSpec.square(0.0, 1.0, 0.25)
     assert sq.dims == 2 and sq.shape == (5, 5)
     assert sq.mesh().shape == (5, 5, 2)
-    box = GridSpec.box(Axis(0.0, 1.0, 0.5), Axis(0.0, 2.0, 1.0))
+    box = GridSpec((Axis(0.0, 1.0, 0.5), Axis(0.0, 2.0, 1.0)))
     assert box.shape == (3, 3)
     assert box.max_step == 1.0
+
+
+def _value_at(f: SampledFunction, x: float) -> float:
+    """Linear interpolation of samples on a line at a point inside the line."""
+    ax = f.grid.axes[0]
+    if not ax.lo <= x <= ax.hi:
+        raise ValueError(f"{x} outside grid [{ax.lo}, {ax.hi}]")
+    return float(np.interp(x, ax.points(), f.values))
 
 
 def test_sampled_function_interpolates():
     f = SampledFunction.sample(GridSpec.line(-1.0, 1.0, 0.1), lambda x: 0.5 * x * x)
     # linear interpolation between the two nearest samples
-    assert f.value_at(0.05) == pytest.approx(0.0025, abs=1e-15)
+    assert _value_at(f, 0.05) == pytest.approx(0.0025, abs=1e-15)
     with pytest.raises(ValueError):
-        f.value_at(1.5)
+        _value_at(f, 1.5)
     with pytest.raises(ValueError):
         SampledFunction(GridSpec.line(0.0, 1.0, 0.5), np.zeros(5))
 
@@ -100,7 +108,7 @@ def test_double_conjugation_is_a_minorant():
     biconj = legendre_conjugate_grid(conj, grid)
     assert np.all(biconj.values <= f.values + 1e-9)
     # flat count penalty convexifies to a cone through the origin
-    assert biconj.value_at(0.0) == pytest.approx(0.0, abs=1e-12)
+    assert _value_at(biconj, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_envelope_grid_matches_scalar_closed_form():
@@ -110,7 +118,7 @@ def test_envelope_grid_matches_scalar_closed_form():
     inner = np.abs(xs) <= 3.0
     assert np.max(np.abs(env.values[inner] - l0_envelope(xs[inner]))) <= 5e-3
     # the grid transform reproduces the knee value 1 at sqrt(2)
-    assert env.value_at(SQRT2) == pytest.approx(1.0, abs=5e-3)
+    assert _value_at(env, SQRT2) == pytest.approx(1.0, abs=5e-3)
 
 
 def test_envelope_grid_fixes_convex_functions():
@@ -162,7 +170,7 @@ def test_conjugate_box_matches_unchunked_reference_bit_for_bit():
     x0 = Axis(-3.0, 2.98, 0.02)
     x1 = Axis(-2.19, 2.19, 0.02)
     assert (x0.count, x1.count) == (300, 220)
-    grid = GridSpec.box(x0, x1)
+    grid = GridSpec((x0, x1))
 
     def fn(z):
         r2 = np.sum(z * z, axis=-1)
@@ -172,7 +180,7 @@ def test_conjugate_box_matches_unchunked_reference_bit_for_bit():
     assert np.any(np.isinf(f.values)) and np.all(np.isinf(f.values[0]))
     u0, u1 = Axis(-2.8, 2.8, 0.2), Axis(-1.6, 1.6, 0.2)
     assert (u0.count, u1.count) == (29, 17)
-    got = legendre_conjugate_grid(f, GridSpec.box(u0, u1))
+    got = legendre_conjugate_grid(f, GridSpec((u0, u1)))
     inner = _conjugate_reference(x1.points(), f.values, u1.points())
     ref = _conjugate_reference(x0.points(), (-inner).T, u0.points()).T
     assert _same_bits(got.values, ref)
@@ -194,11 +202,11 @@ def test_brute_force_prox_scalar_count_penalty():
     box = GridSpec.line(-4.0, 4.0, 0.01)
     lone = brute_force_prox(l0_norm, 2.0, 1.0, box)
     assert lone.kind == "single"
-    assert lone.values()[0] == pytest.approx(2.0, abs=0.02)
+    assert lone.points()[0] == pytest.approx(2.0, abs=0.02)
 
     split = brute_force_prox(l0_norm, SQRT2, 1.0, box)
     assert split.kind == "pair"
-    assert sorted(split.values()) == pytest.approx([0.0, SQRT2], abs=0.02)
+    assert sorted(split.points()) == pytest.approx([0.0, SQRT2], abs=0.02)
 
 
 def test_brute_force_prox_planar_scaled_envelope():
@@ -415,7 +423,7 @@ def _reference_prox_2d(penalty, x, gamma, box):
         proj = dev @ evecs[:, 1]
         return ProxSet.segment(pts[int(np.argmin(proj))], pts[int(np.argmax(proj))])
     if len(clusters) == 2:
-        return ProxSet.point_pair(*(cluster_best(flat) for flat in clusters))
+        return ProxSet.pair(*(cluster_best(flat) for flat in clusters))
     raise ValueError(f"found {len(clusters)} optimizer clusters; expected at most 2")
 
 
@@ -459,8 +467,8 @@ _ROWL = lambda z: rowl_penalty(z, W02.as_array())
 _ENVELOPE = lambda z: rowl_envelope_2d(z, W02)
 _PROX_BOXES = [
     GridSpec.square(-6.0, 6.0, 0.05),
-    GridSpec.box(Axis(-5.0, 4.0, 0.05), Axis(-4.5, 6.5, 0.05)),
-    GridSpec.box(Axis(-4.0, 4.0, 0.1), Axis(-3.0, 5.0, 0.04)),
+    GridSpec((Axis(-5.0, 4.0, 0.05), Axis(-4.5, 6.5, 0.05))),
+    GridSpec((Axis(-4.0, 4.0, 0.1), Axis(-3.0, 5.0, 0.04))),
 ]
 _PROX_PENALTIES = {
     "rowl": _ROWL,
@@ -496,7 +504,7 @@ def test_planar_grid_prox_matches_full_mesh_reference_bit_for_bit(name, gamma):
     ids=["first-row", "last-row", "first-column", "last-column"],
 )
 def test_each_box_edge_alone_is_too_small(x, edge):
-    box = GridSpec.box(Axis(-2.0, 2.0, 0.1), Axis(-1.5, 2.5, 0.1))
+    box = GridSpec((Axis(-2.0, 2.0, 0.1), Axis(-1.5, 2.5, 0.1)))
     zero = lambda z: np.zeros(z.shape[:-1])
     mesh = box.mesh()
     obj = np.sum((np.asarray(x) - mesh) ** 2, axis=-1) / 2.0
@@ -511,11 +519,7 @@ def test_each_box_edge_alone_is_too_small(x, edge):
 
 def _words(result) -> list[str]:
     """A prox set as its kind and the ``float.hex`` of each coordinate."""
-    if isinstance(result, ProxSet):
-        coords = [v for p in result.points() for v in (p.x1, p.x2)]
-    else:
-        coords = list(result.values())
-    return [result.kind] + [float(v).hex() for v in coords]
+    return [result.kind] + [float(v).hex() for v in np.ravel(result.points())]
 
 
 def _grid_oracle_digest() -> str:
@@ -579,11 +583,11 @@ def test_hard_graph_structure():
     brk = g.breakpoints()
     assert [b[0] for b in brk] == pytest.approx([-SQRT2, SQRT2])
     lo_iv = brk[0][1]
-    assert lo_iv.values() == pytest.approx((-SQRT2, 0.0))
+    assert lo_iv.points() == pytest.approx((-SQRT2, 0.0))
     at_jump = g.image_at(SQRT2)
     assert at_jump.kind == "interval"
-    assert at_jump.values() == pytest.approx((0.0, SQRT2))
-    assert g.image_at(0.3).values() == (0.0,)
+    assert at_jump.points() == pytest.approx((0.0, SQRT2))
+    assert g.image_at(0.3).points() == (0.0,)
     with pytest.raises(ValueError):
         g.image_at(2e6)
     with pytest.raises(ValueError):
@@ -595,7 +599,7 @@ def test_image_at_interpolates_a_long_tail_piece_from_its_near_end():
     # the far end, q - x0 cancels and the value is off by up to 4e-11.
     tail = MonotoneGraph1D([GraphSegment(-1e6, -1e6 / 3, -1.0, -1.0 / 3)])
     for q in (-1.5, -2.0, -3.0, -7.0):
-        assert tail.image_at(q).values() == pytest.approx((q / 3,), abs=1e-15)
+        assert tail.image_at(q).points() == pytest.approx((q / 3,), abs=1e-15)
 
 
 def test_graph_inversion_reproduces_two_threshold_shrinkage():
@@ -657,7 +661,7 @@ def test_inclusion_is_reflexive_for_convex_functions():
     report = verify_inclusion(quad, quad, 1.0, default_prox_box(1.0, 1.0, 0.01))
     assert report.included
     assert report.max_distance <= 1e-9
-    assert report.prox_penalty.values()[0] == pytest.approx(0.5, abs=0.02)
+    assert report.prox_penalty.points()[0] == pytest.approx(0.5, abs=0.02)
 
 
 # -------------------------------------------------------- operator checks
