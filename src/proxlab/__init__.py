@@ -51,7 +51,6 @@ from .rowl import (
 )
 from .scalar_ops import (
     FirmParams,
-    MCParams,
     firm,
     firm_shrinker,
     hard,
@@ -95,7 +94,6 @@ __all__ = [
     "Point2",
     "WeightPair",
     "ProxSet",
-    "MCParams",
     "FirmParams",
     "l0_norm",
     "mc_penalty",

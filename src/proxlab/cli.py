@@ -26,7 +26,6 @@ from .experiments import (
     mean_mismatch,
     scenario_a,
     scenario_b,
-    scenario_c,
 )
 from .rowl import prox_rowl_2d, prox_rowl_envelope_2d, rowl_envelope_2d, rowl_penalty
 from .scalar_ops import FirmParams, firm, hard, l0_envelope, prox_l0, prox_l0_envelope, soft
@@ -51,12 +50,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
-def _parse_floats(text: str, n: int | None = None, what: str = "value") -> tuple[float, ...]:
+def _parse_floats(text: str, n: int, what: str) -> tuple[float, ...]:
     try:
         vals = tuple(float(part) for part in text.split(","))
     except ValueError:
         raise _UsageError(f"could not parse {what} {text!r} as comma-separated numbers") from None
-    if n is not None and len(vals) != n:
+    if len(vals) != n:
         raise _UsageError(f"{what} needs {n} comma-separated numbers, got {text!r}")
     return vals
 
@@ -143,25 +142,25 @@ def _cmd_envelope(args) -> int:
             lo, step, hi = _parse_floats(args.grid, 3, "--grid")
             xs = GridSpec.line(lo, hi, step).axes[0].points()
             lines = ["x,value"] + [f"{_fmt(x)},{_fmt(float(l0_envelope(x)))}" for x in xs]
-            _emit(args.out, lines)
         else:
             (x,) = _parse_floats(args.x, 1, "--x")
-            print(_fmt(float(l0_envelope(x))))
+            lines = [_fmt(float(l0_envelope(x)))]
+        _emit(args.out, lines)
         return 0
 
     w = WeightPair(*_parse_floats(_need(args, "w"), 2, "--w"))
+    func = rowl_envelope_2d if args.op == "rowl" else rowl_penalty
     if args.grid is not None:
         lo, step, hi = _parse_floats(args.grid, 3, "--grid")
         pts = GridSpec.square(lo, hi, step).mesh().reshape(-1, 2)
-        vals = rowl_envelope_2d(pts, w)
+        vals = func(pts, w)
         lines = ["axis0,axis1,value"]
         for (p, q), v in zip(pts, vals):
             lines.append(f"{_fmt(p)},{_fmt(q)},{_fmt(float(v))}")
-        _emit(args.out, lines)
     else:
         x = _parse_floats(args.x, 2, "--x")
-        func = rowl_envelope_2d if args.op == "rowl" else rowl_penalty
-        print(_fmt(float(func(np.array(x), w))))
+        lines = [_fmt(float(func(np.array(x), w)))]
+    _emit(args.out, lines)
     return 0
 
 
@@ -213,13 +212,8 @@ def _experiment_config(args) -> ScenarioConfig:
 
 def _cmd_experiment(args) -> int:
     cfg = _experiment_config(args)
-    if args.scenario == "a":
-        result = scenario_a(cfg)
-        records = result.records
-    elif args.scenario == "b":
-        records = scenario_b(cfg)
-    else:
-        records = scenario_c(cfg)
+    # B and C run through one function; the scenario in ``cfg`` decides which.
+    records = scenario_a(cfg).records if args.scenario == "a" else scenario_b(cfg)
     for (method, snr_db, x1), mean in sorted(mean_mismatch(records).items()):
         print(f"{method:>6}  snr={_fmt(snr_db):>6}  xtrue1={_fmt(x1):>5}  mean mismatch {mean:.3f} dB")
     if cfg.out_path:

@@ -9,7 +9,8 @@ Three scenarios on the model ``y = A x + noise`` with a 2-D ground truth:
   ground-truth component and componentwise firm shrinkage added to the
   method set.
 
-The scenario decides the design.  B and C run through one trial worker.
+The scenario decides the design.  B and C run through one function
+(``scenario_c`` is ``scenario_b``) and one trial worker.
 Every trial draws from its own counter-based stream keyed by
 ``(seed, scenario, trial)``, so record sets are bitwise reproducible under any
 trial order.  A B run takes one design and one set of bounds for all its
@@ -26,7 +27,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -107,7 +108,15 @@ def _default_rowl_w_by_snr() -> dict[float, WeightPair]:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Resolved inputs of one experiment run."""
+    """Resolved inputs of one experiment run.
+
+    ``tol``, ``max_iter`` and ``firm_lambda2`` are constants of every run:
+    readable as fields, written to ``meta.json`` with them, but not settable.
+    """
+
+    tol: ClassVar[float] = DEFAULT_TOL
+    max_iter: ClassVar[int] = DEFAULT_MAX_ITER
+    firm_lambda2: ClassVar[float] = 3.0
 
     scenario: str
     trials: int
@@ -116,15 +125,12 @@ class ScenarioConfig:
     x_true: Point2
     w_rowl: WeightPair
     w_erowl: WeightPair
-    firm_lambda2: float = 3.0
     gamma_delta: float = 1.01
     gamma_mu: float = 0.5
     mu_override: float | None = None
     delta_override: float | None = None
     x1_sweep: tuple[float, ...] = ()
     rowl_w_by_snr: dict[float, WeightPair] | None = None
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
     out_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -449,8 +455,12 @@ def _run_tasks(cfg: ScenarioConfig, trials, worker) -> tuple[list[TrialRecord], 
     return records, resampled
 
 
-def _run(cfg: ScenarioConfig) -> list[TrialRecord]:
-    """Every trial of a B or C run, sorted; writes its bundle when configured."""
+def scenario_b(cfg: ScenarioConfig) -> list[TrialRecord]:
+    """Every trial of a B or C run (``cfg.scenario`` decides), sorted by method, SNR, x1, trial.
+
+    Writes ``records.csv``, ``means.csv`` and ``meta.json`` when an output
+    directory is configured.
+    """
     design = None
     if cfg.scenario != "C":
         a = fixed_design_matrix()
@@ -467,22 +477,8 @@ def _run(cfg: ScenarioConfig) -> list[TrialRecord]:
     return records
 
 
-def scenario_b(cfg: ScenarioConfig) -> list[TrialRecord]:
-    """Repeated noisy trials of LS, plain, and relaxed shrinkage at each SNR.
-
-    Writes ``records.csv``, ``means.csv`` and ``meta.json`` when an output
-    directory is configured.  Returns records sorted by method, SNR, trial.
-    """
-    return _run(cfg)
-
-
-def scenario_c(cfg: ScenarioConfig) -> list[TrialRecord]:
-    """Random-design trials sweeping the large truth component, firm shrinkage included.
-
-    Each trial draws its design and unit noise once and solves every
-    (SNR, x1) cell on them.
-    """
-    return _run(cfg)
+#: Scenario C runs through the same function; the name stays for its callers.
+scenario_c = scenario_b
 
 
 def _mismatch_groups(records) -> dict[tuple[str, float, float], list[float]]:
@@ -550,7 +546,8 @@ def _write_meta(cfg: ScenarioConfig, extra: dict) -> None:
     meta = {
         "schema": 3,
         "scenario": cfg.scenario,
-        "config": _jsonable(dataclasses.asdict(cfg)),
+        "config": _jsonable({**dataclasses.asdict(cfg), "tol": cfg.tol,
+                             "max_iter": cfg.max_iter, "firm_lambda2": cfg.firm_lambda2}),
         "derived": _jsonable(extra),
     }
     _write_lines(os.path.join(cfg.out_path, "meta.json"), [json.dumps(meta, indent=2, sort_keys=True)])

@@ -16,7 +16,6 @@ from .core import ProxSet
 
 __all__ = [
     "SQRT2",
-    "MCParams",
     "FirmParams",
     "l0_norm",
     "mc_penalty",
@@ -30,18 +29,6 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class MCParams:
-    """Minimax-concave penalty parameter (the magnitude where the penalty flattens)."""
-
-    lambda2: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lambda2", float(self.lambda2))
-        if not (math.isfinite(self.lambda2) and self.lambda2 > 0):
-            raise ValueError(f"lambda2 must be positive and finite, got {self.lambda2!r}")
 
 
 @dataclass(frozen=True)
@@ -75,9 +62,15 @@ def l0_norm(x):
     return _maybe_scalar(x, np.where(x == 0.0, 0.0, 1.0))
 
 
-def mc_penalty(x, params: MCParams):
-    """Minimax-concave penalty: ``|x| - x^2/(2*lambda2)`` below ``lambda2``, constant above."""
-    lam2 = params.lambda2
+def mc_penalty(x, lambda2: float):
+    """Minimax-concave penalty: ``|x| - x^2/(2*lambda2)`` below ``lambda2``, constant above.
+
+    ``lambda2``, the magnitude where the penalty flattens, must be positive
+    and finite.
+    """
+    lam2 = float(lambda2)
+    if not (math.isfinite(lam2) and lam2 > 0):
+        raise ValueError(f"lambda2 must be positive and finite, got {lam2!r}")
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
     return _maybe_scalar(x, np.where(a <= lam2, a - a * a / (2.0 * lam2), lam2 / 2.0))

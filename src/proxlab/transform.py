@@ -173,17 +173,16 @@ def _half_sq(grid: GridSpec) -> np.ndarray:
     return 0.5 * np.sum(mesh * mesh, axis=-1)
 
 
-def weakly_convex_envelope_grid(f: SampledFunction, dual: GridSpec | None = None) -> SampledFunction:
+def weakly_convex_envelope_grid(f: SampledFunction) -> SampledFunction:
     """Tightest 1-weakly-convex minorant via double conjugation of ``f + ||.||^2/2``.
 
-    The dual grid defaults to the primal one; widen it when the shifted
-    function's slopes exceed the primal range, and trust the result only on
-    the interior of the primal grid.
+    Both conjugations use the primal grid as the dual grid, so the shifted
+    function's slopes must stay inside the grid's range; trust the result
+    only on the interior of the grid.
     """
-    dual = dual if dual is not None else f.grid
     half_sq = _half_sq(f.grid)
     shifted = SampledFunction(f.grid, f.values + half_sq)
-    conj = legendre_conjugate_grid(shifted, dual)
+    conj = legendre_conjugate_grid(shifted, f.grid)
     biconj = legendre_conjugate_grid(conj, f.grid)
     return SampledFunction(f.grid, biconj.values - half_sq)
 
@@ -397,11 +396,12 @@ class MonotoneGraph1D:
         self.segments = segs
 
     @classmethod
-    def hard_graph(cls, threshold: float, limit: float = 1e6) -> "MonotoneGraph1D":
-        """Filled graph of hard shrinkage at ``threshold``, truncated to ``[-limit, limit]``."""
+    def hard_graph(cls, threshold: float) -> "MonotoneGraph1D":
+        """Filled graph of hard shrinkage at ``threshold``, truncated to ``[-1e6, 1e6]``."""
         t = float(threshold)
+        limit = 1e6
         if not (math.isfinite(t) and t > 0 and limit > t):
-            raise ValueError("need 0 < threshold < limit")
+            raise ValueError("need 0 < threshold < 1e6")
         return cls(
             [
                 GraphSegment(-limit, -limit, -t, -t),
@@ -475,38 +475,39 @@ class InclusionReport:
     included: bool
 
 
-def verify_inclusion(penalty, envelope, x, box: GridSpec, gamma: float = 1.0) -> InclusionReport:
+def verify_inclusion(penalty, envelope, x, box: GridSpec) -> InclusionReport:
     """Check by exhaustive search that the penalty's prox lies inside the envelope's.
 
-    Both proxes are computed with :func:`brute_force_prox` on the same box, so
-    repeated queries with one penalty, envelope and box sample each only once;
-    every defining point of the first must come within twice the grid step of
-    the second set.
+    Both proxes are taken at unit step, the step at which the paper pairs a
+    penalty with its 1-weakly-convex envelope.  They come from
+    :func:`brute_force_prox` on the same box, so repeated queries with one
+    penalty, envelope and box sample each only once; every defining point of
+    the first must come within twice the grid step of the second set.
     """
-    prox_pen = brute_force_prox(penalty, x, gamma, box)
-    prox_env = brute_force_prox(envelope, x, gamma, box)
+    prox_pen = brute_force_prox(penalty, x, 1.0, box)
+    prox_env = brute_force_prox(envelope, x, 1.0, box)
     dist = max(prox_env.distance(p) for p in prox_pen.points())
     return InclusionReport(prox_pen, prox_env, float(dist), bool(dist <= 2.0 * box.max_step))
 
 
-def _sample_pairs(pairs: int, seed: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+def _sample_pairs(pairs: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
-    xs = rng.uniform(lo, hi, size=(pairs, 2))
-    ys = rng.uniform(lo, hi, size=(pairs, 2))
+    xs = rng.uniform(-8.0, 8.0, size=(pairs, 2))
+    ys = rng.uniform(-8.0, 8.0, size=(pairs, 2))
     return xs, ys
 
 
-def check_monotone(op, pairs: int = 1000, seed: int = 0, lo: float = -8.0, hi: float = 8.0) -> float:
-    """Smallest ``<op(x) - op(y), x - y>`` over random point pairs (>= 0 for monotone ops)."""
-    xs, ys = _sample_pairs(pairs, seed, lo, hi)
+def check_monotone(op, pairs: int = 1000, seed: int = 0) -> float:
+    """Smallest ``<op(x) - op(y), x - y>`` over random pairs in ``[-8, 8]^2`` (>= 0 if monotone)."""
+    xs, ys = _sample_pairs(pairs, seed)
     dif_in = xs - ys
     dif_out = np.asarray(op(xs)) - np.asarray(op(ys))
     return float(np.min(np.sum(dif_in * dif_out, axis=-1)))
 
 
-def check_lipschitz(op, pairs: int = 1000, seed: int = 0, lo: float = -8.0, hi: float = 8.0) -> float:
-    """Largest displacement ratio ``|op(x) - op(y)| / |x - y|`` over random pairs."""
-    xs, ys = _sample_pairs(pairs, seed, lo, hi)
+def check_lipschitz(op, pairs: int = 1000, seed: int = 0) -> float:
+    """Largest displacement ratio ``|op(x) - op(y)| / |x - y|`` over random pairs in ``[-8, 8]^2``."""
+    xs, ys = _sample_pairs(pairs, seed)
     num = np.linalg.norm(np.asarray(op(xs)) - np.asarray(op(ys)), axis=-1)
     den = np.linalg.norm(xs - ys, axis=-1)
     keep = den > 0

@@ -24,7 +24,6 @@ from .rowl import prox_rowl_2d, rowl_envelope_2d, rowl_penalty
 from .scalar_ops import (
     SQRT2,
     FirmParams,
-    MCParams,
     firm,
     hard,
     l0_envelope,
@@ -75,7 +74,7 @@ def _suite_scalar(seed: int) -> list[CheckResult]:
     ))
 
     # The l0 envelope is the sqrt(2)-scaled MC penalty with lambda2 = sqrt(2).
-    mc = mc_penalty(x, MCParams(SQRT2))
+    mc = mc_penalty(x, SQRT2)
     defect = float(np.max(np.abs(SQRT2 * mc - env)))
     out.append(_check("scalar", "l0 envelope is scaled MC at lambda2=sqrt(2)",
                       defect < 1e-12, f"defect {defect:.2e}"))

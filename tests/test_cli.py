@@ -86,6 +86,23 @@ def test_envelope_grid_exports(tmp_path, capsys):
     assert len(lines) == 1 + 9
 
 
+@pytest.mark.parametrize("op, value", [("rowl", "1.0"), ("rowl-raw", "2.0")])
+def test_envelope_grid_exports_the_function_its_op_names(op, value, capsys):
+    # At (-1, -1) with w = (0, 2) the penalty reads 2 and its envelope 1.
+    rc, out, _ = run(capsys, "envelope", "--op", op, "--w", "0,2", "--grid=-1,1,1")
+    assert rc == 0
+    assert out.splitlines()[1] == f"-1.0,-1.0,{value}"
+    rc, point, _ = run(capsys, "envelope", "--op", op, "--w", "0,2", "--x=-1,-1")
+    assert rc == 0 and point == value + "\n"
+
+
+def test_envelope_point_value_goes_to_out(tmp_path, capsys):
+    f = tmp_path / "o.csv"
+    rc, out, _ = run(capsys, "envelope", "--op", "l0", "--x", "1", "--out", str(f))
+    assert rc == 0 and out == ""
+    assert f.read_bytes() == b"0.9142135623730951\n"
+
+
 def test_verify_suites_pass(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "all", "--seed", "7")
     assert rc == 0

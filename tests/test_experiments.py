@@ -67,6 +67,23 @@ def test_config_validation():
         ScenarioConfig.scenario_c_defaults(x1_sweep=(1.0, 1.5, 2.0, 1.5))
 
 
+def test_config_fields_are_the_settable_inputs_only():
+    assert [f.name for f in dataclasses.fields(ScenarioConfig)] == [
+        "scenario", "trials", "seed", "snr_list_db", "x_true", "w_rowl", "w_erowl",
+        "gamma_delta", "gamma_mu", "mu_override", "delta_override", "x1_sweep",
+        "rowl_w_by_snr", "out_path",
+    ]
+    cfg = ScenarioConfig.scenario_b_defaults()
+    assert (cfg.tol, cfg.max_iter, cfg.firm_lambda2) == (1e-10, 100_000, 3.0)
+    for name in ("tol", "max_iter", "firm_lambda2"):
+        with pytest.raises(TypeError):  # a constant of every run, not a setting
+            ScenarioConfig.scenario_b_defaults(**{name: getattr(cfg, name)})
+
+
+def test_scenario_c_is_scenario_b():
+    assert scenario_c is scenario_b
+
+
 def test_generate_model_is_deterministic_per_key():
     cfg = ScenarioConfig.scenario_c_defaults(seed=99, trials=2)
     m1 = generate_model(cfg, 1, 20.0)
@@ -326,6 +343,17 @@ def test_meta_json_layout_is_pinned_by_its_schema(scenario, cfg, derived, tmp_pa
     assert meta["schema"] == 3
     assert sorted(meta["config"]) == _CONFIG_KEYS
     assert sorted(meta["derived"]) == derived
+
+
+@pytest.mark.parametrize("scenario, cfg", [
+    (scenario_a, ScenarioConfig.scenario_a_defaults()),
+    (scenario_b, ScenarioConfig.scenario_b_defaults(trials=1)),
+    (scenario_c, ScenarioConfig.scenario_c_defaults(trials=1, snr_list_db=(20.0,), x1_sweep=(1.5,))),
+], ids=["A", "B", "C"])
+def test_meta_json_records_the_run_constants(scenario, cfg, tmp_path):
+    scenario(dataclasses.replace(cfg, out_path=str(tmp_path)))
+    config = json.loads((tmp_path / "meta.json").read_text())["config"]
+    assert (config["tol"], config["max_iter"], config["firm_lambda2"]) == (1e-10, 100_000, 3.0)
 
 
 def test_scenario_c_trial_order_does_not_change_results(tmp_path, request):

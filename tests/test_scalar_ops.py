@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from proxlab.scalar_ops import (
     SQRT2,
     FirmParams,
-    MCParams,
     firm,
     firm_shrinker,
     hard,
@@ -29,12 +28,18 @@ def test_l0_norm_values():
 
 
 def test_mc_penalty_values():
-    p = MCParams(2.0)
+    p = 2.0
     assert mc_penalty(0.0, p) == 0.0
     assert mc_penalty(3.0, p) == 1.0  # constant lambda2/2 past the knee
     assert mc_penalty(1.0, p) == pytest.approx(0.75, abs=1e-15)
     assert mc_penalty(-1.0, p) == mc_penalty(1.0, p)
     assert mc_penalty(2.0, p) == pytest.approx(1.0, abs=1e-15)  # continuous at the knee
+
+
+@pytest.mark.parametrize("lambda2", [0.0, -1.0, math.inf, math.nan])
+def test_mc_penalty_rejects_a_lambda2_that_is_not_positive_and_finite(lambda2):
+    with pytest.raises(ValueError, match="lambda2 must be positive and finite"):
+        mc_penalty(1.0, lambda2)
 
 
 def test_l0_envelope_values():
@@ -45,7 +50,7 @@ def test_l0_envelope_values():
 
 def test_l0_envelope_is_scaled_mc():
     x = np.linspace(-4.0, 4.0, 1001)
-    assert np.max(np.abs(l0_envelope(x) - SQRT2 * mc_penalty(x, MCParams(SQRT2)))) < 1e-14
+    assert np.max(np.abs(l0_envelope(x) - SQRT2 * mc_penalty(x, SQRT2))) < 1e-14
 
 
 def test_l0_envelope_minorant_and_weak_convexity():
@@ -146,7 +151,7 @@ def test_firm_tends_to_hard_pointwise():
 def test_firm_is_prox_of_scaled_mc_penalty():
     """Brute-force prox of lambda1 * MC(lambda2) reproduces firm shrinkage."""
     p = FirmParams(1.0, 2.0)
-    pen = lambda y: p.lambda1 * mc_penalty(y, MCParams(p.lambda2))
+    pen = lambda y: p.lambda1 * mc_penalty(y, p.lambda2)
     for q in (-2.5, -1.3, 0.4, 1.5, 2.2):
         box = GridSpec((Axis(q - 4.0, q + 4.0, 0.001),))
         got = brute_force_prox(pen, q, gamma=1.0, box=box)

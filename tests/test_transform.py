@@ -592,6 +592,8 @@ def test_hard_graph_structure():
         g.image_at(2e6)
     with pytest.raises(ValueError):
         MonotoneGraph1D.hard_graph(-1.0)
+    with pytest.raises(ValueError, match="0 < threshold < 1e6"):
+        MonotoneGraph1D.hard_graph(1e6)  # no room left for the identity tails
 
 
 def test_image_at_interpolates_a_long_tail_piece_from_its_near_end():
