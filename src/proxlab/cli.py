@@ -7,29 +7,28 @@ Subcommands:
 * ``verify``     run the invariant suites and print a pass/fail table
 * ``experiment`` run scenario a, b, or c and write its CSV bundle
 
+Each op of ``prox`` and ``envelope`` and each scenario of ``experiment`` takes
+the options its ``--help`` lists, and any other option is a usage error.
+``envelope --grid`` builds at most 1,000,000 cells.
+
 Exit codes: 0 on success, 1 on bad usage or invalid values, 2 when ``verify``
 finds a failing check.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import Point2, WeightPair
+from .core import Point2, ProxSet, WeightPair
 from .erowl import ErowlParams, erowl_shrinker
-from .experiments import (
-    ScenarioConfig,
-    mean_mismatch,
-    scenario_a,
-    scenario_b,
-)
+from .experiments import ScenarioConfig, mean_mismatch, scenario_a, scenario_b
 from .rowl import prox_rowl_2d, prox_rowl_envelope_2d, rowl_envelope_2d, rowl_penalty
 from .scalar_ops import FirmParams, firm, hard, l0_envelope, prox_l0, prox_l0_envelope, soft
-from .transform import GridSpec
+from .transform import Axis, GridSpec
 from .verify import SUITE_NAMES, run_all, run_suite
 
 __all__ = ["run_cli", "main"]
@@ -37,6 +36,8 @@ __all__ = ["run_cli", "main"]
 
 #: Most values an SNR sweep ``lo:step:hi`` may expand to.
 MAX_SNR_POINTS = 10_000
+#: Most cells ``envelope --grid`` may build: a 1001 x 1001 square.
+MAX_GRID_CELLS = 1_000_000
 
 
 class _UsageError(Exception):
@@ -88,89 +89,128 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _print_set(s) -> None:
-    """One line per point, or one line naming a segment or interval and its ends."""
-    texts = [",".join(map(_fmt, p)) if isinstance(p, Point2) else _fmt(p) for p in s.points()]
-    if s.kind in ("segment", "interval"):
-        print(s.kind, *texts)
+def _print_result(v) -> None:
+    """A value, or ``y1,y2``, on one line; a prox set one line per point, or
+    one line naming a segment or interval and its ends."""
+    if not isinstance(v, ProxSet):
+        print(",".join(map(_fmt, v)) if isinstance(v, tuple) else _fmt(v))
+        return
+    texts = [",".join(map(_fmt, p)) if isinstance(p, Point2) else _fmt(p) for p in v.points()]
+    if v.kind in ("segment", "interval"):
+        print(v.kind, *texts)
     else:
         print(*texts, sep="\n")
 
 
-def _need(args, name: str):
-    val = getattr(args, name.replace("-", "_"), None)
-    if val is None:
-        raise _UsageError(f"--{name} is required for --op {args.op}")
-    return val
+class _Spec(NamedTuple):
+    """What an op or scenario takes: ``dims`` numbers in ``--x`` (0: no ``--x``) and its
+    ``options``, each with a default (``None``: left to ``fn``) or ``...`` if required."""
+
+    dims: int
+    options: dict
+    fn: Callable
+
+
+_PROX = {
+    "l0": _Spec(1, {"gamma": 1.0}, prox_l0),
+    "l0-env": _Spec(1, {}, prox_l0_envelope),
+    "hard": _Spec(1, {"threshold": ...}, hard),
+    "soft": _Spec(1, {"threshold": ...}, soft),
+    "firm": _Spec(1, {"lambda1": ..., "lambda2": ...},
+                  lambda x, lambda1, lambda2: firm(x, FirmParams(lambda1, lambda2))),
+    "rowl": _Spec(2, {"w": ...}, prox_rowl_2d),
+    "rowl-env": _Spec(2, {"w": ...}, prox_rowl_envelope_2d),
+    "erowl": _Spec(2, {"w": ..., "delta": ...},
+                   lambda x, w, delta: erowl_shrinker(ErowlParams(w, delta))(tuple(x))),
+}
+
+#: Each function takes points stacked on the last axis.
+_ENVELOPE = {
+    "l0": _Spec(1, {"out": None}, lambda p: l0_envelope(p[..., 0])),
+    "rowl": _Spec(2, {"w": ..., "out": None}, rowl_envelope_2d),
+    "rowl-raw": _Spec(2, {"w": ..., "out": None}, rowl_penalty),
+}
+
+# Scenario A is one noiseless run on the fixed design at step 2: a seed, trial count,
+# SNR or gamma_mu would change no byte of it.
+_NOISY = dict.fromkeys(("seed", "trials", "snr", "w", "delta", "gamma_delta", "gamma_mu", "out"))
+_EXPERIMENT = {
+    "a": _Spec(0, dict.fromkeys(("w", "delta", "gamma_delta", "out")), lambda cfg: scenario_a(cfg).records),
+    # B and C run through one function; the scenario in ``cfg`` decides which.
+    "b": _Spec(0, _NOISY, scenario_b),
+    "c": _Spec(0, _NOISY, scenario_b),
+}
+
+#: The ``ScenarioConfig`` setting of each ``experiment`` option named otherwise.
+_SETTINGS = {"snr": "snr_list_db", "w": "w_erowl", "delta": "delta_override", "out": "out_path"}
+
+#: Options given as text that a table entry needs as a value.
+_PARSE = {"w": lambda text: WeightPair(*_parse_floats(text, 2, "--w")), "snr": _parse_snr}
+
+#: Parsed arguments that are not options an op may or may not take.
+_NOT_OPTIONS = {"command", "fn", "op", "scenario", "x", "grid"}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _checked(args, table: dict, key: str, label: str) -> tuple[_Spec, dict]:
+    """``table[key]`` and the values of its options; one it does not take, or lacks, is a usage error."""
+    spec = table[key]
+    given = {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS and v is not None}
+    extra = [_flag(k) for k in given if k not in spec.options]
+    if extra:
+        raise _UsageError(f"{label} does not take {', '.join(extra)}")
+    for name, default in spec.options.items():
+        if default is ... and name not in given:
+            raise _UsageError(f"{_flag(name)} is required for {label}")
+    return spec, {k: _PARSE.get(k, lambda v: v)(given[k]) if k in given else default
+                  for k, default in spec.options.items()}
+
+
+def _help(table: dict, point: str) -> str:
+    """What each entry of ``table`` takes, for a subcommand's ``--help``."""
+    lines = ["what each takes ([optional], [optional=default]); any other option is an error:"]
+    for key, spec in table.items():
+        words = [point.format("X" if spec.dims == 1 else "X1,X2")] if spec.dims else []
+        for name, default in spec.options.items():
+            flag = _flag(name) if default is ... or default is None else f"{_flag(name)}={default}"
+            words.append(flag if default is ... else f"[{flag}]")
+        lines.append(f"  {key:<9} {' '.join(words)}")
+    return "\n".join(lines)
 
 
 def _cmd_prox(args) -> int:
-    op = args.op
-    if op in ("l0", "l0-env", "hard", "soft", "firm"):
-        (x,) = _parse_floats(args.x, 1, "--x")
-        if op == "l0":
-            _print_set(prox_l0(x, args.gamma))
-        elif op == "l0-env":
-            _print_set(prox_l0_envelope(x))
-        elif op == "hard":
-            print(_fmt(float(hard(x, float(_need(args, "threshold"))))))
-        elif op == "soft":
-            print(_fmt(float(soft(x, float(_need(args, "threshold"))))))
-        else:
-            params = FirmParams(float(_need(args, "lambda1")), float(_need(args, "lambda2")))
-            print(_fmt(float(firm(x, params))))
-        return 0
-
-    x = Point2(*_parse_floats(args.x, 2, "--x"))
-    w = WeightPair(*_parse_floats(_need(args, "w"), 2, "--w"))
-    if op == "rowl":
-        _print_set(prox_rowl_2d(x, w))
-    elif op == "rowl-env":
-        _print_set(prox_rowl_envelope_2d(x, w))
-    else:  # erowl
-        delta = float(_need(args, "delta"))
-        y = erowl_shrinker(ErowlParams(w, delta))((x.x1, x.x2))
-        print(f"{_fmt(y[0])},{_fmt(y[1])}")
+    spec, values = _checked(args, _PROX, args.op, f"prox --op {args.op}")
+    x = _parse_floats(args.x, spec.dims, "--x")
+    _print_result(spec.fn(x[0] if spec.dims == 1 else Point2(*x), **values))
     return 0
 
 
 def _cmd_envelope(args) -> int:
-    if args.grid is None and args.x is None:
-        raise _UsageError("envelope needs --x or --grid")
-    if args.op == "l0":
-        if args.grid is not None:
-            lo, step, hi = _parse_floats(args.grid, 3, "--grid")
-            xs = GridSpec.line(lo, hi, step).axes[0].points()
-            lines = ["x,value"] + [f"{_fmt(x)},{_fmt(float(l0_envelope(x)))}" for x in xs]
-        else:
-            (x,) = _parse_floats(args.x, 1, "--x")
-            lines = [_fmt(float(l0_envelope(x)))]
-        _emit(args.out, lines)
-        return 0
-
-    w = WeightPair(*_parse_floats(_need(args, "w"), 2, "--w"))
-    func = rowl_envelope_2d if args.op == "rowl" else rowl_penalty
-    if args.grid is not None:
-        lo, step, hi = _parse_floats(args.grid, 3, "--grid")
-        pts = GridSpec.square(lo, hi, step).mesh().reshape(-1, 2)
-        vals = func(pts, w)
-        lines = ["axis0,axis1,value"]
-        for (p, q), v in zip(pts, vals):
-            lines.append(f"{_fmt(p)},{_fmt(q)},{_fmt(float(v))}")
+    if (args.x is None) == (args.grid is None):
+        raise _UsageError("envelope needs exactly one of --x or --grid")
+    spec, values = _checked(args, _ENVELOPE, args.op, f"envelope --op {args.op}")
+    out = values.pop("out")
+    if args.x is not None:
+        lines = [_fmt(spec.fn(np.array(_parse_floats(args.x, spec.dims, "--x")), **values))]
     else:
-        x = _parse_floats(args.x, 2, "--x")
-        lines = [_fmt(float(func(np.array(x), w)))]
-    _emit(args.out, lines)
-    return 0
-
-
-def _emit(out: str | None, lines: list[str]) -> None:
+        lo, step, hi = _parse_floats(args.grid, 3, "--grid")
+        axis = Axis(lo, hi, step)
+        cells = axis.count ** spec.dims
+        if cells > MAX_GRID_CELLS:  # before a point is built
+            raise _UsageError(f"--grid {args.grid} has {cells} cells, more than {MAX_GRID_CELLS}")
+        pts = GridSpec((axis,) * spec.dims).mesh().reshape(-1, spec.dims)
+        lines = ["x,value" if spec.dims == 1 else "axis0,axis1,value"]
+        lines += [",".join(map(_fmt, (*p, v))) for p, v in zip(pts, spec.fn(pts, **values))]
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
         with open(out, "w", newline="\n") as fh:
             fh.write(text)
+    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -186,35 +226,11 @@ def _cmd_verify(args) -> int:
     return 2 if failures else 0
 
 
-def _experiment_config(args) -> ScenarioConfig:
-    overrides: dict = {"seed": args.seed, "out_path": args.out}
-    if args.gamma_delta is not None:
-        overrides["gamma_delta"] = args.gamma_delta
-    if args.gamma_mu is not None:
-        overrides["gamma_mu"] = args.gamma_mu
-    if args.delta is not None:
-        overrides["delta_override"] = args.delta
-    if args.scenario == "a":
-        if args.trials is not None or args.snr is not None:
-            raise _UsageError("experiment a is one noiseless trial: --trials and --snr do not apply")
-        cfg = ScenarioConfig.scenario_a_defaults(**overrides)
-    else:
-        if args.trials is not None:
-            overrides["trials"] = args.trials
-        if args.snr is not None:
-            overrides["snr_list_db"] = _parse_snr(args.snr)
-        maker = ScenarioConfig.scenario_b_defaults if args.scenario == "b" else ScenarioConfig.scenario_c_defaults
-        cfg = maker(**overrides)
-    if args.w is not None:
-        cfg = dataclasses.replace(cfg, w_erowl=WeightPair(*_parse_floats(args.w, 2, "--w")))
-    return cfg
-
-
 def _cmd_experiment(args) -> int:
-    cfg = _experiment_config(args)
-    # B and C run through one function; the scenario in ``cfg`` decides which.
-    records = scenario_a(cfg).records if args.scenario == "a" else scenario_b(cfg)
-    for (method, snr_db, x1), mean in sorted(mean_mismatch(records).items()):
+    spec, values = _checked(args, _EXPERIMENT, args.scenario, f"experiment {args.scenario}")
+    settings = {_SETTINGS.get(k, k): v for k, v in values.items() if v is not None}
+    cfg = ScenarioConfig.defaults(args.scenario.upper(), **settings)
+    for (method, snr_db, x1), mean in sorted(mean_mismatch(spec.fn(cfg)).items()):
         print(f"{method:>6}  snr={_fmt(snr_db):>6}  xtrue1={_fmt(x1):>5}  mean mismatch {mean:.3f} dB")
     if cfg.out_path:
         print(f"wrote outputs to {cfg.out_path}")
@@ -225,23 +241,23 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="proxlab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prox", help="evaluate a shrinkage operator at a point")
-    p.add_argument("--op", required=True,
-                   choices=["l0", "l0-env", "hard", "soft", "firm", "rowl", "rowl-env", "erowl"])
+    raw = argparse.RawDescriptionHelpFormatter
+    p = sub.add_parser("prox", help="evaluate a shrinkage operator at a point",
+                       epilog=_help(_PROX, "--x {}"), formatter_class=raw)
+    p.add_argument("--op", required=True, choices=list(_PROX))
     p.add_argument("--x", required=True, help="point, e.g. 1.5 or 2,2")
     p.add_argument("--w", help="weight pair w1,w2")
-    p.add_argument("--delta", type=float, help="relaxation parameter (erowl)")
-    p.add_argument("--gamma", type=float, default=1.0, help="prox step (l0)")
-    p.add_argument("--threshold", type=float, help="threshold (hard/soft)")
-    p.add_argument("--lambda1", type=float, help="inner threshold (firm)")
-    p.add_argument("--lambda2", type=float, help="outer threshold (firm)")
+    for name, text in (("delta", "relaxation parameter"), ("gamma", "prox step"), ("threshold", "threshold"),
+                       ("lambda1", "inner threshold"), ("lambda2", "outer threshold")):
+        p.add_argument(_flag(name), type=float, help=text)
     p.set_defaults(fn=_cmd_prox)
 
-    p = sub.add_parser("envelope", help="evaluate a relaxed penalty")
-    p.add_argument("--op", required=True, choices=["l0", "rowl", "rowl-raw"])
+    p = sub.add_parser("envelope", help="evaluate a relaxed penalty",
+                       epilog=_help(_ENVELOPE, "(--x {} | --grid LO,STEP,HI)"), formatter_class=raw)
+    p.add_argument("--op", required=True, choices=list(_ENVELOPE))
     p.add_argument("--x", help="evaluation point")
     p.add_argument("--w", help="weight pair w1,w2")
-    p.add_argument("--grid", help="lo,step,hi for a CSV export")
+    p.add_argument("--grid", help=f"lo,step,hi for a CSV export of at most {MAX_GRID_CELLS} cells")
     p.add_argument("--out", help="output file (stdout when omitted)")
     p.set_defaults(fn=_cmd_envelope)
 
@@ -250,15 +266,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("experiment", help="run a recovery experiment")
-    p.add_argument("scenario", choices=["a", "b", "c"])
-    p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--trials", type=int)
+    p = sub.add_parser("experiment", help="run a recovery experiment",
+                       epilog=_help(_EXPERIMENT, ""), formatter_class=raw)
+    p.add_argument("scenario", choices=list(_EXPERIMENT))
+    for name, kind in (("seed", int), ("trials", int), ("delta", float),
+                       ("gamma_delta", float), ("gamma_mu", float)):
+        p.add_argument(_flag(name), type=kind)
     p.add_argument("--snr", help="SNR list 10,20 or sweep lo:step:hi, in dB")
     p.add_argument("--w", help="relaxed-method weight pair w1,w2")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--gamma-delta", type=float, dest="gamma_delta")
-    p.add_argument("--gamma-mu", type=float, dest="gamma_mu")
     p.add_argument("--out", help="output directory")
     p.set_defaults(fn=_cmd_experiment)
     return parser

@@ -102,8 +102,19 @@ def fixed_design_matrix() -> np.ndarray:
     return q @ d @ q.T / 2.0
 
 
-def _default_rowl_w_by_snr() -> dict[float, WeightPair]:
-    return {20.0: WeightPair(0.0, 0.1), 10.0: WeightPair(0.0, 0.3)}
+#: What each scenario fixes unless a setting replaces it.  A: one noiseless fixed-design run at
+#: step 2, relaxed weights (0, 2) against plain (0, 0.03).  B: noisy trials, nearly sparse truth
+#: (0.01, 1).  C: random designs, large truth component swept, firm added, ROWL weights per SNR.
+_SCENARIOS = {
+    "A": dict(trials=1, snr_list_db=(math.inf,), x_true=Point2(0.0, 1.0),
+              w_rowl=WeightPair(0.0, 0.03), w_erowl=WeightPair(0.0, 2.0), mu_override=2.0),
+    "B": dict(trials=500, snr_list_db=(20.0,), x_true=Point2(0.01, 1.0),
+              w_rowl=WeightPair(0.0, 0.01), w_erowl=WeightPair(0.0, 1.0)),
+    "C": dict(trials=500, snr_list_db=(20.0, 10.0), x_true=Point2(1.0, 0.01),
+              w_rowl=WeightPair(0.0, 0.1), w_erowl=WeightPair(0.0, 1.0),
+              x1_sweep=(1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0),
+              rowl_w_by_snr={20.0: WeightPair(0.0, 0.1), 10.0: WeightPair(0.0, 0.3)}),
+}
 
 
 @dataclass(frozen=True)
@@ -153,67 +164,15 @@ class ScenarioConfig:
                 seen.add(v)
 
     @classmethod
-    def scenario_a_defaults(cls, seed: int = 12345, out_path: str | None = None, **kw) -> "ScenarioConfig":
-        """Noiseless fixed-design run: relaxed weights (0, 2) against plain (0, 0.03), step 2."""
-        return cls(
-            scenario="A",
-            trials=1,
-            seed=seed,
-            snr_list_db=(math.inf,),
-            x_true=Point2(0.0, 1.0),
-            w_rowl=WeightPair(0.0, 0.03),
-            w_erowl=WeightPair(0.0, 2.0),
-            mu_override=2.0,
-            out_path=out_path,
-            **kw,
-        )
+    def defaults(cls, scenario: str, seed: int = 12345, **settings) -> "ScenarioConfig":
+        """The run ``_SCENARIOS`` declares for ``scenario``, with ``settings`` in place of its values."""
+        # Each config gets its own ``rowl_w_by_snr`` dict: changing one changes no other run.
+        fixed = {k: dict(v) if isinstance(v, dict) else v for k, v in _SCENARIOS[scenario].items()}
+        return cls(scenario=scenario, seed=seed, **{**fixed, **settings})
 
-    @classmethod
-    def scenario_b_defaults(
-        cls,
-        seed: int = 12345,
-        trials: int = 500,
-        snr_list_db: tuple[float, ...] = (20.0,),
-        out_path: str | None = None,
-        **kw,
-    ) -> "ScenarioConfig":
-        """Noisy trials with a nearly sparse truth ``(0.01, 1)``."""
-        return cls(
-            scenario="B",
-            trials=trials,
-            seed=seed,
-            snr_list_db=snr_list_db,
-            x_true=Point2(0.01, 1.0),
-            w_rowl=WeightPair(0.0, 0.01),
-            w_erowl=WeightPair(0.0, 1.0),
-            out_path=out_path,
-            **kw,
-        )
-
-    @classmethod
-    def scenario_c_defaults(
-        cls,
-        seed: int = 12345,
-        trials: int = 500,
-        snr_list_db: tuple[float, ...] = (20.0, 10.0),
-        x1_sweep: tuple[float, ...] = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0),
-        out_path: str | None = None,
-        **kw,
-    ) -> "ScenarioConfig":
-        """Random-design sweep of the large truth component, firm shrinkage added."""
-        return cls(
-            scenario="C",
-            trials=trials,
-            seed=seed,
-            snr_list_db=snr_list_db,
-            x_true=Point2(1.0, 0.01),
-            w_rowl=WeightPair(0.0, 0.1),
-            w_erowl=WeightPair(0.0, 1.0),
-            x1_sweep=x1_sweep,
-            rowl_w_by_snr=_default_rowl_w_by_snr(),
-            out_path=out_path,
-            **kw,
-        )
+    scenario_a_defaults = functools.partialmethod(defaults, "A")
+    scenario_b_defaults = functools.partialmethod(defaults, "B")
+    scenario_c_defaults = functools.partialmethod(defaults, "C")
 
 
 class TrialRecord(NamedTuple):

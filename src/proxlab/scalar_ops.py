@@ -87,6 +87,19 @@ def l0_envelope(x):
     return _maybe_scalar(x, np.where(a <= SQRT2, SQRT2 * a - a * a / 2.0, 1.0))
 
 
+def _prox_l0(x: float, thr: float, tie) -> ProxSet:
+    """0 below ``thr``, ``x`` above it; ``tie`` joins the two at ``|x| = thr``."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
+    a = abs(x)
+    if a < thr:
+        return ProxSet.single(0.0)
+    if a == thr:
+        return tie(0.0, x)
+    return ProxSet.single(x)
+
+
 def prox_l0(x: float, gamma: float = 1.0) -> ProxSet:
     """Set-valued prox of the zero-counting penalty at step ``gamma``.
 
@@ -95,16 +108,7 @@ def prox_l0(x: float, gamma: float = 1.0) -> ProxSet:
     """
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
-    thr = math.sqrt(2.0 * gamma)
-    a = abs(x)
-    if a < thr:
-        return ProxSet.single(0.0)
-    if a == thr:
-        return ProxSet.pair(0.0, x)
-    return ProxSet.single(x)
+    return _prox_l0(x, math.sqrt(2.0 * gamma), ProxSet.pair)
 
 
 def prox_l0_envelope(x: float) -> ProxSet:
@@ -113,15 +117,7 @@ def prox_l0_envelope(x: float) -> ProxSet:
     The two-point jump of :func:`prox_l0` at ``|x| = sqrt(2)`` fills in to the
     whole interval between 0 and ``x``.
     """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
-    a = abs(x)
-    if a < SQRT2:
-        return ProxSet.single(0.0)
-    if a == SQRT2:
-        return ProxSet.segment(0.0, x)
-    return ProxSet.single(x)
+    return _prox_l0(x, SQRT2, ProxSet.segment)
 
 
 def hard(x, threshold: float):

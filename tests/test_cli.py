@@ -1,4 +1,6 @@
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import proxlab
-from proxlab.cli import MAX_SNR_POINTS, _parse_snr, run_cli
+from proxlab.cli import MAX_GRID_CELLS, MAX_SNR_POINTS, _parse_snr, run_cli
 
 
 def run(capsys, *argv):
@@ -56,6 +58,55 @@ def test_usage_errors_exit_one(capsys):
     assert rc == 1 and "--threads" in err  # the option is gone
 
 
+# What each op and scenario takes, written out here rather than read from the CLI.
+_TAKES = {
+    "prox": {
+        "l0": ["--gamma"], "l0-env": [], "hard": ["--threshold"], "soft": ["--threshold"],
+        "firm": ["--lambda1", "--lambda2"], "rowl": ["--w"], "rowl-env": ["--w"], "erowl": ["--w", "--delta"],
+    },
+    "envelope": {"l0": ["--out"], "rowl": ["--w", "--out"], "rowl-raw": ["--w", "--out"]},
+    "experiment": {
+        "a": ["--w", "--delta", "--gamma-delta", "--out"],
+        **dict.fromkeys("bc", ["--seed", "--trials", "--snr", "--w", "--delta", "--gamma-delta", "--gamma-mu",
+                               "--out"]),
+    },
+}
+_PROX_BASE = {
+    "l0": ["--x", "1.5"], "l0-env": ["--x", "1.5"], "hard": ["--x", "1.5", "--threshold", "1"],
+    "soft": ["--x", "1.5", "--threshold", "1"], "firm": ["--x", "1.5", "--lambda1", "1", "--lambda2", "2"],
+    "rowl": ["--x", "2,2", "--w", "0,2"], "rowl-env": ["--x", "2,2", "--w", "0,2"],
+    "erowl": ["--x", "2,2", "--w", "0,2", "--delta", "1"],
+}
+_PROX_VALUES = {"--w": "0,2", "--delta": "1", "--gamma": "4", "--threshold": "1", "--lambda1": "1", "--lambda2": "2"}
+# Each of these printed what the op prints without the option.
+_PROX_IGNORED = [(op, opt) for op, takes in _TAKES["prox"].items() for opt in _PROX_VALUES if opt not in takes]
+
+
+def test_the_ignored_prox_options_are_thirty_nine():
+    assert len(_PROX_IGNORED) == 39
+
+
+@pytest.mark.parametrize("op, option", _PROX_IGNORED)
+def test_prox_rejects_an_option_its_op_does_not_take(capsys, op, option):
+    rc, _, _ = run(capsys, "prox", "--op", op, *_PROX_BASE[op])
+    assert rc == 0
+    rc, out, err = run(capsys, "prox", "--op", op, *_PROX_BASE[op], option, _PROX_VALUES[option])
+    assert rc == 1 and out == ""
+    assert f"prox --op {op} does not take {option}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(_TAKES))
+def test_help_lists_what_each_op_takes(capsys, command):
+    with pytest.raises(SystemExit):
+        run_cli([command, "--help"])
+    text = capsys.readouterr().out
+    for key, takes in _TAKES[command].items():
+        (line,) = [ln for ln in text.splitlines() if ln.split()[:1] == [key] and ln.startswith("  ")]
+        assert set(re.findall(r"--[a-z0-9-]+", line)) - {"--x", "--grid"} == set(takes), line
+    if command == "prox":
+        assert "[--gamma=1.0]" in text  # the step l0 takes when --gamma is absent
+
+
 def test_envelope_point_values(capsys):
     rc, out, _ = run(capsys, "envelope", "--op", "rowl", "--x", "0,0", "--w", "0,2")
     assert rc == 0 and out.strip() == "0.0"
@@ -103,6 +154,33 @@ def test_envelope_point_value_goes_to_out(tmp_path, capsys):
     assert f.read_bytes() == b"0.9142135623730951\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--op", "l0", "--w", "0,2", "--x", "1"],  # l0 has no weights
+    ["--op", "l0", "--x", "1", "--grid=-1,1,1"],
+    ["--op", "rowl", "--w", "0,2", "--x", "1,1", "--grid=-1,1,1"],
+])
+def test_envelope_rejects_what_its_op_does_not_take(tmp_path, capsys, argv):
+    out_file = tmp_path / "o.csv"
+    rc, out, err = run(capsys, "envelope", *argv, "--out", str(out_file))
+    assert rc == 1 and out == "" and "Traceback" not in err
+    assert ("--w" if "--grid=-1,1,1" not in argv else "--x or --grid") in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--op", "l0", f"--grid=0,1,{MAX_GRID_CELLS}"],  # one point over the cap on the line
+    ["--op", "l0", "--grid=-1000,0.0001,1000"],
+    ["--op", "rowl", "--w", "0,1", "--grid=0,1,1001"],  # 1002 x 1002; the cap is 1001 x 1001
+    ["--op", "rowl-raw", "--w", "0,1", "--grid=-1000,0.001,1000"],  # 2,000,001 squared
+], ids=["line-cap+1", "line", "square-cap+1", "square"])
+def test_envelope_grid_over_the_cap_is_refused_before_it_is_built(tmp_path, capsys, argv):
+    out_file = tmp_path / "grid.csv"
+    rc, out, err = run(capsys, "envelope", *argv, "--out", str(out_file))
+    assert rc == 1 and out == ""
+    assert f"more than {MAX_GRID_CELLS}" in err and "Traceback" not in err
+    assert not out_file.exists()
+
+
 def test_verify_suites_pass(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "all", "--seed", "7")
     assert rc == 0
@@ -130,8 +208,26 @@ def test_experiment_a_rejects_trials_and_snr(tmp_path, capsys):
     for extra in (["--trials", "7"], ["--snr", "10"], ["--trials", "7", "--snr", "10"]):
         rc, out, err = run(capsys, "experiment", "a", *extra, "--out", str(tmp_path / "run"))
         assert rc == 1 and out == ""
-        assert "--trials and --snr do not apply" in err
+        assert "experiment a does not take " + ", ".join(extra[::2]) in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("extra", [["--seed", "999"], ["--gamma-mu", "0.1"]])
+def test_experiment_a_rejects_seed_and_gamma_mu(tmp_path, capsys, extra):
+    # Scenario A runs noiseless on the fixed design at step 2: no seed or step mix changes a byte.
+    rc, out, err = run(capsys, "experiment", "a", *extra, "--out", str(tmp_path / "run"))
+    assert rc == 1 and out == ""
+    assert f"experiment a does not take {extra[0]}" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_experiment_seed_defaults_to_12345(tmp_path, capsys):
+    for name, extra in (("default", []), ("given", ["--seed", "12345"])):
+        rc, _, _ = run(capsys, "experiment", "b", "--trials", "2", "--snr", "20", *extra,
+                       "--out", str(tmp_path / name))
+        assert rc == 0
+    assert json.loads((tmp_path / "default" / "meta.json").read_text())["config"]["seed"] == 12345
+    assert (tmp_path / "default" / "records.csv").read_bytes() == (tmp_path / "given" / "records.csv").read_bytes()
 
 
 def test_experiment_b_reruns_are_byte_identical(tmp_path, capsys, request):
@@ -242,18 +338,46 @@ def _prox_sweep() -> list[list[str]]:
     return [["prox", *case] for case in cases] + [["envelope", "--op", "rowl", "--w", "0,2", "--x", "1,1"]]
 
 
+def _envelope_sweep() -> list[list[str]]:
+    """``proxlab envelope`` argument lists: each op at the prox sweep's points and
+    weights, grid exports on the line (``l0``) and the square (``rowl``,
+    ``rowl-raw``), and a grid and a point written with ``--out``."""
+    cases = [["--op", "l0", f"--x={x}"] for x in _SCALAR_XS]
+    for w in _WEIGHTS:
+        cases += [["--op", op, f"--x={x}", "--w", w] for x in _PLANAR_XS for op in ("rowl", "rowl-raw")]
+    cases += [["--op", "l0", f"--grid={g}"] for g in ("-2,0.5,2", "-1.5,0.25,1.5")]
+    cases += [["--op", op, "--w", w, f"--grid={g}"]
+              for op in ("rowl", "rowl-raw") for w in ("0,2", "0.3,1.1") for g in ("-1,1,1", "-2,0.5,2")]
+    cases += [
+        ["--op", "rowl", "--w", "0,2", "--grid=-1,0.5,1", "--out", "grid.csv"],
+        ["--op", "l0", "--x", "1", "--out", "point.txt"],
+    ]
+    return [["envelope", *case] for case in cases]
+
+
 SWEEP_TRANSCRIPT = Path(__file__).with_name("cli_prox_sweep.txt")
+ENVELOPE_TRANSCRIPT = Path(__file__).with_name("cli_envelope_sweep.txt")
 
 
-def _sweep_transcript(capsys) -> str:
+def _sweep_transcript(capsys, sweep) -> str:
+    """Each command and what it prints; a file written through ``--out`` follows
+    as ``== FILE`` and its text."""
     lines = []
-    for argv in _prox_sweep():
+    for argv in sweep:
         rc, out, err = run(capsys, *argv)
         assert rc == 0 and err == "", (argv, err)
         lines.append("$ proxlab " + " ".join(argv) + "\n" + out)
+        if "--out" in argv:
+            name = argv[argv.index("--out") + 1]
+            lines.append(f"== {name}\n" + Path(name).read_text())
     return "".join(lines)
 
 
 def test_prox_sweep_prints_the_pinned_bytes(capsys):
     # Pinned output: a changed line is a change to what the CLI prints.
-    assert _sweep_transcript(capsys) == SWEEP_TRANSCRIPT.read_text()
+    assert _sweep_transcript(capsys, _prox_sweep()) == SWEEP_TRANSCRIPT.read_text()
+
+
+def test_envelope_sweep_prints_the_pinned_bytes(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the --out files land here
+    assert _sweep_transcript(capsys, _envelope_sweep()) == ENVELOPE_TRANSCRIPT.read_text()

@@ -80,6 +80,22 @@ def test_config_fields_are_the_settable_inputs_only():
             ScenarioConfig.scenario_b_defaults(**{name: getattr(cfg, name)})
 
 
+def test_scenario_defaults_are_one_table():
+    assert ScenarioConfig.defaults("A") == ScenarioConfig.scenario_a_defaults()
+    assert ScenarioConfig.defaults("B") == ScenarioConfig.scenario_b_defaults()
+    assert ScenarioConfig.defaults("C") == ScenarioConfig.scenario_c_defaults()
+    assert ScenarioConfig.defaults("B", seed=3, trials=2) == ScenarioConfig.scenario_b_defaults(seed=3, trials=2)
+    a = ScenarioConfig.defaults("A")
+    assert (a.seed, a.trials, a.snr_list_db, a.mu_override) == (12345, 1, (math.inf,), 2.0)
+
+
+def test_scenario_c_configs_do_not_share_their_rowl_weights():
+    one, two = ScenarioConfig.scenario_c_defaults(), ScenarioConfig.defaults("C")
+    assert one.rowl_w_by_snr is not two.rowl_w_by_snr
+    one.rowl_w_by_snr[20.0] = WeightPair(0.0, 9.0)  # the field is frozen, the dict is not
+    assert two.rowl_w_by_snr[20.0] == ScenarioConfig.defaults("C").rowl_w_by_snr[20.0] == WeightPair(0.0, 0.1)
+
+
 def test_scenario_c_is_scenario_b():
     assert scenario_c is scenario_b
 

@@ -95,6 +95,22 @@ def test_prox_l0_envelope_cases():
     assert prox_l0_envelope(3.0).points() == (3.0,)
 
 
+def test_prox_l0_and_its_envelope_prox_at_the_threshold_and_at_zero():
+    # One body serves both: the unit-step l0 threshold is SQRT2 to the bit.
+    assert math.sqrt(2.0 * 1.0) == SQRT2
+    cases = [  # a list, not a dict: 0.0 and -0.0 are one key
+        (SQRT2, (("pair", (0.0, SQRT2)), ("interval", (0.0, SQRT2)))),
+        (-SQRT2, (("pair", (0.0, -SQRT2)), ("interval", (-SQRT2, 0.0)))),
+        (0.0, (("single", (0.0,)), ("single", (0.0,)))),
+        (-0.0, (("single", (0.0,)), ("single", (0.0,)))),
+    ]
+    for x, want in cases:
+        got = [(s.kind, s.points()) for s in (prox_l0(x), prox_l0_envelope(x))]
+        assert got == list(want), x
+        for s in (prox_l0(x), prox_l0_envelope(x)):  # zero comes back as +0.0
+            assert all(math.copysign(1.0, v) == 1.0 for v in s.points() if v == 0.0)
+
+
 def test_prox_l0_contained_in_envelope_prox():
     """Every point of the exact prox lies in the envelope's prox set."""
     xs = np.concatenate([np.linspace(-5.0, 5.0, 999), [SQRT2, -SQRT2]])
