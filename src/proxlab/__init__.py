@@ -8,9 +8,9 @@ The package splits into:
 * :mod:`proxlab.scalar_ops` — zero-counting penalties and 1-D shrinkage;
 * :mod:`proxlab.rowl` — ordered weighted l1 penalty, prox, and envelope;
   ``rowl_shrinker`` is the prox's single-valued selection for solvers;
-* :mod:`proxlab.erowl` — the single-valued relaxed operator family,
-  vectorized (``erowl``) and as a per-point solver closure
-  (``erowl_shrinker``);
+* :mod:`proxlab.erowl` — the single-valued relaxed operator family as a
+  per-point solver closure (``erowl_shrinker``), which ``erowl`` maps over
+  ``(..., 2)`` inputs;
 * :mod:`proxlab.transform` — grid conjugation, brute-force proxes, graph
   surgery between shrinkage families, operator checks;
 * :mod:`proxlab.solver` — proximal forward-backward splitting and step rules;

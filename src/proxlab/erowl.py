@@ -11,6 +11,7 @@ the two weights are blended linearly.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,11 +63,10 @@ class ErowlParams:
         """Effective weights ``w / (delta + 1)`` subtracted off the diagonal."""
         return self.w.as_array() / (self.delta + 1.0)
 
-    # Region constants shared by the scalar and batched evaluation paths.
+    # Gate constants of the closed form, read by erowl_shrinker and by tests.
     @property
     def _diag_gate(self) -> float:
-        w1, w2 = self.w.w1, self.w.w2
-        return (w1 + w2) / (self.delta + 1.0) + (w2 - w1)
+        return (self.w.w1 + self.w.w2) / (self.delta + 1.0) + self.w.spread
 
     @property
     def _axis_gate(self) -> float:
@@ -82,74 +82,46 @@ class Region(enum.Enum):
     SLAB_C2 = "slab"
 
 
-def _in_triangle_or_slab(a1, a2, params: ErowlParams):
-    """Disjoint triangle and slab masks at magnitudes ``(a1, a2)``.
+_UPPER, _LOWER = Region.UPPER_BRANCH, Region.LOWER_BRANCH
+_TRIANGLE, _SLAB = Region.TRIANGLE_C1, Region.SLAB_C2
 
-    Pass numpy values, not Python floats: ``~`` on a Python bool is not a
-    logical not.
+
+def _region_test(params: ErowlParams):
+    """The closed form's gate tests, as a map from magnitudes ``(a1, a2)`` to a :class:`Region`.
+
+    The triangle near the origin takes precedence, then the diagonal slab, then
+    the two subtract-and-clip branches split by component order.  A NaN lands
+    in the lower branch.
     """
     dp1 = params.delta + 1.0
-    gate = params._axis_gate
-    below_diag_gate = (a1 + a2) <= params._diag_gate
-    in_c1 = below_diag_gate & ((-a1 + dp1 * a2) > gate) & ((dp1 * a1 - a2) > gate)
-    in_c2 = (~below_diag_gate) & (np.abs(a1 - a2) < params.eta)
-    return in_c1, in_c2
+    diag_gate, gate, eta = params._diag_gate, params._axis_gate, params.eta
+
+    def region(a1, a2):
+        below = (a1 + a2) <= diag_gate
+        if below and (-a1 + dp1 * a2) > gate and (dp1 * a1 - a2) > gate:
+            return _TRIANGLE
+        if not below and (a1 - a2 if a1 >= a2 else a2 - a1) < eta:
+            return _SLAB
+        return _UPPER if a1 >= a2 else _LOWER
+
+    return region
 
 
 def classify_region(x, params: ErowlParams) -> Region:
-    """Classify a nonnegative-quadrant point into the operator's four branches.
-
-    The triangle near the origin takes precedence, then the diagonal slab,
-    then the two subtract-and-clip branches split by component order.
-    """
+    """Classify a nonnegative-quadrant point into the operator's four branches (see :func:`_region_test`)."""
     p = Point2.of(x)
     if p.x1 < 0 or p.x2 < 0:
         raise ValueError(f"classify_region expects nonnegative components, got ({p.x1}, {p.x2})")
-    in_c1, in_c2 = _in_triangle_or_slab(np.float64(p.x1), np.float64(p.x2), params)
-    if in_c1:
-        return Region.TRIANGLE_C1
-    if in_c2:
-        return Region.SLAB_C2
-    return Region.UPPER_BRANCH if p.x1 >= p.x2 else Region.LOWER_BRANCH
+    return _region_test(params)(p.x1, p.x2)
 
 
 def erowl(x, params: ErowlParams):
-    """Relaxed ordered weighted shrinkage, broadcasting over ``(..., 2)`` inputs."""
+    """Relaxed ordered weighted shrinkage: :func:`erowl_shrinker` at each point of a ``(..., 2)`` input."""
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != 2:
+    if x.ndim == 0 or x.shape[-1] != 2:
         raise ValueError("x must have 2 trailing components")
-    delta = params.delta
-    w1, w2 = params.w.w1, params.w.w2
-    dp1 = delta + 1.0
-
-    a = np.abs(x)
-    sgn = np.where(x < 0, -1.0, 1.0)
-    a1, a2 = a[..., 0], a[..., 1]
-
-    in_c1, in_c2 = _in_triangle_or_slab(a1, a2, params)
-    upper = ~(in_c1 | in_c2) & (a1 >= a2)
-
-    m = (dp1 * (a1 + a2) + delta * w1) / (delta + 2.0)
-    d = (dp1 * a2 - m) / delta
-    c1_y1 = m - w1 - d
-    c1_y2 = d
-    c1_y1 = np.where((c1_y1 < 0.0) & (c1_y1 >= _CLAMP), 0.0, c1_y1)
-    c1_y2 = np.where((c1_y2 < 0.0) & (c1_y2 >= _CLAMP), 0.0, c1_y2)
-
-    spread = w2 - w1
-    denom = 2.0 * delta * spread if spread > 0 else 1.0
-    alpha = 0.5 + dp1 * (a1 - a2) / denom
-    c2_y1 = a1 - (alpha * w1 + (1.0 - alpha) * w2) / dp1
-    c2_y2 = a2 - (alpha * w2 + (1.0 - alpha) * w1) / dp1
-
-    up_y1 = np.maximum(a1 - w1 / dp1, 0.0)
-    up_y2 = np.maximum(a2 - w2 / dp1, 0.0)
-    lo_y1 = np.maximum(a1 - w2 / dp1, 0.0)
-    lo_y2 = np.maximum(a2 - w1 / dp1, 0.0)
-
-    y1 = np.where(in_c1, c1_y1, np.where(in_c2, c2_y1, np.where(upper, up_y1, lo_y1)))
-    y2 = np.where(in_c1, c1_y2, np.where(in_c2, c2_y2, np.where(upper, up_y2, lo_y2)))
-    return sgn * np.stack([y1, y2], axis=-1)
+    ys = itertools.chain.from_iterable(map(erowl_shrinker(params), x.reshape(-1, 2).tolist()))
+    return np.fromiter(ys, dtype=float, count=x.size).reshape(x.shape)
 
 
 def erowl_limit(x, w: WeightPair):
@@ -185,15 +157,10 @@ def erowl_shrinker(params: ErowlParams):
     """The relaxed operator as a plain ``(x1, x2) -> (y1, y2)`` callable for solvers."""
     delta = params.delta
     w1, w2 = params.w.w1, params.w.w2
-    dp1 = delta + 1.0
-    dp2 = delta + 2.0
-    diag_gate = params._diag_gate
-    gate = params._axis_gate
-    eta = params.eta
-    spread = w2 - w1
-    denom = 2.0 * delta * spread if spread > 0 else 1.0
-    w1s = w1 / dp1
-    w2s = w2 / dp1
+    dp1, dp2 = delta + 1.0, delta + 2.0
+    denom = 2.0 * delta * (w2 - w1) if w2 > w1 else 1.0
+    w1s, w2s = w1 / dp1, w2 / dp1
+    region = _region_test(params)
 
     def shrink(p):
         x1, x2 = p
@@ -201,8 +168,8 @@ def erowl_shrinker(params: ErowlParams):
         a2 = -x2 if x2 < 0 else x2
         s1 = -1.0 if x1 < 0 else 1.0
         s2 = -1.0 if x2 < 0 else 1.0
-        below = (a1 + a2) <= diag_gate
-        if below and (-a1 + dp1 * a2) > gate and (dp1 * a1 - a2) > gate:
+        r = region(a1, a2)
+        if r is _TRIANGLE:
             m = (dp1 * (a1 + a2) + delta * w1) / dp2
             d = (dp1 * a2 - m) / delta
             y1 = m - w1 - d
@@ -211,23 +178,19 @@ def erowl_shrinker(params: ErowlParams):
                 y1 = 0.0
             if _CLAMP <= y2 < 0.0:
                 y2 = 0.0
-        elif not below and (a1 - a2 if a1 >= a2 else a2 - a1) < eta:
+        elif r is _SLAB:
             alpha = 0.5 + dp1 * (a1 - a2) / denom
             y1 = a1 - (alpha * w1 + (1.0 - alpha) * w2) / dp1
             y2 = a2 - (alpha * w2 + (1.0 - alpha) * w1) / dp1
-        elif a1 >= a2:
-            y1 = a1 - w1s
-            y2 = a2 - w2s
-            y1 = 0.0 if y1 <= 0.0 else y1
-            y2 = 0.0 if y2 <= 0.0 else y2
         else:
-            y1 = a1 - w2s
-            y2 = a2 - w1s
+            lo, hi = (w1s, w2s) if r is _UPPER else (w2s, w1s)
+            y1 = a1 - lo
+            y2 = a2 - hi
             y1 = 0.0 if y1 <= 0.0 else y1
             y2 = 0.0 if y2 <= 0.0 else y2
         return s1 * y1, s2 * y2
 
     # Lets pfbs run this arithmetic in its own loop (see solver.pfbs).
-    shrink._pfbs_inline = ("erowl", shrink.__code__, delta, w1, w2, dp1, dp2, diag_gate, gate, eta,
-                           denom, w1s, w2s, _CLAMP)
+    shrink._pfbs_inline = ("erowl", shrink.__code__, delta, w1, w2, dp1, dp2, params._diag_gate,
+                           params._axis_gate, params.eta, denom, w1s, w2s, _CLAMP)
     return shrink

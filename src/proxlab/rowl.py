@@ -32,8 +32,8 @@ def rowl_penalty(x, w):
     if np.any(w < 0) or np.any(np.diff(w) < 0):
         raise ValueError("weights must be nonnegative and nondecreasing")
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != w.size:
-        raise ValueError(f"x has {x.shape[-1]} components but w has {w.size}")
+    if x.ndim == 0 or x.shape[-1] != w.size:
+        raise ValueError(f"x has shape {x.shape} but w has {w.size} components")
     a = np.sort(np.abs(x), axis=-1)[..., ::-1]
     out = a @ w
     if out.ndim == 0:
@@ -79,7 +79,7 @@ def rowl_envelope_2d(x, w: WeightPair):
     Broadcasts over ``(..., 2)``.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != 2:
+    if x.ndim == 0 or x.shape[-1] != 2:
         raise ValueError("x must have 2 trailing components")
     a = np.abs(x)
     s1 = np.maximum(a[..., 0], a[..., 1])

@@ -133,15 +133,25 @@ def hard(x, threshold: float):
     return _maybe_scalar(x, np.where(np.abs(x) <= threshold, 0.0, x))
 
 
+def _firm(x: float, lam1: float, lam2: float, gap: float) -> float:
+    """Firm shrinkage of one coordinate; ``gap`` is ``lam2 - lam1``.  A NaN passes through."""
+    a = abs(x)
+    if a <= lam1:
+        return 0.0
+    if a <= lam2:
+        return (-1.0 if x < 0 else 1.0) * lam2 * (a - lam1) / gap
+    return x
+
+
 def firm(x, params: FirmParams):
-    """Firm shrinkage: dead zone below ``lambda1``, linear ramp, identity past ``lambda2``."""
+    """Firm shrinkage: dead zone below ``lambda1``, linear ramp, identity past ``lambda2``.
+
+    Each element goes through the one-coordinate kernel that :func:`firm_shrinker` calls.
+    """
     lam1, lam2 = params.lambda1, params.lambda2
     x = np.asarray(x, dtype=float)
-    a = np.abs(x)
-    sgn = np.where(x < 0, -1.0, 1.0)
-    ramp = sgn * lam2 * (a - lam1) / (lam2 - lam1)
-    out = np.where(a <= lam1, 0.0, np.where(a <= lam2, ramp, x))
-    return _maybe_scalar(x, out)
+    out = [_firm(v, lam1, lam2, lam2 - lam1) for v in x.ravel().tolist()]
+    return _maybe_scalar(x, np.array(out, dtype=float).reshape(x.shape))
 
 
 def soft(x, threshold: float):
@@ -161,21 +171,7 @@ def firm_shrinker(params: FirmParams):
 
     def shrink(p):
         x1, x2 = p
-        a1 = abs(x1)
-        if a1 <= lam1:
-            y1 = 0.0
-        elif a1 <= lam2:
-            y1 = (-1.0 if x1 < 0 else 1.0) * lam2 * (a1 - lam1) / gap
-        else:
-            y1 = x1
-        a2 = abs(x2)
-        if a2 <= lam1:
-            y2 = 0.0
-        elif a2 <= lam2:
-            y2 = (-1.0 if x2 < 0 else 1.0) * lam2 * (a2 - lam1) / gap
-        else:
-            y2 = x2
-        return y1, y2
+        return _firm(x1, lam1, lam2, gap), _firm(x2, lam1, lam2, gap)
 
     # Lets pfbs run this arithmetic in its own loop (see solver.pfbs).
     shrink._pfbs_inline = ("firm", shrink.__code__, lam1, lam2, gap)

@@ -313,6 +313,16 @@ def test_console_entry_point_runs():
     assert proc.stdout.strip() == "1.5,1.5", proc.stderr
 
 
+
+def test_python_dash_m_proxlab_runs_the_cli():
+    src = str(Path(proxlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "proxlab", "prox", "--op", "l0", "--x", "3"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "3.0\n", proc.stderr
+
+
 SQRT2_TEXT = repr(2.0 ** 0.5)
 _SCALAR_XS = ["1", SQRT2_TEXT, "-" + SQRT2_TEXT, "2", "0", "-0.0"]
 _PLANAR_XS = ["2,2", "0.5,0.5", "1.1,1.1", "2,-2", "-1.5,1.5", "-0.7,-0.7", "0,-0.0",

@@ -8,7 +8,8 @@ import pytest
 
 import proxlab
 
-MODULES = sorted(m.name for m in pkgutil.iter_modules(proxlab.__path__))
+# __main__ is the `python -m proxlab` entry point; it defines nothing to export.
+MODULES = sorted(m.name for m in pkgutil.iter_modules(proxlab.__path__) if m.name != "__main__")
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -243,3 +243,11 @@ def test_shrinker_returns_a_prox_point(case):
     if a[0] == a[1]:
         keep = tuple(math.copysign(max(ai - wi, 0.0), xi) for ai, wi, xi in zip(a, w, x))
         assert got == keep, (x, got)
+
+
+def test_scalar_input_is_a_value_error():
+    w = WeightPair(0.0, 2.0)
+    with pytest.raises(ValueError, match="2 trailing components"):
+        rowl_envelope_2d(3.0, w)
+    with pytest.raises(ValueError, match="w has 2 components"):
+        rowl_penalty(3.0, w.as_array())

@@ -1,5 +1,6 @@
 import math
-import struct
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -195,11 +196,45 @@ def firm_cases(draw):
     return FirmParams(lam1, lam2), (coordinate(), coordinate())
 
 
+def _firm_by_definition(x: float, p: FirmParams) -> float:
+    """``argmin_y (y - x)^2/2 + lambda1 * mc_penalty(y, lambda2)`` over firm's three candidates.
+
+    The minimizer is 0, the ramp's stationary point or ``x``.  Each candidate's
+    objective is evaluated in exact rational arithmetic, so candidates a
+    rounding apart in the objective still order correctly.
+    """
+    lam1, lam2, q = Fraction(p.lambda1), Fraction(p.lambda2), Fraction(x)
+
+    def objective(y: float) -> Fraction:
+        a = abs(Fraction(y))
+        mc = a - a * a / (2 * lam2) if a <= lam2 else lam2 / 2
+        return (Fraction(y) - q) ** 2 / 2 + lam1 * mc
+
+    ramp = math.copysign((abs(x) - p.lambda1) * p.lambda2 / (p.lambda2 - p.lambda1), x)
+    return min((y for y in (0.0, ramp, x) if math.isfinite(y)), key=objective)
+
+
 @given(firm_cases())
 @settings(max_examples=500)
-def test_firm_shrinker_matches_firm_bit_for_bit(case):
-    params, (x1, x2) = case
-    got = firm_shrinker(params)((x1, x2))
-    with np.errstate(over="ignore"):  # firm evaluates its ramp at huge inputs too
-        want = (firm(x1, params), firm(x2, params))
-    assert struct.pack("<2d", *got) == struct.pack("<2d", *want)
+def test_firm_shrinker_matches_the_exact_prox_at_every_threshold(case):
+    params, x = case
+    got = firm_shrinker(params)(x)
+    for g, v in zip(got, x):
+        if math.isnan(v):
+            assert math.isnan(g)
+        elif math.isinf(v):
+            assert g == v
+        else:
+            assert abs(g - _firm_by_definition(v, params)) <= 1e-15 * max(1.0, abs(v)), (params, v, g)
+
+
+def test_firm_keeps_shape_and_passes_nonfinite_values_without_warnings():
+    p = FirmParams(1.0, 2.0)
+    assert type(firm(np.float64(1.5), p)) is float
+    for shape in [(0,), (5,), (2, 3)]:
+        x = np.linspace(-3.0, 3.0, math.prod(shape)).reshape(shape)
+        assert firm(x, p).shape == shape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = firm([math.nan, math.inf, -math.inf, 1.5], p)
+    assert math.isnan(y[0]) and y[1:].tolist() == [math.inf, -math.inf, 1.0]
