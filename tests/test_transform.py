@@ -623,6 +623,37 @@ def test_graph_inversion_identity_on_a_sweep(delta):
         assert convert_1d(g, delta, q) == pytest.approx(firm(q, params), abs=1e-12)
 
 
+def _conversion_digest() -> str:
+    """sha256 over a seeded sweep of hard graphs: :func:`convert_1d` and the graph's reads.
+
+    Each threshold's graph gives its breakpoints, and at every query its
+    ``image_at`` and, for each delta, the relaxed value.  Queries are seeded
+    uniform points plus the threshold, its relaxed image ``t / (delta + 1)``,
+    ``±0.0`` and ``±1e5``, all with both signs.
+    """
+    rng = np.random.default_rng(17)
+    deltas = [1e-3, 1e-2, 0.1, 0.5, 1.0, 10.0, 1e3]
+    words: list[str] = []
+    for t in (0.3, 1.0, SQRT2, 7.5):
+        g = MonotoneGraph1D.hard_graph(t)
+        words += [f"{b.hex()}:{_words(iv)}" for b, iv in g.breakpoints()]
+        special = [t, 0.0, 1e5] + [t / (d + 1.0) for d in deltas]
+        qs = list(rng.uniform(-4.0 * t, 4.0 * t, 120)) + special + [-s for s in special]
+        for q in map(float, qs):
+            words += [q.hex()] + _words(g.image_at(q))
+            words += [float(convert_1d(g, d, q)).hex() for d in deltas]
+    return hashlib.sha256(" ".join(words).encode()).hexdigest()
+
+
+# Pinned from the conversion as it stood with the filled graph stored as
+# segments; any change to a relaxed value, a breakpoint or an image moves it.
+CONVERSION_SHA256 = "1129a4ebf1459a2a76cb1e7e877e836a1eb51deb75d0a05ed62c6412ab01bd55"
+
+
+def test_conversion_outputs_match_their_golden_digest():
+    assert _conversion_digest() == CONVERSION_SHA256
+
+
 def test_graph_inversion_rejects_bad_arguments():
     g = MonotoneGraph1D.hard_graph(SQRT2)
     with pytest.raises(ValueError):
