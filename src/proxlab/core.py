@@ -162,6 +162,8 @@ class ProxSet:
         pts = self._points
         if not isinstance(pts[0], Point2):
             v = float(p)
+            if math.isnan(v):
+                raise ValueError("distance query must not be NaN")
             if self.kind == "interval":
                 lo, hi = pts
                 return lo - v if v < lo else v - hi if v > hi else 0.0

@@ -196,21 +196,6 @@ class TrialRecord(NamedTuple):
     def converged(self) -> bool:
         return self.stop_reason == "converged"
 
-    def row(self) -> tuple:
-        return (
-            self.scenario,
-            self.method,
-            self.trial,
-            self.snr_db,
-            self.x_true.x1,
-            self.x_true.x2,
-            self.x_hat.x1,
-            self.x_hat.x2,
-            self.mismatch_db,
-            self.iterations,
-            self.converged,
-        )
-
 
 def system_mismatch(x_hat, x_true) -> float:
     """Relative squared error in dB, floored at -400 dB (exact recovery included)."""

@@ -138,13 +138,15 @@ def select_parameters(
     rho, kappa = bounds.rho, bounds.kappa
     if rho <= 0.0:
         raise ValueError("rho must be positive to choose delta (Gram matrix is singular)")
-    if gamma_delta <= 1.0:
-        raise ValueError(f"gamma_delta must exceed 1, got {gamma_delta}")
+    if not (math.isfinite(gamma_delta) and gamma_delta > 1.0):
+        raise ValueError(f"gamma_delta must be finite and exceed 1, got {gamma_delta}")
     if not 0.0 <= gamma_mu <= 1.0:
         raise ValueError(f"gamma_mu must lie in [0, 1], got {gamma_mu}")
     delta = gamma_delta * (kappa - rho) / (2.0 * rho)
     if delta <= 0.0:
         raise ValueError("kappa equals rho: no relaxation needed, delta undefined")
+    if not math.isfinite(delta):
+        raise ValueError(f"gamma_delta {gamma_delta} makes delta overflow")
     beta = delta / (1.0 + delta)
     mu = _interpolated_step(bounds, beta, gamma_mu)
     interval = ((1.0 - beta) * rho, (1.0 + beta) / kappa)

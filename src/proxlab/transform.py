@@ -26,7 +26,6 @@ __all__ = [
     "brute_force_prox",
     "default_prox_box",
     "BoxTooSmallError",
-    "GraphSegment",
     "MonotoneGraph1D",
     "convert_1d",
     "InclusionReport",
@@ -58,8 +57,8 @@ class Axis:
         if self.step <= 0 or self.hi <= self.lo:
             raise ValueError(f"need lo < hi and step > 0, got [{self.lo}, {self.hi}] @ {self.step}")
         ratio = (self.hi - self.lo) / self.step
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError(f"(hi - lo)/step must be integral, got {ratio}")
+        if not (math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9):
+            raise ValueError(f"(hi - lo)/step must be finite and integral, got {ratio}")
 
     @property
     def count(self) -> int:
@@ -189,8 +188,10 @@ def weakly_convex_envelope_grid(f: SampledFunction) -> SampledFunction:
 
 def default_prox_box(x, reach: float, step: float) -> GridSpec:
     """Square search box of half-width ``reach + 1`` around ``x``, snapped to ``step``."""
-    if reach < 0:
-        raise ValueError("reach must be nonnegative")
+    if not (math.isfinite(reach) and reach >= 0):
+        raise ValueError(f"reach must be finite and nonnegative, got {reach!r}")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be positive and finite, got {step!r}")
     half = reach + 1.0
     n = max(2, int(math.ceil(2.0 * half / step)))
     p = np.atleast_1d(np.asarray(x, dtype=float))
@@ -353,47 +354,26 @@ def brute_force_prox(penalty, x, gamma: float, box: GridSpec) -> ProxSet:
     return _brute_force_prox_2d(penalty, x, gamma, box)
 
 
-@dataclass(frozen=True)
-class GraphSegment:
-    """A straight monotone piece of a prox graph; vertical segments fill jumps."""
-
-    x0: float
-    y0: float
-    x1: float
-    y1: float
-
-    def __post_init__(self) -> None:
-        for v in (self.x0, self.y0, self.x1, self.y1):
-            if not math.isfinite(v):
-                raise ValueError("graph segment coordinates must be finite")
-        if self.x1 < self.x0 or self.y1 < self.y0:
-            raise ValueError("graph segments must be nondecreasing in both coordinates")
-        if self.x1 == self.x0 and self.y1 == self.y0:
-            raise ValueError("degenerate graph segment")
-
-    @property
-    def vertical(self) -> bool:
-        return self.x1 == self.x0
-
-
 class MonotoneGraph1D:
-    """A maximal monotone curve in the plane, stored as connected straight pieces.
+    """A maximal monotone curve in the plane, stored as its vertices in order.
 
     This is the filled graph of a (possibly discontinuous) scalar shrinkage
-    operator: affine pieces between breakpoints plus vertical segments closing
-    each jump.
+    operator: straight pieces join consecutive vertices, affine between
+    breakpoints and vertical where they close a jump.
     """
 
-    def __init__(self, segments) -> None:
-        segs = tuple(segments)
-        if not segs:
-            raise ValueError("need at least one segment")
-        for prev, nxt in zip(segs, segs[1:]):
-            if (prev.x1, prev.y1) != (nxt.x0, nxt.y0):
-                raise ValueError(
-                    f"segments must chain exactly: {prev.x1, prev.y1} != {nxt.x0, nxt.y0}"
-                )
-        self.segments = segs
+    def __init__(self, vertices) -> None:
+        v = tuple((float(x), float(y)) for x, y in vertices)
+        if len(v) < 2:
+            raise ValueError("need at least two vertices")
+        if not all(math.isfinite(c) for vertex in v for c in vertex):
+            raise ValueError("graph vertices must be finite")
+        for (x0, y0), (x1, y1) in zip(v, v[1:]):
+            if x1 < x0 or y1 < y0:
+                raise ValueError("graph vertices must be nondecreasing in both coordinates")
+            if x1 == x0 and y1 == y0:
+                raise ValueError(f"repeated graph vertex {(x0, y0)}")
+        self.vertices = v
 
     @classmethod
     def hard_graph(cls, threshold: float) -> "MonotoneGraph1D":
@@ -402,23 +382,16 @@ class MonotoneGraph1D:
         limit = 1e6
         if not (math.isfinite(t) and t > 0 and limit > t):
             raise ValueError("need 0 < threshold < 1e6")
-        return cls(
-            [
-                GraphSegment(-limit, -limit, -t, -t),
-                GraphSegment(-t, -t, -t, 0.0),
-                GraphSegment(-t, 0.0, t, 0.0),
-                GraphSegment(t, 0.0, t, t),
-                GraphSegment(t, t, limit, limit),
-            ]
-        )
+        return cls([(-limit, -limit), (-t, -t), (-t, 0.0), (t, 0.0), (t, t), (limit, limit)])
 
     @property
     def x_range(self) -> tuple[float, float]:
-        return self.segments[0].x0, self.segments[-1].x1
+        return self.vertices[0][0], self.vertices[-1][0]
 
     def breakpoints(self) -> list[tuple[float, ProxSet]]:
         """Jump locations with the interval of values filling each jump."""
-        return [(s.x0, ProxSet.segment(s.y0, s.y1)) for s in self.segments if s.vertical]
+        v = self.vertices
+        return [(x0, ProxSet.segment(y0, y1)) for (x0, y0), (x1, y1) in zip(v, v[1:]) if x0 == x1]
 
     def image_at(self, x: float) -> ProxSet:
         """All graph values above ``x`` (an interval at breakpoints)."""
@@ -427,16 +400,17 @@ class MonotoneGraph1D:
         if not lo_x <= x <= hi_x:
             raise ValueError(f"{x} outside graph range [{lo_x}, {hi_x}]")
         ys: list[float] = []
-        for s in self.segments:
-            if s.x0 <= x <= s.x1:
-                if s.vertical:
-                    ys.extend((s.y0, s.y1))
+        v = self.vertices
+        for (x0, y0), (x1, y1) in zip(v, v[1:]):
+            if x0 <= x <= x1:
+                if x0 == x1:
+                    ys.extend((y0, y1))
                 else:
                     # From the nearer end: from a far one (1e6 away on a
                     # truncated tail) the slope's rounding error grows with
                     # the distance and the sum cancels.
-                    ex, ey = (s.x0, s.y0) if x - s.x0 <= s.x1 - x else (s.x1, s.y1)
-                    ys.append(ey + (s.y1 - s.y0) * (x - ex) / (s.x1 - s.x0))
+                    ex, ey = (x0, y0) if x - x0 <= x1 - x else (x1, y1)
+                    ys.append(ey + (y1 - y0) * (x - ex) / (x1 - x0))
         # Equal ends collapse to min(ys), which is ys[0] when all values are equal.
         return ProxSet.segment(min(ys), max(ys))
 
@@ -446,9 +420,9 @@ def convert_1d(graph: MonotoneGraph1D, delta: float, q: float) -> float:
 
     The relaxed operator, obtained by scaling the underlying penalty down by
     ``delta + 1``, has as graph the image of the filled graph under the linear
-    map ``(x, p) -> ((x + delta * p) / (delta + 1), p)``.  Each mapped piece
-    slopes, so the relaxed graph has one value at ``q``; it is read off
-    exactly, with no iteration.
+    map ``(x, p) -> ((x + delta * p) / (delta + 1), p)``, applied to each
+    vertex.  Each mapped piece slopes, so the relaxed graph has one value at
+    ``q``; it is read off exactly, with no iteration.
     """
     delta = float(delta)
     if not (math.isfinite(delta) and delta > 0):
@@ -457,10 +431,7 @@ def convert_1d(graph: MonotoneGraph1D, delta: float, q: float) -> float:
     if not math.isfinite(q):
         raise ValueError(f"q must be finite, got {q!r}")
     scale = delta + 1.0
-    relaxed = MonotoneGraph1D(
-        GraphSegment((s.x0 + delta * s.y0) / scale, s.y0, (s.x1 + delta * s.y1) / scale, s.y1)
-        for s in graph.segments
-    )
+    relaxed = MonotoneGraph1D(((x + delta * p) / scale, p) for x, p in graph.vertices)
     (p,) = relaxed.image_at(q).points()
     return p
 
@@ -514,10 +485,9 @@ def check_lipschitz(op, pairs: int = 1000, seed: int = 0) -> float:
     return float(np.max(num[keep] / den[keep]))
 
 
-def jacobian_symmetry_defect(op, x, h: float = 1e-5) -> float:
+def jacobian_symmetry_defect(op, x) -> float:
     """Asymmetry ``|J01 - J10|`` of the central-difference Jacobian of a planar operator."""
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"h must be positive and finite, got {h!r}")
+    h = 1e-5
     p = Point2.of(x).as_array()
     e0 = np.array([h, 0.0])
     e1 = np.array([0.0, h])

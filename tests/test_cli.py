@@ -167,6 +167,15 @@ def test_envelope_rejects_what_its_op_does_not_take(tmp_path, capsys, argv):
     assert not out_file.exists()
 
 
+def test_envelope_grid_too_fine_to_count_is_refused(tmp_path, capsys):
+    # (hi - lo) / step overflows to inf, so the grid has no count to check.
+    out_file = tmp_path / "grid.csv"
+    rc, out, err = run(capsys, "envelope", "--op", "l0", "--grid=0,1e-300,1e10", "--out", str(out_file))
+    assert rc == 1 and out == ""
+    assert "must be finite and integral, got inf" in err and "Traceback" not in err
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["--op", "l0", f"--grid=0,1,{MAX_GRID_CELLS}"],  # one point over the cap on the line
     ["--op", "l0", "--grid=-1000,0.0001,1000"],
@@ -263,6 +272,13 @@ def test_experiment_rejects_an_snr_without_meaning(capsys, snr, message):
     rc, out, err = run(capsys, "experiment", "b", "--trials", "2", f"--snr={snr}")
     assert rc == 1 and out == ""
     assert message in err and "Traceback" not in err
+
+
+def test_experiment_names_a_nan_gamma_delta(capsys):
+    # The error names the option that was set, not the delta derived from it.
+    rc, out, err = run(capsys, "experiment", "b", "--trials", "1", "--gamma-delta=nan")
+    assert rc == 1 and out == ""
+    assert "gamma_delta must be finite and exceed 1, got nan" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("snr", ["0:5e-324:1", "0:1e-9:40", "-1e308:1:1e308", f"0:1:{MAX_SNR_POINTS}"])

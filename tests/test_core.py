@@ -55,6 +55,18 @@ def test_prox_set_membership_and_distance():
     assert seg.distance((2.0, 2.0)) == pytest.approx(math.sqrt(2.0))
 
 
+@pytest.mark.parametrize("prox, query", [
+    (ProxSet.single(1.0), math.nan),
+    (ProxSet.pair(0.0, 2.0), math.nan),
+    (ProxSet.segment(0.0, 1.0), math.nan),
+    (ProxSet.segment((2.0, 0.0), (0.0, 2.0)), (math.nan, 0.0)),
+], ids=["single", "pair", "interval", "planar-segment"])
+def test_prox_set_distance_rejects_a_nan_query(prox, query):
+    # A NaN query has no distance to any set, on the line as in the plane.
+    with pytest.raises(ValueError):
+        prox.distance(query)
+
+
 def test_prox_set_collapses_coincident_points():
     assert ProxSet.pair((1.0, 1.0), (1.0, 1.0)).kind == "single"
     assert ProxSet.segment((1.0, 1.0), (1.0, 1.0)).kind == "single"

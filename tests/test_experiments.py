@@ -192,7 +192,7 @@ def test_scenario_b_small_run_structure_and_replay(tmp_path):
 
 def _exact(records) -> list[str]:
     """Records as exact text: ``repr`` round-trips every float and keeps the sign of zero."""
-    return [repr((r.row(), r.stop_reason)) for r in records]
+    return [repr(r) for r in records]
 
 
 def _in_order_and_reversed(scenario, cfg, tmp_path, request):
@@ -452,7 +452,9 @@ def test_records_csv_rows_match_the_field_formatter_on_edge_values(tmp_path):
     path = tmp_path / "records.csv"
     write_records_csv(str(path), records)
     lines = path.read_text().splitlines()
-    assert lines[1:] == [",".join(_field_text(v) for v in r.row()) for r in records]
+    fields = [(sc, m, t, snr, *xt, *xh, db, it, why == "converged")
+              for sc, m, t, snr, xt, xh, db, it, why in edges]
+    assert lines[1:] == [",".join(map(_field_text, f)) for f in fields]
     assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["true", "false", "false", "false", "true"]
 
 

@@ -140,6 +140,12 @@ def test_select_parameters_rejects_bad_inputs():
         select_parameters(SpectralBounds(1.0, 4.0), gamma_delta=1.0)
     with pytest.raises(ValueError):
         select_parameters(SpectralBounds(1.0, 4.0), gamma_mu=1.5)
+    with pytest.raises(ValueError, match="must be finite and exceed 1, got nan"):
+        select_parameters(SpectralBounds(0.1, 1.0), math.nan)
+    with pytest.raises(ValueError, match="must be finite and exceed 1, got inf"):
+        select_parameters(SpectralBounds(0.1, 1.0), math.inf)
+    with pytest.raises(ValueError, match="makes delta overflow"):
+        select_parameters(SpectralBounds(0.1, 1.0), 1e308)  # 1e308 * 0.9 / 0.2 is not finite
 
 
 def test_solver_params_checks_beta_consistency():

@@ -14,7 +14,6 @@ from proxlab.scalar_ops import SQRT2, FirmParams, firm, l0_envelope, l0_norm
 from proxlab.transform import (
     Axis,
     BoxTooSmallError,
-    GraphSegment,
     GridSpec,
     MonotoneGraph1D,
     SampledFunction,
@@ -43,6 +42,10 @@ def test_axis_validation_and_points():
         Axis(0.0, 1.0, 0.3)  # span not a whole number of steps
     with pytest.raises(ValueError):
         Axis(1.0, 0.0, 0.5)
+    with pytest.raises(ValueError, match="finite and integral"):
+        Axis(0.0, 1e10, 1e-300)  # too many steps to count
+    with pytest.raises(ValueError, match="finite and integral"):
+        Axis(-1e308, 1e308, 1.0)  # the span itself overflows
 
 
 def test_gridspec_shapes():
@@ -572,6 +575,13 @@ def test_default_prox_box_is_symmetric_about_the_query():
     assert ax.count == 121
     with pytest.raises(ValueError):
         default_prox_box(0.0, -1.0, 0.05)
+    with pytest.raises(ValueError, match="reach"):
+        default_prox_box(0.0, math.inf, 0.1)
+    with pytest.raises(ValueError, match="reach"):
+        default_prox_box(0.0, math.nan, 0.1)
+    for step in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="step"):
+            default_prox_box(0.0, 1.0, step)
 
 
 # ------------------------------------------------------- graph inversion
@@ -599,9 +609,35 @@ def test_hard_graph_structure():
 def test_image_at_interpolates_a_long_tail_piece_from_its_near_end():
     # A tail truncated at -1e6, as in hard_graph, but with slope 1/3: read from
     # the far end, q - x0 cancels and the value is off by up to 4e-11.
-    tail = MonotoneGraph1D([GraphSegment(-1e6, -1e6 / 3, -1.0, -1.0 / 3)])
+    tail = MonotoneGraph1D([(-1e6, -1e6 / 3), (-1.0, -1.0 / 3)])
     for q in (-1.5, -2.0, -3.0, -7.0):
         assert tail.image_at(q).points() == pytest.approx((q / 3,), abs=1e-15)
+
+
+def test_image_at_an_end_vertical_piece_is_its_whole_interval():
+    # Inside a graph a vertical piece shares its ends with its neighbours;
+    # at either end of the graph it alone gives one end of the interval.
+    closing = MonotoneGraph1D([(0.0, 0.0), (1.0, 0.0), (1.0, 2.0)])
+    assert closing.image_at(1.0).points() == (0.0, 2.0)
+    opening = MonotoneGraph1D([(0.0, -1.0), (0.0, 0.0), (1.0, 0.5)])
+    assert opening.image_at(0.0).points() == (-1.0, 0.0)
+    assert [(b, iv.points()) for b, iv in opening.breakpoints()] == [(0.0, (-1.0, 0.0))]
+
+
+@pytest.mark.parametrize(
+    ("vertices", "message"),
+    [
+        ([(0.0, 0.0)], "at least two vertices"),
+        ([(0.0, 0.0), (1.0, math.inf)], "finite"),
+        ([(math.nan, 0.0), (1.0, 1.0)], "finite"),
+        ([(0.0, 0.0), (-1.0, 1.0)], "nondecreasing"),
+        ([(0.0, 0.0), (1.0, -1.0)], "nondecreasing"),
+        ([(0.0, 0.0), (1.0, 1.0), (1.0, 1.0), (2.0, 2.0)], "repeated"),
+    ],
+)
+def test_graph_rejects_each_bad_vertex_list(vertices, message):
+    with pytest.raises(ValueError, match=message):
+        MonotoneGraph1D(vertices)
 
 
 def test_graph_inversion_reproduces_two_threshold_shrinkage():
@@ -628,8 +664,8 @@ def _conversion_digest() -> str:
 
     Each threshold's graph gives its breakpoints, and at every query its
     ``image_at`` and, for each delta, the relaxed value.  Queries are seeded
-    uniform points plus the threshold, its relaxed image ``t / (delta + 1)``,
-    ``±0.0`` and ``±1e5``, all with both signs.
+    uniform points plus, with both signs, the threshold ``t``, its relaxed
+    image ``t / (delta + 1)`` for each delta, ``0.0`` and ``1e5``.
     """
     rng = np.random.default_rng(17)
     deltas = [1e-3, 1e-2, 0.1, 0.5, 1.0, 10.0, 1e3]
@@ -716,5 +752,3 @@ def test_jacobian_symmetry_defect_examples():
     assert jacobian_symmetry_defect(sym, (0.3, -0.7)) <= 1e-10
     rot = lambda x: np.stack([x[..., 1], -x[..., 0]], axis=-1)
     assert jacobian_symmetry_defect(rot, (0.3, -0.7)) == pytest.approx(2.0, abs=1e-8)
-    with pytest.raises(ValueError):
-        jacobian_symmetry_defect(sym, (0.0, 0.0), h=0.0)
