@@ -194,7 +194,10 @@ def _cmd_envelope(args) -> int:
     spec, values = _checked(args, _ENVELOPE, args.op, f"envelope --op {args.op}")
     out = values.pop("out")
     if args.x is not None:
-        lines = [_fmt(spec.fn(np.array(_parse_floats(args.x, spec.dims, "--x")), **values))]
+        x = _parse_floats(args.x, spec.dims, "--x")
+        if not all(map(math.isfinite, x)):
+            raise ValueError(f"--x must be finite, got {args.x!r}")
+        lines = [_fmt(spec.fn(np.array(x), **values))]
     else:
         lo, step, hi = _parse_floats(args.grid, 3, "--grid")
         axis = Axis(lo, hi, step)

@@ -38,7 +38,7 @@ _CLAMP = -1e-12
 
 @dataclass(frozen=True)
 class ErowlParams:
-    """Weight pair plus relaxation parameter ``delta > 0``."""
+    """Weight pair plus relaxation parameter ``delta > 0``, refused where the closed form can overflow."""
 
     w: WeightPair
     delta: float
@@ -47,6 +47,10 @@ class ErowlParams:
         object.__setattr__(self, "delta", float(self.delta))
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
+        # The slab's denominator and the triangle's numerator at its widest must not overflow.
+        if not (math.isfinite(2.0 * self.delta * self.w.spread)
+                and math.isfinite((self.delta + 1.0) * self._diag_gate + self.delta * self.w.w1)):
+            raise ValueError(f"delta {self.delta!r} overflows the closed form at weights ({self.w.w1}, {self.w.w2})")
 
     @property
     def beta(self) -> float:

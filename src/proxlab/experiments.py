@@ -40,7 +40,9 @@ from .solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     LinearModel,
+    SolverParams,
     SpectralBounds,
+    _design_sums,
     _interpolated_step,
     pfbs,
     select_parameters,
@@ -210,20 +212,47 @@ def system_mismatch(x_hat, x_true) -> float:
     return max(10.0 * math.log10(err / ref), MISMATCH_FLOOR_DB)
 
 
+class _Design(NamedTuple):
+    """A design and what every cell on it shares: ``A``'s rows and ``A^T A`` sums, the
+    spectral bounds, the selected parameters and each SNR's ``(method, shrinker, step)`` runs."""
+
+    a: np.ndarray
+    rows: list
+    sums: tuple[float, float, float]
+    bounds: SpectralBounds
+    params: SolverParams
+    runs: dict
+
+
+def _design(cfg: ScenarioConfig, a: np.ndarray, bounds: SpectralBounds) -> _Design:
+    """The cells' shared setup on design ``a``; the ROWL weights may differ per SNR, and scenario C adds firm."""
+    params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu)
+    mu = _solver_mu(cfg, params)
+    erowl = ("eROWL", erowl_shrinker(ErowlParams(cfg.w_erowl, _solver_delta(cfg, params))), mu)
+    firm = ()
+    if cfg.scenario == "C":
+        fp, mu_f = firm_rule(bounds, cfg.firm_lambda2, cfg.gamma_mu)
+        firm = (("firm", firm_shrinker(fp), mu_f),)
+    runs = {snr_db: (("ROWL", rowl_shrinker((cfg.rowl_w_by_snr or {}).get(snr_db, cfg.w_rowl)), mu), erowl, *firm)
+            for snr_db in cfg.snr_list_db}
+    rows = a.tolist()
+    return _Design(a, rows, _design_sums(rows), bounds, params, runs)
+
+
 def _draw_trial(
-    cfg: ScenarioConfig, trial_index: int, design: tuple[np.ndarray, SpectralBounds] | None = None
+    cfg: ScenarioConfig, trial_index: int, design: _Design | None = None
 ) -> tuple[np.ndarray, SpectralBounds, int, list[float]]:
     """The trial's design, its spectral bounds, the number of redraws, and its unit noise.
 
     The trial's own stream yields, in scenario C, a 4x2 Gaussian design first
     (row major), redrawn while singular, then one unit normal per row.
     Scenarios A and B use :func:`fixed_design_matrix`; a B run passes its one
-    ``design`` and bounds, so its trials share them.
+    ``design``, so its trials share it.
     """
     gen = stream(cfg.seed, SCENARIO_IDS[cfg.scenario], trial_index)
     resamples = 0
     if design is not None:
-        a, bounds = design
+        a, bounds = design.a, design.bounds
     elif cfg.scenario != "C":
         a = fixed_design_matrix()
         bounds = spectral_bounds(a)
@@ -244,18 +273,16 @@ def _draw_trial(
     return a, bounds, resamples, noise
 
 
-def _observe(a: np.ndarray, noise: list[float], snr_db: float, x_true: Point2) -> LinearModel:
-    """The model ``y = A x_true + sigma * noise``, noiseless at infinite SNR."""
-    clean = [r[0] * x_true.x1 + r[1] * x_true.x2 for r in a.tolist()]
+def _observations(rows: list, noise: list[float], snr_db: float, x_true: Point2) -> list[float]:
+    """``y = A x_true + sigma * noise`` row by row from ``A``'s rows, noiseless at infinite SNR."""
+    clean = [r1 * x_true.x1 + r2 * x_true.x2 for r1, r2 in rows]
     if math.isinf(snr_db):
-        y = clean
-    else:
-        power = 0.0
-        for v in clean:
-            power += v * v
-        sigma = math.sqrt(power * 10.0 ** (-snr_db / 10.0) / len(clean))
-        y = [v + sigma * z for v, z in zip(clean, noise)]
-    return LinearModel(a, np.array(y), x_true)
+        return clean
+    power = 0.0
+    for v in clean:
+        power += v * v
+    sigma = math.sqrt(power * 10.0 ** (-snr_db / 10.0) / len(clean))
+    return [v + sigma * z for v, z in zip(clean, noise)]
 
 
 def generate_model(cfg: ScenarioConfig, trial_index: int, snr_db: float) -> LinearModel:
@@ -268,7 +295,7 @@ def generate_model(cfg: ScenarioConfig, trial_index: int, snr_db: float) -> Line
     does not depend on the SNR or on ``x_true``.
     """
     a, _, _, noise = _draw_trial(cfg, trial_index)
-    return _observe(a, noise, snr_db, cfg.x_true)
+    return LinearModel(a, np.array(_observations(a.tolist(), noise, snr_db, cfg.x_true)), cfg.x_true)
 
 
 def _least_squares(model: LinearModel) -> Point2:
@@ -311,17 +338,13 @@ def scenario_a(cfg: ScenarioConfig) -> ScenarioAResult:
     """
     snr_db = cfg.snr_list_db[0]
     a, bounds, _, noise = _draw_trial(cfg, 0)
-    model = _observe(a, noise, snr_db, cfg.x_true)
-    params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu)
-    mu = _solver_mu(cfg, params)
+    design = _design(cfg, a, bounds)
+    model = LinearModel(a, np.array(_observations(design.rows, noise, snr_db, cfg.x_true)), cfg.x_true)
+    params = design.params
 
     records: list[TrialRecord] = []
     trajectories: dict[str, tuple[Point2, ...]] = {}
-    runs = (
-        ("ROWL", rowl_shrinker(cfg.w_rowl)),
-        ("eROWL", erowl_shrinker(ErowlParams(cfg.w_erowl, _solver_delta(cfg, params)))),
-    )
-    for method, shrink in runs:
+    for method, shrink, mu in design.runs[snr_db]:
         res = pfbs(model, shrink, mu, tol=cfg.tol, max_iter=cfg.max_iter, record_trace=True)
         records.append(
             _record(cfg, method, 0, snr_db, cfg.x_true, res.x_hat, res.iterations, res.stop_reason)
@@ -335,32 +358,27 @@ def scenario_a(cfg: ScenarioConfig) -> ScenarioAResult:
             _write_trajectory(os.path.join(cfg.out_path, name), trajectories[method])
         write_records_csv(os.path.join(cfg.out_path, "summary.csv"), records)
         _write_meta(cfg, {"rho": bounds.rho, "kappa": bounds.kappa, "delta": params.delta,
-                          "beta": params.beta, "mu": mu, "resampled_trials": 0})
+                          "beta": params.beta, "mu": _solver_mu(cfg, params), "resampled_trials": 0})
     return ScenarioAResult(tuple(records), trajectories)
 
 
-def _trial_records(cfg: ScenarioConfig, trial: int, design=None) -> tuple[list[TrialRecord], int]:
+def _trial_records(cfg: ScenarioConfig, trial: int, design: _Design | None = None) -> tuple[list[TrialRecord], int]:
     """LS, ROWL and eROWL (and firm in scenario C) on each (SNR, x1) cell of one trial.
 
-    The cells share the trial's design (a B run's shared ``design``), bounds,
-    unit noise and shrinkers; the ROWL weights may differ per SNR.  Also
-    returns the number of redraws.
+    The cells share the trial's unit noise and its :class:`_Design`: a B
+    run's one ``design``, or the one a C trial draws.  Also returns the
+    number of redraws.
     """
     a, bounds, resamples, noise = _draw_trial(cfg, trial, design)
-    params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu)
-    mu = _solver_mu(cfg, params)
-    erowl = ("eROWL", erowl_shrinker(ErowlParams(cfg.w_erowl, _solver_delta(cfg, params))), mu)
-    firm = ()
-    if cfg.scenario == "C":
-        fp, mu_f = firm_rule(bounds, cfg.firm_lambda2, cfg.gamma_mu)
-        firm = (("firm", firm_shrinker(fp), mu_f),)
+    if design is None:
+        design = _design(cfg, a, bounds)
     out: list[TrialRecord] = []
     for snr_db in cfg.snr_list_db:
-        w_rowl = (cfg.rowl_w_by_snr or {}).get(snr_db, cfg.w_rowl)
-        runs = (("ROWL", rowl_shrinker(w_rowl), mu), erowl, *firm)
+        runs = design.runs[snr_db]
         for x1 in cfg.x1_sweep or (cfg.x_true.x1,):
             x_true = Point2(x1, cfg.x_true.x2)
-            model = _observe(a, noise, snr_db, x_true)
+            y = _observations(design.rows, noise, snr_db, x_true)
+            model = LinearModel._on_design(a, design.rows, design.sums, y, x_true)
             out.append(_record(cfg, "LS", trial, snr_db, x_true, _least_squares(model), 0, "converged"))
             for method, shrink, step in runs:
                 res = pfbs(model, shrink, step, tol=cfg.tol, max_iter=cfg.max_iter, record_trace=False)
@@ -408,13 +426,12 @@ def scenario_b(cfg: ScenarioConfig) -> list[TrialRecord]:
     design = None
     if cfg.scenario != "C":
         a = fixed_design_matrix()
-        design = (a, spectral_bounds(a))
+        design = _design(cfg, a, spectral_bounds(a))
     records, resampled = _run_tasks(cfg, range(cfg.trials), functools.partial(_trial_records, design=design))
     if cfg.out_path is not None:
         extra: dict = {"resampled_trials": resampled}
         if design is not None:
-            bounds = design[1]
-            params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu)
+            bounds, params = design.bounds, design.params
             extra.update(rho=bounds.rho, kappa=bounds.kappa, delta=params.delta,
                          beta=params.beta, mu=_solver_mu(cfg, params))
         _write_run(cfg, records, extra)

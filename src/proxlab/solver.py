@@ -40,6 +40,16 @@ _NORM_GUARD = 7e11
 _TOL_GUARD = 1.0 + 2.0 ** -50
 
 
+def _design_sums(rows: list) -> tuple[float, float, float]:
+    """Entries ``(g11, g12, g22)`` of ``A^T A``, summed over the rows of ``A`` in order."""
+    g11 = g12 = g22 = 0.0
+    for a1, a2 in rows:
+        g11 += a1 * a1
+        g12 += a1 * a2
+        g22 += a2 * a2
+    return g11, g12, g22
+
+
 @dataclass(frozen=True)
 class LinearModel:
     """Observation model ``y = A x + noise`` with an ``(M, 2)`` design matrix, Gram sums taken once."""
@@ -56,11 +66,23 @@ class LinearModel:
             raise ValueError(f"a_matrix must be (M, 2) with M >= 1, got {a.shape}")
         if y.shape != (a.shape[0],):
             raise ValueError(f"y must have shape ({a.shape[0]},), got {y.shape}")
-        g11 = g12 = g22 = c1 = c2 = 0.0
-        for (a1, a2), yi in zip(a.tolist(), y.tolist()):
-            g11 += a1 * a1
-            g12 += a1 * a2
-            g22 += a2 * a2
+        rows = a.tolist()
+        self._fill(a, rows, _design_sums(rows), y)
+
+    @classmethod
+    def _on_design(cls, a: np.ndarray, rows: list, design_sums: tuple, y: list[float], x_true) -> "LinearModel":
+        """``LinearModel(a, y, x_true)`` for a float ``(M, 2)`` array ``a`` whose ``tolist()`` is
+        ``rows`` and whose :func:`_design_sums` are ``design_sums``, with ``y`` a list of ``M`` floats."""
+        model = object.__new__(cls)
+        object.__setattr__(model, "x_true", x_true)
+        model._fill(a, rows, design_sums, np.array(y))
+        return model
+
+    def _fill(self, a: np.ndarray, rows: list, design_sums: tuple, y: np.ndarray) -> None:
+        """Sum ``A^T y`` in row order, check the entries and set the fields."""
+        g11, g12, g22 = design_sums
+        c1 = c2 = 0.0
+        for (a1, a2), yi in zip(rows, y.tolist()):
             c1 += a1 * yi
             c2 += a2 * yi
         # A NaN or infinite entry makes g11, g22 or c1 non-finite, so finite
@@ -219,13 +241,16 @@ def pfbs(
     ``_pfbs_inline`` marker, and its arithmetic runs inline in this loop: the
     same float operations in the same order, without a call per iteration.
     Any other callable, a wrapper around a library shrinker included, is
-    called, with bit-for-bit the same results.  The loop stays in this
-    function's own frame, with ``iterations`` advanced every iteration: a
-    sampler may find the running solve through ``pfbs.__code__`` and read
+    called, with bit-for-bit the same results.  ``mu`` is taken as a
+    ``float`` once, so every iterate is a Python float; ``float()`` runs only
+    on what a called shrinker returns.  The loop stays in this function's own
+    frame, and ``iterations`` is its loop variable, advanced every iteration:
+    a sampler may find the running solve through ``pfbs.__code__`` and read
     that counter.
     """
     if not (math.isfinite(mu) and mu > 0):
         raise ValueError(f"mu must be positive and finite, got {mu!r}")
+    mu = float(mu)
     max_iter = int(max_iter)
     if not tol >= 0.0 or max_iter < 1:
         raise ValueError(f"need tol >= 0 and max_iter >= 1, got {tol!r} and {max_iter!r}")
@@ -248,13 +273,15 @@ def pfbs(
         w1, w2 = spec[2:]
     elif kind == "erowl":
         delta, w1, w2, dp1, dp2, diag_gate, gate, eta, denom, w1s, w2s, clamp = spec[2:]
+        dw1 = delta * w1
     elif kind == "firm":
         lam1, lam2, gap = spec[2:]
     mark = None
     iterations = 0
     stop_reason = "max_iter"
     while iterations < max_iter:
-        for _ in range(min(block, max_iter - iterations)):
+        # The loop variable is the count of iterations done once this one ends.
+        for iterations in range(iterations + 1, min(iterations + block, max_iter) + 1):
             h1 = x1 - mu * (g11 * x1 + g12 * x2 - c1)
             h2 = x2 - mu * (g12 * x1 + g22 * x2 - c2)
             # Each inline branch makes its factory closure's float operations, in its order.
@@ -271,15 +298,16 @@ def pfbs(
                 else:
                     a2 = h2
                     s2 = 1.0
-                below = (a1 + a2) <= diag_gate
+                a12 = a1 + a2
+                below = a12 <= diag_gate
                 if below and (-a1 + dp1 * a2) > gate and (dp1 * a1 - a2) > gate:
-                    m = (dp1 * (a1 + a2) + delta * w1) / dp2
+                    m = (dp1 * a12 + dw1) / dp2
                     d = (dp1 * a2 - m) / delta
                     y1 = m - w1 - d
                     y2 = d
-                    if clamp <= y1 < 0.0:
+                    if y1 < 0.0 and y1 >= clamp:
                         y1 = 0.0
-                    if clamp <= y2 < 0.0:
+                    if y2 < 0.0 and y2 >= clamp:
                         y2 = 0.0
                 elif not below and (a1 - a2 if a1 >= a2 else a2 - a1) < eta:
                     alpha = 0.5 + dp1 * (a1 - a2) / denom
@@ -297,9 +325,19 @@ def pfbs(
                     y2 = 0.0 if y2 <= 0.0 else y2
                 n1, n2 = s1 * y1, s2 * y2
             elif kind == "rowl":
-                a1, a2 = abs(h1), abs(h2)
-                s1 = -1.0 if h1 < 0 else 1.0
-                s2 = -1.0 if h2 < 0 else 1.0
+                # -0.0 keeps its sign as a magnitude; it and abs's 0.0 clip alike.
+                if h1 < 0:
+                    a1 = -h1
+                    s1 = -1.0
+                else:
+                    a1 = h1
+                    s1 = 1.0
+                if h2 < 0:
+                    a2 = -h2
+                    s2 = -1.0
+                else:
+                    a2 = h2
+                    s2 = 1.0
                 if a1 >= a2:
                     y1 = a1 - w1
                     y2 = a2 - w2
@@ -309,14 +347,14 @@ def pfbs(
                 n1 = 0.0 if y1 <= 0 else s1 * y1
                 n2 = 0.0 if y2 <= 0 else s2 * y2
             elif kind == "firm":
-                a1 = abs(h1)
+                a1 = -h1 if h1 < 0 else h1
                 if a1 <= lam1:
                     n1 = 0.0
                 elif a1 <= lam2:
                     n1 = (-1.0 if h1 < 0 else 1.0) * lam2 * (a1 - lam1) / gap
                 else:
                     n1 = h1
-                a2 = abs(h2)
+                a2 = -h2 if h2 < 0 else h2
                 if a2 <= lam1:
                     n2 = 0.0
                 elif a2 <= lam2:
@@ -325,18 +363,18 @@ def pfbs(
                     n2 = h2
             else:
                 n1, n2 = shrink((h1, h2))
+                n1, n2 = float(n1), float(n2)
             if trace is not None and math.isfinite(h1) and math.isfinite(h2):
                 trace.append((Point2(x1, x2), Point2(h1, h2)))
-            iterations += 1
             if not (n1 < norm_hi and n1 > norm_lo and n2 < norm_hi and n2 > norm_lo) and not (
                     math.hypot(n1, n2) <= DIVERGENCE_NORM):
                 if math.isfinite(n1) and math.isfinite(n2):
-                    x1, x2 = float(n1), float(n2)
+                    x1, x2 = n1, n2
                 stop_reason = "diverged"
                 break
             d1 = n1 - x1
             d2 = n2 - x2
-            x1, x2 = float(n1), float(n2)
+            x1, x2 = n1, n2
             if not (d1 > tol_hi or d1 < tol_lo or d2 > tol_hi or d2 < tol_lo) and (
                     math.hypot(d1, d2) <= tol):
                 stop_reason = "converged"

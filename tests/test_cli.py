@@ -21,6 +21,11 @@ def test_prox_erowl_point(capsys):
     rc, out, err = run(capsys, "prox", "--op", "erowl", "--x", "2,2", "--w", "0,2", "--delta", "1")
     assert rc == 0 and err == ""
     assert out.strip() == "1.5,1.5"
+    # A delta this large still has a finite closed form; 1e308 overflows it and is refused.
+    rc, out, err = run(capsys, "prox", "--op", "erowl", "--x", "1,1", "--w", "0,2", "--delta", "1e200")
+    assert rc == 0 and out.strip() == "1.0,1.0"
+    rc, out, err = run(capsys, "prox", "--op", "erowl", "--x", "1,1", "--w", "0,2", "--delta", "1e308")
+    assert rc == 1 and out == "" and "delta 1e+308 overflows the closed form" in err
 
 
 def test_prox_rowl_tie_prints_both_minimizers(capsys):
@@ -165,6 +170,18 @@ def test_envelope_rejects_what_its_op_does_not_take(tmp_path, capsys, argv):
     assert rc == 1 and out == "" and "Traceback" not in err
     assert ("--w" if "--grid=-1,1,1" not in argv else "--x or --grid") in err
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--op", "l0", "--x", "nan"],
+    ["--op", "l0", "--x=-inf"],
+    ["--op", "rowl", "--w", "0,2", "--x", "nan,1"],
+    ["--op", "rowl-raw", "--w", "0,2", "--x", "inf,1"],
+])
+def test_envelope_rejects_a_non_finite_point(capsys, argv):
+    # l0 read NaN as 1.0 and rowl printed nan, each with exit 0.
+    rc, out, err = run(capsys, "envelope", *argv)
+    assert rc == 1 and out == "" and "--x must be finite" in err and "Traceback" not in err
 
 
 def test_envelope_grid_too_fine_to_count_is_refused(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -30,6 +31,33 @@ def test_params_derived_quantities():
         ErowlParams(WeightPair(0.0, 2.0), 0.0)
     with pytest.raises(ValueError):
         ErowlParams(WeightPair(0.0, 2.0), -1.0)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.floats(min_value=0.0, max_value=1e6), st.floats(min_value=0.0, max_value=1e6),
+       st.floats(min_value=0.0, max_value=sys.float_info.max, exclude_min=True), st.tuples(finite, finite))
+@settings(max_examples=500)
+@example(0.0, 2.0, 1e308, (1.0, 1.0))  # printed inf,-inf
+@example(0.0, 2.0, 1e200, (1.0, 1.0))
+# 2 * delta * (w2 - w1) is finite, but the triangle's numerator overflows
+@example(2.2, 2.5, 8e307, (0.1, 0.1))
+def test_a_delta_either_is_refused_or_gives_a_finite_closed_form(u, v, delta, x):
+    try:
+        params = ErowlParams(WeightPair(min(u, v), max(u, v)), delta)
+    except ValueError as exc:
+        assert "overflows the closed form" in str(exc)
+        return
+    assert all(map(math.isfinite, erowl_shrinker(params)(x))), (params, x)
+
+
+def test_a_delta_whose_slab_denominator_overflows_is_refused():
+    # The triangle's numerator is finite here, but 2 * delta * (w2 - w1) is
+    # inf, so the slab would blend every point at alpha = 0.5: a finite,
+    # wrong value (2.8e307 for 2.93e307 at x = (3.2e307, 2.4e307)).
+    with pytest.raises(ValueError, match="overflows the closed form"):
+        ErowlParams(WeightPair(0.0, 3.2e307), 3.0)
 
 
 def test_classify_region_examples():

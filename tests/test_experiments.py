@@ -274,6 +274,11 @@ def _trial_reference(cfg, trial):
     return sorted(records, key=lambda r: (r.method, r.snr_db, r.x_true.x1))
 
 
+def _model_key(model):
+    """A model's bytes, including its ``A^T A`` and ``A^T y`` sums, and its truth."""
+    return (model.a_matrix.tobytes(), model.y.tobytes(), np.array(model.gram_terms()).tobytes(), model.x_true)
+
+
 def _assert_cells_solve_generate_model_draws(scenario, cfg, monkeypatch):
     """Every cell's solves ran on the model generate_model draws for that cell
     on its own, and each trial's records equal the cell-by-cell reference."""
@@ -281,7 +286,7 @@ def _assert_cells_solve_generate_model_draws(scenario, cfg, monkeypatch):
     real_pfbs = experiments.pfbs
 
     def recording_pfbs(model, *args, **kwargs):
-        solved[(model.a_matrix.tobytes(), model.y.tobytes(), model.x_true)] += 1
+        solved[_model_key(model)] += 1
         return real_pfbs(model, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "pfbs", recording_pfbs)
@@ -291,7 +296,7 @@ def _assert_cells_solve_generate_model_draws(scenario, cfg, monkeypatch):
     for trial in range(cfg.trials):
         for snr_db, x1 in _cells(cfg):
             model = _cell_model(cfg, trial, snr_db, x1)
-            expected[(model.a_matrix.tobytes(), model.y.tobytes(), model.x_true)] += solves_per_cell
+            expected[_model_key(model)] += solves_per_cell
     assert solved == expected
     for trial in range(cfg.trials):
         got = [r for r in records if r.trial == trial]

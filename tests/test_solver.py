@@ -447,10 +447,21 @@ def _outcome(res):
 
 
 def _assert_inline_matches_call(model, shrink, mu, **kwargs):
-    """``pfbs`` on a library shrinker equals ``pfbs`` on a lambda around it, bit for bit."""
+    """``pfbs`` on a library shrinker equals ``pfbs`` on a wrapper around it, bit for bit.
+
+    The wrapper returns numpy scalars; ``pfbs`` must turn them into floats, so
+    the wrapper is only ever called with Python floats.
+    """
+    half_steps = []
+
+    def called_shrink(p):
+        half_steps.append(p)
+        return tuple(map(np.float64, shrink(p)))
+
     inline = pfbs(model, shrink, mu, **kwargs)
-    called = pfbs(model, lambda p: shrink(p), mu, **kwargs)
+    called = pfbs(model, called_shrink, mu, **kwargs)
     assert _outcome(inline) == _outcome(called), (kwargs, inline, called)
+    assert all(type(v) is float for p in half_steps for v in p)
     return inline
 
 
@@ -501,9 +512,18 @@ def gate_points(draw):
 @example((firm_shrinker(FirmParams(1.435, 3.189)), (3.189, -3.189)))
 # a magnitude tie: the identity matching, not the swapped one
 @example((rowl_shrinker(WeightPair(0.0, 1.0)), (2.0, -2.0)))
+# signed-zero half-steps: -0.0 as a magnitude clips to 0.0 as abs's 0.0 does
+@example((rowl_shrinker(WeightPair(0.0, 1.0)), (-0.0, 0.0)))
+@example((rowl_shrinker(WeightPair(0.0, 0.0)), (0.0, -0.0)))
+@example((firm_shrinker(FirmParams(0.5, 1.0)), (-0.0, 0.0)))
 # the triangle formula rounds y1, then y2, just below zero, and _CLAMP lifts it
 @example((erowl_shrinker(ErowlParams(WeightPair(0.5, 2.0), 1.0)), (0.36200532040757316, 0.47401064081514627)))
 @example((erowl_shrinker(ErowlParams(WeightPair(0.2, 1.0), 0.5)), (0.8331330395647772, 0.5998664708209627)))
+# ... and here y1, then y2, rounds below _CLAMP and stays negative
+@example((erowl_shrinker(ErowlParams(WeightPair(0.0, 10.739603037861023), 0.0013215336681076692)),
+          (10.16357143355092, 10.177002935388574)))
+@example((erowl_shrinker(ErowlParams(WeightPair(0.0, 8.654111971573686), 0.0013690541783290123)),
+          (8.412219529199833, 8.400718490449519)))
 def test_inline_shrinkers_match_their_closures_at_every_gate(case):
     # On ORBIT_MODEL with mu = 1/2 the half-step from x0 = 2p is p, so one
     # iteration applies the shrinker at p and x_hat is its output.
@@ -584,6 +604,17 @@ def test_inline_solves_match_the_call_path_at_every_ending(ending, model, shrink
     assert bare.stop_reason == ending
     traced = _assert_inline_matches_call(model, shrink, mu, record_trace=True, **kwargs)
     assert _bits(traced.x_hat) == _bits(bare.x_hat)
+
+
+@pytest.mark.parametrize("name", sorted(SHRINKERS))
+def test_a_step_of_any_number_type_gives_the_same_float_bits(name):
+    # mu = 1 as int, float and numpy.float64: pfbs takes float(mu) once.
+    outcomes = []
+    for mu in (1, 1.0, np.float64(1.0)):
+        res = _assert_inline_matches_call(FIXED_B, SHRINKERS[name], mu, max_iter=300)
+        assert all(type(v) is float for v in res.x_hat)
+        outcomes.append(_outcome(res))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 def _calls_of(code, shrink):
