@@ -181,9 +181,17 @@ def _help(table: dict, point: str) -> str:
     return "\n".join(lines)
 
 
+def _point(args, dims: int) -> tuple[float, ...]:
+    """``--x`` as ``dims`` finite numbers."""
+    x = _parse_floats(args.x, dims, "--x")
+    if not all(map(math.isfinite, x)):
+        raise ValueError(f"--x must be finite, got {args.x!r}")
+    return x
+
+
 def _cmd_prox(args) -> int:
     spec, values = _checked(args, _PROX, args.op, f"prox --op {args.op}")
-    x = _parse_floats(args.x, spec.dims, "--x")
+    x = _point(args, spec.dims)
     _print_result(spec.fn(x[0] if spec.dims == 1 else Point2(*x), **values))
     return 0
 
@@ -194,10 +202,7 @@ def _cmd_envelope(args) -> int:
     spec, values = _checked(args, _ENVELOPE, args.op, f"envelope --op {args.op}")
     out = values.pop("out")
     if args.x is not None:
-        x = _parse_floats(args.x, spec.dims, "--x")
-        if not all(map(math.isfinite, x)):
-            raise ValueError(f"--x must be finite, got {args.x!r}")
-        lines = [_fmt(spec.fn(np.array(x), **values))]
+        lines = [_fmt(spec.fn(np.array(_point(args, spec.dims)), **values))]
     else:
         lo, step, hi = _parse_floats(args.grid, 3, "--grid")
         axis = Axis(lo, hi, step)

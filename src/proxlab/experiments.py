@@ -10,13 +10,13 @@ Three scenarios on the model ``y = A x + noise`` with a 2-D ground truth:
   method set.
 
 The scenario decides the design.  B and C run through one function
-(``scenario_c`` is ``scenario_b``) and one trial worker.
-Every trial draws from its own counter-based stream keyed by
-``(seed, scenario, trial)``, so record sets are bitwise reproducible under any
-trial order.  A B run takes one design and one set of bounds for all its
-trials; a C trial draws its own.  A trial draws its unit noise once and
-reuses it in each of its (SNR, x1) cells.  Output files are plain CSV with
-17-significant-digit decimals plus a ``meta.json`` of the resolved setup.
+(``scenario_c`` is ``scenario_b``) and one trial worker.  Every trial draws
+from its own counter-based stream keyed by ``(seed, scenario, trial)``, so
+record sets are bitwise reproducible under any trial order.  An A or B run
+builds its one fixed design record (bounds, parameters, shrinkers) once; a C
+trial builds its own.  A trial draws its unit noise once and reuses it in each
+of its (SNR, x1) cells.  Output files are plain CSV with 17-significant-digit
+decimals plus a ``meta.json`` of the resolved setup.
 """
 from __future__ import annotations
 
@@ -40,6 +40,7 @@ from .solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     LinearModel,
+    PfbsResult,
     SolverParams,
     SpectralBounds,
     _design_sums,
@@ -213,22 +214,25 @@ def system_mismatch(x_hat, x_true) -> float:
 
 
 class _Design(NamedTuple):
-    """A design and what every cell on it shares: ``A``'s rows and ``A^T A`` sums, the
-    spectral bounds, the selected parameters and each SNR's ``(method, shrinker, step)`` runs."""
+    """A design and all a run derives from it: ``A``'s rows and ``A^T A`` sums, the spectral bounds,
+    the selected parameters, the step ``mu`` of ROWL and eROWL (the override when one is set) and
+    each SNR's ``(method, shrinker, step)`` runs."""
 
     a: np.ndarray
     rows: list
     sums: tuple[float, float, float]
     bounds: SpectralBounds
     params: SolverParams
+    mu: float
     runs: dict
 
 
 def _design(cfg: ScenarioConfig, a: np.ndarray, bounds: SpectralBounds) -> _Design:
     """The cells' shared setup on design ``a``; the ROWL weights may differ per SNR, and scenario C adds firm."""
     params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu)
-    mu = _solver_mu(cfg, params)
-    erowl = ("eROWL", erowl_shrinker(ErowlParams(cfg.w_erowl, _solver_delta(cfg, params))), mu)
+    mu = params.mu if cfg.mu_override is None else cfg.mu_override
+    delta = params.delta if cfg.delta_override is None else cfg.delta_override
+    erowl = ("eROWL", erowl_shrinker(ErowlParams(cfg.w_erowl, delta)), mu)
     firm = ()
     if cfg.scenario == "C":
         fp, mu_f = firm_rule(bounds, cfg.firm_lambda2, cfg.gamma_mu)
@@ -236,41 +240,40 @@ def _design(cfg: ScenarioConfig, a: np.ndarray, bounds: SpectralBounds) -> _Desi
     runs = {snr_db: (("ROWL", rowl_shrinker((cfg.rowl_w_by_snr or {}).get(snr_db, cfg.w_rowl)), mu), erowl, *firm)
             for snr_db in cfg.snr_list_db}
     rows = a.tolist()
-    return _Design(a, rows, _design_sums(rows), bounds, params, runs)
+    return _Design(a, rows, _design_sums(rows), bounds, params, mu, runs)
 
 
-def _draw_trial(
-    cfg: ScenarioConfig, trial_index: int, design: _Design | None = None
-) -> tuple[np.ndarray, SpectralBounds, int, list[float]]:
-    """The trial's design, its spectral bounds, the number of redraws, and its unit noise.
+def _fixed_design(cfg: ScenarioConfig) -> _Design | None:
+    """The :func:`fixed_design_matrix` record an A or B run shares; ``None`` in scenario C."""
+    if cfg.scenario == "C":
+        return None
+    a = fixed_design_matrix()
+    return _design(cfg, a, spectral_bounds(a))
 
-    The trial's own stream yields, in scenario C, a 4x2 Gaussian design first
-    (row major), redrawn while singular, then one unit normal per row.
-    Scenarios A and B use :func:`fixed_design_matrix`; a B run passes its one
-    ``design``, so its trials share it.
+
+def _draw_trial(cfg: ScenarioConfig, trial_index: int, design: _Design | None) -> tuple[_Design, int, list[float]]:
+    """The trial's design record, the number of redraws, and its unit noise.
+
+    An A or B run passes its one ``design``, so its trials share it.  Without
+    one (scenario C) the trial's own stream yields a 4x2 Gaussian design first
+    (row major), redrawn while singular.  Then it yields one unit normal per row.
     """
     gen = stream(cfg.seed, SCENARIO_IDS[cfg.scenario], trial_index)
     resamples = 0
-    if design is not None:
-        a, bounds = design.a, design.bounds
-    elif cfg.scenario != "C":
-        a = fixed_design_matrix()
-        bounds = spectral_bounds(a)
-    else:
+    if design is None:
         for _ in range(_MAX_RESAMPLES):
             a = np.array([[gen.normal(), gen.normal()] for _ in range(_GAUSSIAN_ROWS)])
             bounds = spectral_bounds(a)
             if bounds.rho > _SINGULAR_RTOL * max(bounds.kappa, 1.0):
                 break
             resamples += 1
-            logger.info(
-                "resampling singular design (seed=%d trial=%d attempt=%d)",
-                cfg.seed, trial_index, resamples,
-            )
+            logger.info("resampling singular design (seed=%d trial=%d attempt=%d)",
+                        cfg.seed, trial_index, resamples)
         else:
             raise RuntimeError(f"could not draw a nonsingular design in {_MAX_RESAMPLES} tries")
-    noise = [gen.normal() for _ in range(len(a))]
-    return a, bounds, resamples, noise
+        design = _design(cfg, a, bounds)
+    noise = [gen.normal() for _ in range(len(design.rows))]
+    return design, resamples, noise
 
 
 def _observations(rows: list, noise: list[float], snr_db: float, x_true: Point2) -> list[float]:
@@ -285,6 +288,12 @@ def _observations(rows: list, noise: list[float], snr_db: float, x_true: Point2)
     return [v + sigma * z for v, z in zip(clean, noise)]
 
 
+def _cell_model(design: _Design, noise: list[float], snr_db: float, x_true: Point2) -> LinearModel:
+    """The model of one (SNR, ``x_true``) cell on ``design`` with the trial's unit ``noise``."""
+    y = _observations(design.rows, noise, snr_db, x_true)
+    return LinearModel._on_design(design.a, design.rows, design.sums, y, x_true)
+
+
 def generate_model(cfg: ScenarioConfig, trial_index: int, snr_db: float) -> LinearModel:
     """Design matrix and observation for one trial, drawn from the trial's own stream.
 
@@ -292,10 +301,11 @@ def generate_model(cfg: ScenarioConfig, trial_index: int, snr_db: float) -> Line
     Gaussian design first (row major), then unit noise, scaled to the requested SNR via
     ``sigma^2 = ||A x_true||^2 10^(-snr/10) / M``.  An (almost surely
     impossible) singular design is redrawn from the same stream.  The noise
-    does not depend on the SNR or on ``x_true``.
+    does not depend on the SNR or on ``x_true``.  The design's parameters are
+    selected as in a run, so a config no run can take raises the run's ``ValueError``.
     """
-    a, _, _, noise = _draw_trial(cfg, trial_index)
-    return LinearModel(a, np.array(_observations(a.tolist(), noise, snr_db, cfg.x_true)), cfg.x_true)
+    design, _, noise = _draw_trial(cfg, trial_index, _fixed_design(cfg))
+    return LinearModel(design.a, np.array(_observations(design.rows, noise, snr_db, cfg.x_true)), cfg.x_true)
 
 
 def _least_squares(model: LinearModel) -> Point2:
@@ -306,20 +316,10 @@ def _least_squares(model: LinearModel) -> Point2:
     return Point2((g22 * c1 - g12 * c2) / det, (g11 * c2 - g12 * c1) / det)
 
 
-def _record(
-    cfg: ScenarioConfig, method: str, trial: int, snr_db: float, x_true: Point2,
-    x_hat: Point2, iterations: int, stop_reason: str,
-) -> TrialRecord:
-    return TrialRecord(cfg.scenario, method, trial, snr_db, x_true, x_hat,
-                       system_mismatch(x_hat, x_true), iterations, stop_reason)
-
-
-def _solver_mu(cfg: ScenarioConfig, params) -> float:
-    return cfg.mu_override if cfg.mu_override is not None else params.mu
-
-
-def _solver_delta(cfg: ScenarioConfig, params) -> float:
-    return cfg.delta_override if cfg.delta_override is not None else params.delta
+def _record(cfg: ScenarioConfig, method: str, trial: int, snr_db: float, x_true: Point2,
+            res: PfbsResult) -> TrialRecord:
+    return TrialRecord(cfg.scenario, method, trial, snr_db, x_true, res.x_hat,
+                       system_mismatch(res.x_hat, x_true), res.iterations, res.stop_reason)
 
 
 @dataclass(frozen=True)
@@ -337,18 +337,13 @@ def scenario_a(cfg: ScenarioConfig) -> ScenarioAResult:
     and ``meta.json`` when an output directory is configured.
     """
     snr_db = cfg.snr_list_db[0]
-    a, bounds, _, noise = _draw_trial(cfg, 0)
-    design = _design(cfg, a, bounds)
-    model = LinearModel(a, np.array(_observations(design.rows, noise, snr_db, cfg.x_true)), cfg.x_true)
-    params = design.params
-
+    design, _, noise = _draw_trial(cfg, 0, _fixed_design(cfg))
+    model = _cell_model(design, noise, snr_db, cfg.x_true)
     records: list[TrialRecord] = []
     trajectories: dict[str, tuple[Point2, ...]] = {}
     for method, shrink, mu in design.runs[snr_db]:
         res = pfbs(model, shrink, mu, tol=cfg.tol, max_iter=cfg.max_iter, record_trace=True)
-        records.append(
-            _record(cfg, method, 0, snr_db, cfg.x_true, res.x_hat, res.iterations, res.stop_reason)
-        )
+        records.append(_record(cfg, method, 0, snr_db, cfg.x_true, res))
         trajectories[method] = tuple(res.trajectory())
     records.sort(key=_sort_key)
 
@@ -357,33 +352,29 @@ def scenario_a(cfg: ScenarioConfig) -> ScenarioAResult:
         for method, name in (("ROWL", "trajectory_rowl.csv"), ("eROWL", "trajectory_erowl.csv")):
             _write_trajectory(os.path.join(cfg.out_path, name), trajectories[method])
         write_records_csv(os.path.join(cfg.out_path, "summary.csv"), records)
-        _write_meta(cfg, {"rho": bounds.rho, "kappa": bounds.kappa, "delta": params.delta,
-                          "beta": params.beta, "mu": _solver_mu(cfg, params), "resampled_trials": 0})
+        _write_meta(cfg, design, 0)
     return ScenarioAResult(tuple(records), trajectories)
 
 
-def _trial_records(cfg: ScenarioConfig, trial: int, design: _Design | None = None) -> tuple[list[TrialRecord], int]:
+def _trial_records(cfg: ScenarioConfig, trial: int, design: _Design | None) -> tuple[list[TrialRecord], int]:
     """LS, ROWL and eROWL (and firm in scenario C) on each (SNR, x1) cell of one trial.
 
     The cells share the trial's unit noise and its :class:`_Design`: a B
     run's one ``design``, or the one a C trial draws.  Also returns the
     number of redraws.
     """
-    a, bounds, resamples, noise = _draw_trial(cfg, trial, design)
-    if design is None:
-        design = _design(cfg, a, bounds)
+    design, resamples, noise = _draw_trial(cfg, trial, design)
     out: list[TrialRecord] = []
     for snr_db in cfg.snr_list_db:
         runs = design.runs[snr_db]
         for x1 in cfg.x1_sweep or (cfg.x_true.x1,):
             x_true = Point2(x1, cfg.x_true.x2)
-            y = _observations(design.rows, noise, snr_db, x_true)
-            model = LinearModel._on_design(a, design.rows, design.sums, y, x_true)
-            out.append(_record(cfg, "LS", trial, snr_db, x_true, _least_squares(model), 0, "converged"))
+            model = _cell_model(design, noise, snr_db, x_true)
+            out.append(_record(cfg, "LS", trial, snr_db, x_true,
+                               PfbsResult(_least_squares(model), 0, "converged", None)))
             for method, shrink, step in runs:
                 res = pfbs(model, shrink, step, tol=cfg.tol, max_iter=cfg.max_iter, record_trace=False)
-                out.append(_record(cfg, method, trial, snr_db, x_true,
-                                   res.x_hat, res.iterations, res.stop_reason))
+                out.append(_record(cfg, method, trial, snr_db, x_true, res))
     return out, resamples
 
 
@@ -423,18 +414,13 @@ def scenario_b(cfg: ScenarioConfig) -> list[TrialRecord]:
     Writes ``records.csv``, ``means.csv`` and ``meta.json`` when an output
     directory is configured.
     """
-    design = None
-    if cfg.scenario != "C":
-        a = fixed_design_matrix()
-        design = _design(cfg, a, spectral_bounds(a))
+    design = _fixed_design(cfg)
     records, resampled = _run_tasks(cfg, range(cfg.trials), functools.partial(_trial_records, design=design))
     if cfg.out_path is not None:
-        extra: dict = {"resampled_trials": resampled}
-        if design is not None:
-            bounds, params = design.bounds, design.params
-            extra.update(rho=bounds.rho, kappa=bounds.kappa, delta=params.delta,
-                         beta=params.beta, mu=_solver_mu(cfg, params))
-        _write_run(cfg, records, extra)
+        os.makedirs(cfg.out_path, exist_ok=True)
+        write_records_csv(os.path.join(cfg.out_path, "records.csv"), records)
+        write_means_csv(os.path.join(cfg.out_path, "means.csv"), records)
+        _write_meta(cfg, design, resampled)
     return records
 
 
@@ -503,19 +489,17 @@ def _jsonable(v):
     return v
 
 
-def _write_meta(cfg: ScenarioConfig, extra: dict) -> None:
+def _write_meta(cfg: ScenarioConfig, design: _Design | None, resampled: int) -> None:
+    """``meta.json``: the config and, for a run on one design, its bounds, selected parameters and step."""
+    derived: dict = {"resampled_trials": resampled}
+    if design is not None:
+        derived.update(rho=design.bounds.rho, kappa=design.bounds.kappa, delta=design.params.delta,
+                       beta=design.params.beta, mu=design.mu)
     meta = {
         "schema": 3,
         "scenario": cfg.scenario,
         "config": _jsonable({**dataclasses.asdict(cfg), "tol": cfg.tol,
                              "max_iter": cfg.max_iter, "firm_lambda2": cfg.firm_lambda2}),
-        "derived": _jsonable(extra),
+        "derived": _jsonable(derived),
     }
     _write_lines(os.path.join(cfg.out_path, "meta.json"), [json.dumps(meta, indent=2, sort_keys=True)])
-
-
-def _write_run(cfg: ScenarioConfig, records, extra: dict) -> None:
-    os.makedirs(cfg.out_path, exist_ok=True)
-    write_records_csv(os.path.join(cfg.out_path, "records.csv"), records)
-    write_means_csv(os.path.join(cfg.out_path, "means.csv"), records)
-    _write_meta(cfg, extra)

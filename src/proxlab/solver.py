@@ -114,16 +114,16 @@ class SpectralBounds:
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Relaxation, cocoercivity index, and step size for the splitting iteration."""
+    """Relaxation and step size for the splitting iteration."""
 
     delta: float
-    beta: float
     mu: float
     mu_interval: tuple[float, float]
 
-    def __post_init__(self) -> None:
-        if abs(self.beta - self.delta / (1.0 + self.delta)) > 1e-15:
-            raise ValueError("beta must equal delta / (1 + delta)")
+    @property
+    def beta(self) -> float:
+        """Cocoercivity index ``delta / (1 + delta)``."""
+        return self.delta / (1.0 + self.delta)
 
 
 def spectral_bounds(a_matrix) -> SpectralBounds:
@@ -172,7 +172,7 @@ def select_parameters(
     beta = delta / (1.0 + delta)
     mu = _interpolated_step(bounds, beta, gamma_mu)
     interval = ((1.0 - beta) * rho, (1.0 + beta) / kappa)
-    return SolverParams(delta=delta, beta=beta, mu=mu, mu_interval=interval)
+    return SolverParams(delta=delta, mu=mu, mu_interval=interval)
 
 
 class PfbsResult(NamedTuple):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Point2, WeightPair
-from .erowl import ErowlParams, erowl, erowl_limit, reparameterize
+from .erowl import ErowlParams, erowl, reparameterize
 from .experiments import (
     ScenarioConfig,
     fixed_design_matrix,
@@ -173,11 +173,6 @@ def _suite_erowl(seed: int) -> list[CheckResult]:
     sw = float(np.max(np.abs(ref - swapped)))
     out.append(_check("erowl", "equivariant under coordinate swap", sw < 1e-12, f"defect {sw:.2e}"))
 
-    big = ErowlParams(WeightPair(0.0, 2.0), 1e-8)
-    lim_pts = np.array([[3.0, 0.5], [0.4, 2.5], [-3.0, -2.6]])
-    gap = float(np.max(np.abs(erowl(lim_pts, big) - erowl_limit(lim_pts, big.w))))
-    out.append(_check("erowl", "limit helper matches tiny-delta evaluation", gap < 1e-12))
-
     rp = reparameterize(1.0, WeightPair(0.0, 2.0))
     out.append(_check("erowl", "reparameterization keeps the slab width",
                       abs(rp.eta - 1.0) < 1e-12 and abs(rp.w.spread / (rp.delta + 1) - 2.0) < 1e-12))
@@ -215,10 +210,6 @@ def _suite_transform(seed: int) -> list[CheckResult]:
         want = float(firm(q, FirmParams(SQRT2 / 1.5, SQRT2)))
         ok = ok and abs(got - want) < 1e-9
     out.append(_check("transform", "hard-graph conversion reproduces firm shrinkage", ok))
-
-    bps = [b for b, _ in graph.breakpoints()]
-    out.append(_check("transform", "graph breakpoints are monotone",
-                      bps == sorted(bps)))
     return out
 
 
@@ -238,8 +229,6 @@ def _suite_solver(seed: int) -> list[CheckResult]:
     params = select_parameters(bounds)
     lo, hi = params.mu_interval
     out.append(_check("solver", "selected step lies inside its interval", lo < params.mu < hi))
-    out.append(_check("solver", "relaxation matches delta",
-                      abs(params.beta - params.delta / (1.0 + params.delta)) < 1e-15))
 
     a = fixed_design_matrix()
     x_star = Point2(0.3, -1.2)

@@ -241,19 +241,22 @@ def _cell_model(cfg, trial, snr_db, x1):
 
 
 def _cell_reference(cfg, trial, snr_db, x1):
-    """One scenario B or C cell built on its own: its own model draw, bounds and shrinkers."""
+    """One cell built on its own: its own model draw, bounds and shrinkers, with the config's
+    step and relaxation overrides in place of the selected ones.  Scenario A has no LS row."""
     model = _cell_model(cfg, trial, snr_db, x1)
     bounds = spectral_bounds(model.a_matrix)
     params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu)
+    mu = params.mu if cfg.mu_override is None else cfg.mu_override
+    delta = params.delta if cfg.delta_override is None else cfg.delta_override
     w_rowl = (cfg.rowl_w_by_snr or {}).get(snr_db, cfg.w_rowl)
     runs = [
-        ("ROWL", rowl_shrinker(w_rowl), params.mu),
-        ("eROWL", erowl_shrinker(ErowlParams(cfg.w_erowl, params.delta)), params.mu),
+        ("ROWL", rowl_shrinker(w_rowl), mu),
+        ("eROWL", erowl_shrinker(ErowlParams(cfg.w_erowl, delta)), mu),
     ]
     if cfg.scenario == "C":
         fp, mu_f = firm_rule(bounds, cfg.firm_lambda2, cfg.gamma_mu)
         runs.append(("firm", firm_shrinker(fp), mu_f))
-    x_hat = {"LS": (experiments._least_squares(model), 0, "converged")}
+    x_hat = {} if cfg.scenario == "A" else {"LS": (experiments._least_squares(model), 0, "converged")}
     for method, shrink, mu in runs:
         res = pfbs(model, shrink, mu, tol=cfg.tol, max_iter=cfg.max_iter, record_trace=False)
         x_hat[method] = (res.x_hat, res.iterations, res.stop_reason)
@@ -311,6 +314,26 @@ def test_scenario_b_cells_solve_the_models_generate_model_draws(monkeypatch):
     assert len(expected) == cfg.trials * 2 + 1
 
 
+def test_scenario_a_cell_solves_the_model_generate_model_draws(monkeypatch):
+    # A's one noiseless cell, at A's step override mu = 2 and without an LS row.
+    cfg = ScenarioConfig.scenario_a_defaults()
+    expected = _assert_cells_solve_generate_model_draws(lambda c: scenario_a(c).records, cfg, monkeypatch)
+    assert len(expected) == 1
+
+
+def test_scenario_b_delta_override_is_the_erowl_relaxation(monkeypatch):
+    # Every eROWL record is a pfbs run with ErowlParams(w_erowl, delta_override).
+    cfg = ScenarioConfig.scenario_b_defaults(seed=7, trials=3, snr_list_db=(20.0, 10.0), delta_override=5.0)
+    _assert_cells_solve_generate_model_draws(scenario_b, cfg, monkeypatch)
+
+    def erowl(records):
+        return [r.x_hat for r in records if r.method == "eROWL"]
+
+    selected = ScenarioConfig.scenario_b_defaults(seed=7, trials=3, snr_list_db=(20.0, 10.0))
+    assert select_parameters(spectral_bounds(fixed_design_matrix())).delta != 5.0
+    assert erowl(scenario_b(cfg)) != erowl(scenario_b(selected))
+
+
 def test_scenario_c_cells_solve_the_models_generate_model_draws(monkeypatch):
     # Each trial draws its design and noise once; every cell's model must still
     # be the one generate_model draws for that (trial, SNR, x1) on its own.
@@ -364,6 +387,39 @@ def test_meta_json_layout_is_pinned_by_its_schema(scenario, cfg, derived, tmp_pa
     assert meta["schema"] == 3
     assert sorted(meta["config"]) == _CONFIG_KEYS
     assert sorted(meta["derived"]) == derived
+
+
+@pytest.mark.parametrize("scenario, cfg, mu, delta_used", [
+    (scenario_a, ScenarioConfig.scenario_a_defaults(), 2.0, None),
+    (scenario_b, ScenarioConfig.scenario_b_defaults(trials=3), None, None),
+    (scenario_b, ScenarioConfig.scenario_b_defaults(trials=3, delta_override=5.0, mu_override=1.0), 1.0, 5.0),
+], ids=["A", "B", "B-overrides"])
+def test_meta_json_derives_from_the_fixed_design(scenario, cfg, mu, delta_used, tmp_path):
+    # rho, kappa, delta and beta are the fixed design's selected ones, even where delta_override
+    # replaced the delta eROWL ran with; mu is the step ROWL and eROWL took, the override if set.
+    scenario(dataclasses.replace(cfg, out_path=str(tmp_path)))
+    derived = json.loads((tmp_path / "meta.json").read_text())["derived"]
+    bounds = spectral_bounds(fixed_design_matrix())
+    params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu)
+    assert params.delta != delta_used and params.mu != mu
+    assert derived == {"rho": bounds.rho, "kappa": bounds.kappa, "delta": params.delta,
+                       "beta": params.delta / (1.0 + params.delta),
+                       "mu": params.mu if mu is None else mu, "resampled_trials": 0}
+
+
+def test_meta_json_derives_only_the_resampled_count_in_scenario_c(tmp_path):
+    # A C trial draws its own design, so the run has no one design to report.
+    scenario_c(ScenarioConfig.scenario_c_defaults(trials=3, x1_sweep=(1.5,), out_path=str(tmp_path)))
+    assert json.loads((tmp_path / "meta.json").read_text())["derived"] == {"resampled_trials": 0}
+
+
+@pytest.mark.parametrize("scenario", ["A", "B", "C"])
+def test_generate_model_raises_like_the_run_on_a_config_no_run_can_take(scenario):
+    cfg = ScenarioConfig.defaults(scenario, trials=1, gamma_mu=1.5)
+    run = scenario_a if scenario == "A" else scenario_b
+    for draw in (lambda: run(cfg), lambda: generate_model(cfg, 0, 20.0)):
+        with pytest.raises(ValueError, match=r"gamma_mu must lie in \[0, 1\], got 1.5"):
+            draw()
 
 
 @pytest.mark.parametrize("scenario, cfg", [

@@ -18,7 +18,6 @@ from proxlab.solver import (
     DEFAULT_TOL,
     DIVERGENCE_NORM,
     LinearModel,
-    SolverParams,
     SpectralBounds,
     pfbs,
     select_parameters,
@@ -146,11 +145,6 @@ def test_select_parameters_rejects_bad_inputs():
         select_parameters(SpectralBounds(0.1, 1.0), math.inf)
     with pytest.raises(ValueError, match="makes delta overflow"):
         select_parameters(SpectralBounds(0.1, 1.0), 1e308)  # 1e308 * 0.9 / 0.2 is not finite
-
-
-def test_solver_params_checks_beta_consistency():
-    with pytest.raises(ValueError):
-        SolverParams(delta=1.0, beta=0.6, mu=0.1, mu_interval=(0.0, 1.0))
 
 
 def test_pfbs_zero_data_fixed_point():
