@@ -168,10 +168,10 @@ def erowl_shrinker(params: ErowlParams):
 
     def shrink(p):
         x1, x2 = p
-        a1 = -x1 if x1 < 0 else x1
-        a2 = -x2 if x2 < 0 else x2
-        s1 = -1.0 if x1 < 0 else 1.0
-        s2 = -1.0 if x2 < 0 else 1.0
+        a1 = -x1 if x1 < 0.0 else x1
+        a2 = -x2 if x2 < 0.0 else x2
+        s1 = -1.0 if x1 < 0.0 else 1.0
+        s2 = -1.0 if x2 < 0.0 else 1.0
         r = region(a1, a2)
         if r is _TRIANGLE:
             m = (dp1 * (a1 + a2) + delta * w1) / dp2

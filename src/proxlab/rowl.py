@@ -35,7 +35,8 @@ def rowl_penalty(x, w):
     if x.ndim == 0 or x.shape[-1] != w.size:
         raise ValueError(f"x has shape {x.shape} but w has {w.size} components")
     a = np.sort(np.abs(x), axis=-1)[..., ::-1]
-    out = a @ w
+    with np.errstate(over="ignore"):  # a sum past the float range is an honest inf
+        out = a @ w
     if out.ndim == 0:
         return float(out)
     return out
@@ -84,15 +85,19 @@ def rowl_envelope_2d(x, w: WeightPair):
     a = np.abs(x)
     s1 = np.maximum(a[..., 0], a[..., 1])
     s2 = np.minimum(a[..., 0], a[..., 1])
-    base = w.w1 * s1 + w.w2 * s2
-    d = (s1 + w.w1) - (s2 + w.w2)
-    quad = 0.25 * d * d
-    inner = w.w1 * (s1 + s2) + s1 * s2
-    out = np.where(
-        s1 >= s2 + w.spread,
-        base,
-        np.where(s1 + s2 >= w.spread, base - quad, inner),
-    )
+    # Each regime is evaluated everywhere, so one may overflow where another is selected.
+    with np.errstate(over="ignore"):
+        base = w.w1 * s1 + w.w2 * s2
+        d = (s1 + w.w1) - (s2 + w.w2)
+        quad = 0.25 * d * d
+        # The bowl's 0 * inf (w1 = 0) comes only from an overflowed s1 + s2, where it is not selected.
+        with np.errstate(invalid="ignore"):
+            inner = w.w1 * (s1 + s2) + s1 * s2
+        out = np.where(
+            s1 >= s2 + w.spread,
+            base,
+            np.where(s1 + s2 >= w.spread, base - quad, inner),
+        )
     if out.ndim == 0:
         return float(out)
     return out
@@ -118,16 +123,16 @@ def rowl_shrinker(w: WeightPair):
     def shrink(p):
         x1, x2 = p
         a1, a2 = abs(x1), abs(x2)
-        s1 = -1.0 if x1 < 0 else 1.0
-        s2 = -1.0 if x2 < 0 else 1.0
+        s1 = -1.0 if x1 < 0.0 else 1.0
+        s2 = -1.0 if x2 < 0.0 else 1.0
         if a1 >= a2:
             lo, hi = w1, w2
         else:
             lo, hi = w2, w1
         y1 = a1 - lo
         y2 = a2 - hi
-        # A NaN fails `<= 0` and passes through, as in erowl_shrinker.
-        return (0.0 if y1 <= 0 else s1 * y1, 0.0 if y2 <= 0 else s2 * y2)
+        # A NaN fails `<= 0.0` and passes through, as in erowl_shrinker.
+        return (0.0 if y1 <= 0.0 else s1 * y1, 0.0 if y2 <= 0.0 else s2 * y2)
 
     # Lets pfbs run this arithmetic in its own loop (see solver.pfbs).
     shrink._pfbs_inline = ("rowl", shrink.__code__, w1, w2)

@@ -33,7 +33,7 @@ SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class FirmParams:
-    """Firm-shrinkage thresholds ``0 < lambda1 < lambda2``."""
+    """Firm-shrinkage thresholds ``0 < lambda1 < lambda2``, refused where the ramp can overflow."""
 
     lambda1: float
     lambda2: float
@@ -48,6 +48,9 @@ class FirmParams:
                 f"firm thresholds must satisfy 0 < lambda1 < lambda2, got "
                 f"({self.lambda1}, {self.lambda2})"
             )
+        # The ramp's product lambda2 * (|x| - lambda1) is largest at |x| = lambda2.
+        if not math.isfinite(self.lambda2 * (self.lambda2 - self.lambda1)):
+            raise ValueError(f"firm thresholds ({self.lambda1}, {self.lambda2}) overflow the ramp")
 
 
 def _maybe_scalar(x, out):
@@ -139,7 +142,7 @@ def _firm(x: float, lam1: float, lam2: float, gap: float) -> float:
     if a <= lam1:
         return 0.0
     if a <= lam2:
-        return (-1.0 if x < 0 else 1.0) * lam2 * (a - lam1) / gap
+        return (-1.0 if x < 0.0 else 1.0) * lam2 * (a - lam1) / gap
     return x
 
 

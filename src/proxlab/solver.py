@@ -246,9 +246,12 @@ def pfbs(
     on what a called shrinker returns.  The loop stays in this function's own
     frame, and ``iterations`` is its loop variable, advanced every iteration:
     a sampler may find the running solve through ``pfbs.__code__`` and read
-    that counter.
+    that counter.  Every zero the loop compares an iterate with is ``0.0``:
+    CPython 3.11 specializes a comparison only when both operands have one
+    type, and the float-with-int ``h1 < 0`` would take the generic path on
+    every iteration.
     """
-    if not (math.isfinite(mu) and mu > 0):
+    if not (math.isfinite(mu) and mu > 0.0):
         raise ValueError(f"mu must be positive and finite, got {mu!r}")
     mu = float(mu)
     max_iter = int(max_iter)
@@ -286,13 +289,13 @@ def pfbs(
             h2 = x2 - mu * (g12 * x1 + g22 * x2 - c2)
             # Each inline branch makes its factory closure's float operations, in its order.
             if kind == "erowl":
-                if h1 < 0:
+                if h1 < 0.0:
                     a1 = -h1
                     s1 = -1.0
                 else:
                     a1 = h1
                     s1 = 1.0
-                if h2 < 0:
+                if h2 < 0.0:
                     a2 = -h2
                     s2 = -1.0
                 else:
@@ -326,13 +329,13 @@ def pfbs(
                 n1, n2 = s1 * y1, s2 * y2
             elif kind == "rowl":
                 # -0.0 keeps its sign as a magnitude; it and abs's 0.0 clip alike.
-                if h1 < 0:
+                if h1 < 0.0:
                     a1 = -h1
                     s1 = -1.0
                 else:
                     a1 = h1
                     s1 = 1.0
-                if h2 < 0:
+                if h2 < 0.0:
                     a2 = -h2
                     s2 = -1.0
                 else:
@@ -344,21 +347,21 @@ def pfbs(
                 else:
                     y1 = a1 - w2
                     y2 = a2 - w1
-                n1 = 0.0 if y1 <= 0 else s1 * y1
-                n2 = 0.0 if y2 <= 0 else s2 * y2
+                n1 = 0.0 if y1 <= 0.0 else s1 * y1
+                n2 = 0.0 if y2 <= 0.0 else s2 * y2
             elif kind == "firm":
-                a1 = -h1 if h1 < 0 else h1
+                a1 = -h1 if h1 < 0.0 else h1
                 if a1 <= lam1:
                     n1 = 0.0
                 elif a1 <= lam2:
-                    n1 = (-1.0 if h1 < 0 else 1.0) * lam2 * (a1 - lam1) / gap
+                    n1 = (-1.0 if h1 < 0.0 else 1.0) * lam2 * (a1 - lam1) / gap
                 else:
                     n1 = h1
-                a2 = -h2 if h2 < 0 else h2
+                a2 = -h2 if h2 < 0.0 else h2
                 if a2 <= lam1:
                     n2 = 0.0
                 elif a2 <= lam2:
-                    n2 = (-1.0 if h2 < 0 else 1.0) * lam2 * (a2 - lam1) / gap
+                    n2 = (-1.0 if h2 < 0.0 else 1.0) * lam2 * (a2 - lam1) / gap
                 else:
                     n2 = h2
             else:

@@ -50,6 +50,12 @@ def test_prox_scalar_ops(capsys):
     assert rc == 0 and out.strip() == "0.5"
 
 
+def test_prox_firm_refuses_thresholds_whose_ramp_overflows(capsys):
+    # 3 lies on the ramp, whose true value there is 3; the overflowed product printed inf.
+    rc, out, err = run(capsys, "prox", "--op", "firm", "--x", "3", "--lambda1", "5e-324", "--lambda2", "1e308")
+    assert (rc, out) == (1, "") and "overflow the ramp" in err
+
+
 def test_usage_errors_exit_one(capsys):
     rc, _, err = run(capsys, "prox", "--op", "nope", "--x", "1")
     assert rc == 1 and "error" in err
@@ -121,6 +127,19 @@ def test_envelope_point_values(capsys):
     assert rc == 0 and float(out) == pytest.approx(0.9142135623730951)
     rc, _, err = run(capsys, "envelope", "--op", "l0")
     assert rc == 1 and "--x or --grid" in err
+
+
+@pytest.mark.parametrize("argv, value", [
+    # The bilinear regime is selected; the quadratic correction, also evaluated, overflows.
+    (("rowl", "--x", "0,0", "--w", "0,1e308"), "0.0"),
+    (("rowl", "--x", "1e308,-1e308", "--w", "0,1"), "1e+308"),
+    # The true value is past the float range, so inf is the honest answer.
+    (("rowl-raw", "--x", "1,1", "--w", "1e308,1e308"), "inf"),
+], ids=["rowl-bowl", "rowl-bowl-sum", "rowl-raw"])
+def test_envelope_point_value_leaks_no_overflow_warning(capsys, argv, value):
+    # pytest's filterwarnings = error turns a leaked RuntimeWarning into a failure.
+    rc, out, err = run(capsys, "envelope", "--op", *argv)
+    assert (rc, out.strip(), err) == (0, value, "")
 
 
 def test_envelope_grid_exports(tmp_path, capsys):

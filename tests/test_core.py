@@ -81,3 +81,17 @@ def test_scalar_prox_set_variants():
     assert iv.kind == "interval" and iv.points() == (-1.0, 3.0)
     assert iv.distance(0.0) <= 0.0 and iv.distance(4.0) == 1.0
     assert ProxSet.pair(1.0, 1.0).kind == "single"
+
+
+@pytest.mark.parametrize("kind, points", [
+    ("single", ()),
+    ("single", (1.0, 2.0)),
+    ("pair", (1.0, 1.0)),
+    ("segment", (Point2(1.0, 1.0), Point2(1.0, 1.0))),
+    ("interval", (0.0,)),
+    ("ball", (0.0,)),
+], ids=["single-empty", "single-two", "pair-coincident", "segment-coincident", "interval-one", "unknown-kind"])
+def test_prox_set_built_directly_refuses_a_malformed_kind_or_point_count(kind, points):
+    # The class methods never build these; the dataclass constructor is public.
+    with pytest.raises(ValueError, match="malformed"):
+        ProxSet(kind, points)

@@ -1,10 +1,11 @@
 import math
+import sys
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from proxlab.scalar_ops import (
     SQRT2,
@@ -141,6 +142,24 @@ def test_firm_params_validation():
         FirmParams(2.0, 1.0)
     with pytest.raises(ValueError):
         FirmParams(0.0, 1.0)
+
+
+positive = st.floats(min_value=0.0, max_value=sys.float_info.max, exclude_min=True)
+
+
+@given(positive, positive, st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=500)
+@example(5e-324, 1e308, 3.0)  # lambda2 * (|x| - lambda1) overflowed: firm printed inf for 3
+def test_firm_thresholds_either_are_refused_or_give_a_finite_ramp(u, v, x):
+    try:
+        params = FirmParams(min(u, v), max(u, v))
+    except ValueError as exc:
+        assert u == v or "overflow the ramp" in str(exc)
+        return
+    # |x| = lambda2 is the top of the ramp, where its product is largest.
+    points = [x, params.lambda2, -params.lambda2, math.nextafter(params.lambda2, 0.0)]
+    got = [*firm(np.array(points), params), *firm_shrinker(params)((x, params.lambda2))]
+    assert all(map(math.isfinite, got)), (params, points, got)
 
 
 def test_firm_monotone_and_lipschitz():

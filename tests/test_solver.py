@@ -1,3 +1,4 @@
+import dis
 import functools
 import math
 import struct
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from proxlab.core import Point2, WeightPair
-from proxlab.erowl import ErowlParams, erowl_shrinker
+from proxlab.erowl import ErowlParams, _region_test, erowl_shrinker
 from proxlab.experiments import ScenarioConfig, firm_rule, fixed_design_matrix, generate_model
 from proxlab.rng import Xoshiro256pp, stream
 from proxlab.rowl import rowl_shrinker
-from proxlab.scalar_ops import FirmParams, firm_shrinker, soft
+from proxlab.scalar_ops import FirmParams, _firm, firm_shrinker, soft
 from proxlab.solver import (
     CYCLE_BLOCK,
     DEFAULT_TOL,
@@ -556,6 +557,39 @@ def test_inline_solves_match_the_call_path_bit_for_bit(case):
     mu = kwargs.pop("mu")
     for record_trace in (False, True):
         _assert_inline_matches_call(model, shrink, mu, record_trace=record_trace, **kwargs)
+
+
+def _int_compared(instructions) -> list[str]:
+    """Each comparison among ``instructions`` that has an ``int`` constant operand, as ``"line: op"``.
+
+    The constant is the right operand (``x < 0``), or the left one when a plain
+    load comes between it and the comparison (``0 < x``).
+    """
+    loads = {"LOAD_FAST", "LOAD_DEREF", "LOAD_GLOBAL", "LOAD_CONST", "LOAD_SMALL_INT"}
+    found = []
+    for i, op in enumerate(instructions):
+        if op.opname != "COMPARE_OP":
+            continue
+        operands = instructions[i - 2:i] if instructions[i - 1].opname in loads else instructions[i - 1:i]
+        if any(o.opname in ("LOAD_CONST", "LOAD_SMALL_INT") and type(o.argval) is int for o in operands):
+            found.append(f"{op.positions.lineno}: {op.argrepr}")
+    return found
+
+
+def test_the_per_iteration_comparisons_have_no_int_operand():
+    # CPython 3.11 specializes a comparison only when both operands have one
+    # type; a float compared with an int constant takes the generic path every time.
+    # pfbs's prologue (max_iter < 1 compares two ints) runs before its loop.
+    def sample(x, n):
+        return x < 0, 0 <= x, x < 0.0, n == x, n < 1.5
+
+    assert len(_int_compared(list(dis.get_instructions(sample)))) == 2
+    body = list(dis.get_instructions(pfbs))
+    body = body[next(i for i, op in enumerate(body) if op.opname == "FOR_ITER"):]
+    kernels = {"pfbs loop": body, "_firm": list(dis.get_instructions(_firm)),
+               "erowl region": list(dis.get_instructions(_region_test(ErowlParams(WeightPair(0.0, 1.0), 1.0))))}
+    kernels.update((f"{kind} closure", list(dis.get_instructions(shrink))) for kind, shrink in SHRINKERS.items())
+    assert {name: _int_compared(ins) for name, ins in kernels.items()} == dict.fromkeys(kernels, [])
 
 
 def _cycling_rowl_case():
