@@ -85,19 +85,28 @@ def rowl_envelope_2d(x, w: WeightPair):
     a = np.abs(x)
     s1 = np.maximum(a[..., 0], a[..., 1])
     s2 = np.minimum(a[..., 0], a[..., 1])
-    # Each regime is evaluated everywhere, so one may overflow where another is selected.
-    with np.errstate(over="ignore"):
+    # Each regime is evaluated everywhere, so one may overflow where another
+    # is selected.  The bowl's 0 * inf (w1 = 0) comes only from an overflowed
+    # s1 + s2, where it is not selected.
+    with np.errstate(over="ignore", invalid="ignore"):
         base = w.w1 * s1 + w.w2 * s2
         d = (s1 + w.w1) - (s2 + w.w2)
         quad = 0.25 * d * d
-        # The bowl's 0 * inf (w1 = 0) comes only from an overflowed s1 + s2, where it is not selected.
-        with np.errstate(invalid="ignore"):
-            inner = w.w1 * (s1 + s2) + s1 * s2
-        out = np.where(
-            s1 >= s2 + w.spread,
-            base,
-            np.where(s1 + s2 >= w.spread, base - quad, inner),
-        )
+        inner = w.w1 * (s1 + s2) + s1 * s2
+        tail = s1 >= s2 + w.spread
+        middle = s1 + s2 >= w.spread
+        out = np.where(tail, base, np.where(middle, base - quad, inner))
+    # When the spread's square overflows, so can the selected middle regime,
+    # to inf or to inf - inf = NaN, where its value is finite or inf.  The
+    # envelope is homogeneous of degree 2 in (x, w) jointly, so there it is
+    # evaluated at (x, w) / 2**513, where nothing overflows, and scaled back.
+    if w.spread * w.spread == np.inf:
+        redo = middle & ~tail & ~np.isfinite(out)
+        if redo.any():
+            scaled = WeightPair(w.w1 * 2.0 ** -513, w.w2 * 2.0 ** -513)
+            with np.errstate(over="ignore"):
+                part = rowl_envelope_2d(x[redo] * 2.0 ** -513, scaled)
+                out[redo] = part * 2.0 ** 513 * 2.0 ** 513
     if out.ndim == 0:
         return float(out)
     return out

@@ -1,11 +1,12 @@
 """Grid-based convex-analysis machinery: conjugates, envelopes, prox oracles.
 
 Everything here is deliberately independent of the closed forms elsewhere in
-the package, so it can serve as an oracle against them: a naive grid Legendre
-transform, the weakly convex envelope built from a double conjugation, an
-exhaustive grid prox search with cluster detection, and the linear map of a
-filled graph that converts a scalar shrinkage operator into its relaxed
-counterpart.
+the package, so it can serve as an oracle against them: a grid Legendre
+transform that gives the bits of the brute-force maximum over every grid
+point while scoring only a window of the points that can hold it, the weakly
+convex envelope built from a double conjugation, an exhaustive grid prox
+search with cluster detection, and the linear map of a filled graph that
+converts a scalar shrinkage operator into its relaxed counterpart.
 """
 from __future__ import annotations
 
@@ -129,18 +130,180 @@ class SampledFunction:
         return cls(grid, np.asarray(fn(grid.mesh()), dtype=float))
 
 
-def _conjugate_lines(xs: np.ndarray, vals: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Row-wise discrete Legendre transform: ``out[b, j] = max_i xs[i]*us[j] - vals[b, i]``."""
+# A score block of at most 65,536 doubles (512 KB) stays in a 2 MiB per-core
+# L2 cache; a block of whole rows may reach ``vals.size`` doubles.
+_BLOCK = 65_536
+# Every 16th dual is an anchor, scored in full; each dual between two anchors
+# scores a window of 20 primal points.
+_ANCHOR_STRIDE = 16
+_WINDOW = 20
+
+
+def _scores(xs: np.ndarray, vals: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """The score block ``fl(fl(xs[i]*us[j]) - vals[r, i])``, indexed ``[r, j, i]``."""
+    return xs[None, None, :] * us[None, :, None] - vals[:, None, :]
+
+
+def _brute_force_max(xs: np.ndarray, vals: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """``np.max`` of every score, in blocks of whole rows chunked over ``us``.
+
+    With all of ``vals`` the rows keep the layout of one unchunked block, so
+    even a zero maximum reached with both signs gets its sign bit.
+    """
     b, n = vals.shape
     out = np.empty((b, us.size))
-    # A score block of at most 65,536 doubles (512 KB) stays in a 2 MiB
-    # per-core L2 cache; the maximum is exact, so the chunking never changes
-    # a bit of the result.
-    chunk = max(1, 65_536 // max(b * n, 1))
+    chunk = max(1, _BLOCK // max(b * n, 1))
     for j0 in range(0, us.size, chunk):
-        uj = us[j0:j0 + chunk]
-        scores = xs[None, None, :] * uj[None, :, None] - vals[:, None, :]
-        out[:, j0:j0 + chunk] = np.max(scores, axis=2)
+        out[:, j0:j0 + chunk] = np.max(_scores(xs, vals, us[j0:j0 + chunk]), axis=2)
+    return out
+
+
+def _window_margin(xs: np.ndarray, vals: np.ndarray, us: np.ndarray) -> float | None:
+    """The near-max margin ``M = 64 * 2**-53 * S``, or None where the window proof fails.
+
+    ``S = max|x| * max|u| + max finite |v|`` bounds every product and every
+    finite score.  The proof needs sorted grids (a NaN fails the test),
+    ``vals`` free of NaN and -inf, and ``2**-960 <= S < 2**1020``: then no
+    score overflows, and an underflow's absolute error (at most ``2**-1075``)
+    vanishes against ``S``.
+    """
+    if not (np.all(xs[1:] >= xs[:-1]) and np.all(us[1:] >= us[:-1])):
+        return None
+    lowest = np.min(vals, initial=np.inf)
+    highest = np.max(vals, initial=-np.inf, where=vals < np.inf)
+    if not lowest > -np.inf:
+        return None
+    with np.errstate(over="ignore"):  # an S past the float range fails the test below
+        size = max(-xs[0], xs[-1]) * max(-us[0], us[-1]) + max(abs(lowest), abs(highest))
+    if not 2.0 ** -960 <= size < 2.0 ** 1020:
+        return None
+    return 64.0 * 2.0 ** -53 * size
+
+
+def _maxima(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maxima of ``scores`` over its last axis, and where one is a zero both +0.0 and -0.0 reach.
+
+    ``np.max`` picks between equal signed zeros by their position in its
+    reduction, so only a block in the reference's layout gives such a bit.
+    """
+    top = np.max(scores, axis=-1)
+    mixed = top == 0.0
+    if mixed.any():
+        tied = scores[mixed]
+        neg = np.signbit(tied)
+        tied = tied == 0.0
+        mixed[mixed] = np.any(tied & neg, axis=1) & np.any(tied & ~neg, axis=1)
+    return top, mixed
+
+
+def _anchor_spans(xs: np.ndarray, vals: np.ndarray, ua: np.ndarray, margin: float):
+    """Maxima at the anchor duals ``ua``, and the first and last index of each near-max set."""
+    b, n = vals.shape
+    top = np.empty((b, ua.size))
+    first = np.empty((b, ua.size), dtype=np.intp)
+    last = np.empty_like(first)
+    chunk = max(1, _BLOCK // (b * n))
+    for k0 in range(0, ua.size, chunk):
+        scores = _scores(xs, vals, ua[k0:k0 + chunk])
+        block = np.max(scores, axis=2)
+        top[:, k0:k0 + chunk] = block
+        # Each (row, anchor) reaches its own maximum, so it owns at least one
+        # index of ``near``; its first and last index bound the set.
+        near = np.flatnonzero(scores >= (block - margin)[:, :, None])
+        owner = near // n
+        cut = np.flatnonzero(owner[1:] != owner[:-1])
+        first[:, k0:k0 + chunk] = (near[np.r_[0, cut + 1]] % n).reshape(b, -1)
+        last[:, k0:k0 + chunk] = (near[np.r_[cut, near.size - 1]] % n).reshape(b, -1)
+    return top, first, last
+
+
+def _window_maxima(xs: np.ndarray, vals: np.ndarray, us: np.ndarray, rows, cols, js):
+    """:func:`_maxima` over windows: ``rows`` is (pair,), ``cols`` (lag, pair), ``js`` (dual, pair).
+
+    The block is laid out (dual, lag, pair), so the pairs axis is the long
+    inner loop of each operation.
+    """
+    scores = xs[cols][None] * us[js][:, None]
+    scores -= vals[rows, cols][None]
+    return _maxima(scores.transpose(0, 2, 1))
+
+
+def _conjugate_lines(xs: np.ndarray, vals: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Row-wise discrete Legendre transform: ``out[r, j] = max_i xs[i]*us[j] - vals[r, i]``.
+
+    The result is bit for bit ``np.max`` over one unchunked block of all the
+    scores ``s_i(u) = fl(fl(xs[i]*u) - vals[r, i])``, but most scores are
+    never computed.  Anchor duals (every 16th, and the last) are scored in
+    full.  At an anchor ``a`` the near-max set holds the indices with
+    ``s_i(u_a) >= fl(max_k s_k(u_a) - M)``, ``M = 64 * 2**-53 * S`` (see
+    :func:`_window_margin`); ``L_a`` and ``R_a`` are its first and last index.
+    A dual strictly between anchors ``a < c`` scores only ``[L_a, R_c]``.
+
+    Why that window holds the maximum and every score equal to it.  Let
+    ``t_i(u) = xs[i]*u - vals[r, i]`` exactly.  Each finite computed score
+    is within ``e = 2.01 * 2**-53 * S`` of it: two roundings, of a product
+    and of a difference, each at most ``(1 + 2**-52) * S`` in size.  Take
+    ``i < L_a`` and the computed argmax ``k >= L_a`` at ``u_a``.  Rounding
+    ``max - M`` moves it by at most ``2**-52 * S``, so ``s_i(u_a) < s_k(u_a)
+    - M + 2**-52 * S``, and ``t_k(u_a) - t_i(u_a) > M - 2**-52 * S - 2e``.
+    In exact arithmetic ``t_k(u) - t_i(u)`` is linear in ``u`` with slope
+    ``xs[k] - xs[i] >= 0``, as ``xs`` is nondecreasing; ``us`` is
+    nondecreasing, so ``u >= u_a`` and the bound holds at ``u`` too.  Then
+    ``s_k(u) - s_i(u) > M - 2**-52 * S - 4e > 53 * 2**-53 * S > 0``: ``i``
+    scores strictly below the maximum.  ``i > R_c`` is the mirror case at
+    ``u_c``.  An index with ``vals = +inf`` scores -inf and never reaches a
+    finite maximum; a row whose maximum is -inf is all near-max.
+
+    Each window is 20 wide and starts at ``min(L_a, n - 20)``; its extra
+    indices score strictly below the maximum too.  One brute-force block
+    serves three cases: rows whose ``[L_a, R_c]`` is wider (the argmax jumps
+    between the anchors); duals where a window's maximum is a zero reached
+    by both +0.0 and -0.0, which :func:`_maxima` finds and the whole
+    column is rescored for; and whole calls that the proof does not cover
+    or with ``n <= 20``.  Every temporary stays within ``max(vals.size,
+    65,536)`` doubles.
+    """
+    b, n = vals.shape
+    m = us.size
+    anchors = np.minimum(np.arange(0, m + _ANCHOR_STRIDE - 1, _ANCHOR_STRIDE), m - 1)
+    margin = _window_margin(xs, vals, us) if n > _WINDOW and anchors.size < m else None
+    if margin is None:
+        return _brute_force_max(xs, vals, us)
+    out = np.empty((b, m))
+    out[:, anchors], first, last = _anchor_spans(xs, vals, us[anchors], margin)
+
+    # Gap g runs strictly between anchors g and g + 1; a short last gap
+    # repeats its last dual, which writes the same bits twice.
+    span = np.arange(1, _ANCHOR_STRIDE)
+    gaps = np.flatnonzero(np.diff(anchors) > 1)
+    duals = np.minimum(anchors[gaps, None] + span, anchors[gaps + 1, None] - 1)
+    start = np.minimum(first[:, gaps], n - _WINDOW)
+    fits = last[:, gaps + 1] - start < _WINDOW
+    flat_out = out.reshape(-1)
+    rescore = np.zeros(m, dtype=bool)
+
+    rows, gap = np.nonzero(fits)
+    lag = np.arange(_WINDOW)[:, None]
+    per_block = _BLOCK // (2 * span.size * _WINDOW)
+    for p0 in range(0, rows.size, per_block):
+        r, g = rows[p0:p0 + per_block], gap[p0:p0 + per_block]
+        js = duals[g].T
+        top, mixed = _window_maxima(xs, vals, us, r, start[r, g] + lag, js)
+        flat_out[r * m + js] = top
+        rescore[js[mixed]] = True
+
+    per_block = max(1, _BLOCK // (span.size * n))
+    for g, js in enumerate(duals):
+        wide = np.flatnonzero(~fits[:, g])
+        for p0 in range(0, wide.size, per_block):
+            r = wide[p0:p0 + per_block]
+            top, mixed = _maxima(_scores(xs, vals[r], us[js]))
+            flat_out[r[:, None] * m + js] = top
+            rescore[js[mixed.any(axis=0)]] = True
+
+    cols = np.flatnonzero(rescore)
+    if cols.size:
+        out[:, cols] = _brute_force_max(xs, vals, us[cols])
     return out
 
 

@@ -135,7 +135,11 @@ def test_envelope_point_values(capsys):
     (("rowl", "--x", "1e308,-1e308", "--w", "0,1"), "1e+308"),
     # The true value is past the float range, so inf is the honest answer.
     (("rowl-raw", "--x", "1,1", "--w", "1e308,1e308"), "inf"),
-], ids=["rowl-bowl", "rowl-bowl-sum", "rowl-raw"])
+    # The selected quadratic regime overflows to inf - inf; the envelope is rescaled.
+    (("rowl", "--x", "1e308,1e308", "--w", "0,1e308"), "inf"),
+    # The tail regime is selected; the quadratic one, also evaluated, is inf - inf.
+    (("rowl", "--x", "1e308,0", "--w", "10,20"), "inf"),
+], ids=["rowl-bowl", "rowl-bowl-sum", "rowl-raw", "rowl-middle-nan", "rowl-tail-inf"])
 def test_envelope_point_value_leaks_no_overflow_warning(capsys, argv, value):
     # pytest's filterwarnings = error turns a leaked RuntimeWarning into a failure.
     rc, out, err = run(capsys, "envelope", "--op", *argv)

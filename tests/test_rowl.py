@@ -36,6 +36,9 @@ def test_penalty_accepts_any_length_but_validates_weights():
         rowl_penalty([1.0, 2.0], [-1.0, 1.0])
     with pytest.raises(ValueError):
         rowl_penalty([1.0, 2.0, 3.0], [0.0, 1.0])  # length mismatch
+    for w in ([], [[0.0, 1.0]]):
+        with pytest.raises(ValueError, match="nonempty 1-D weight vector"):
+            rowl_penalty([1.0, 2.0], w)
 
 
 @given(coord, coord)
@@ -127,6 +130,21 @@ def test_envelope_continuous_across_regions():
         lo = rowl_envelope_2d([s1 - eps, s2], w)
         hi = rowl_envelope_2d([s1 + eps, s2], w)
         assert abs(hi - lo) < 1e-7
+
+
+@pytest.mark.parametrize("x, w, value", [
+    # The unselected middle regime is inf - inf; the bowl's honest value overflows.
+    ([3e154, 1e154], WeightPair(0.0, 1e155), math.inf),
+    # The selected middle regime overflows to inf - inf; its value is past the float range.
+    ([1e308, 1e308], WeightPair(0.0, 1e308), math.inf),
+    # The selected middle regime overflows to inf, though its value, 1e308, is finite.
+    ([1e154, -1e154], WeightPair(0.0, 2e154), pytest.approx(1e308, rel=1e-15)),
+], ids=["bowl", "middle-nan", "middle-finite"])
+def test_envelope_keeps_an_overflowed_regime_out_of_its_value(x, w, value):
+    # pytest's filterwarnings = error turns a leaked RuntimeWarning into a failure.
+    assert rowl_envelope_2d(x, w) == value
+    batch = rowl_envelope_2d(np.array([x, [0.0, 0.0], [1.0, 1.0]]), w)
+    assert batch[0] == value and batch[1] == 0.0 and batch[2] == rowl_envelope_2d([1.0, 1.0], w)
 
 
 def test_envelope_prox_examples():

@@ -2,9 +2,11 @@ import collections
 import hashlib
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from proxlab import transform
 from proxlab.core import Point2, ProxSet, WeightPair
@@ -46,6 +48,9 @@ def test_axis_validation_and_points():
         Axis(0.0, 1e10, 1e-300)  # too many steps to count
     with pytest.raises(ValueError, match="finite and integral"):
         Axis(-1e308, 1e308, 1.0)  # the span itself overflows
+    for bounds in ((0.0, math.inf, 1.0), (math.nan, 1.0, 0.5), (0.0, 1.0, math.inf)):
+        with pytest.raises(ValueError, match="bounds and step must be finite"):
+            Axis(*bounds)
 
 
 def test_gridspec_shapes():
@@ -57,6 +62,10 @@ def test_gridspec_shapes():
     box = GridSpec((Axis(0.0, 1.0, 0.5), Axis(0.0, 2.0, 1.0)))
     assert box.shape == (3, 3)
     assert box.max_step == 1.0
+    ax = Axis(0.0, 1.0, 0.5)
+    for axes in ((), (ax, ax, ax)):
+        with pytest.raises(ValueError, match="1 or 2 axes"):
+            GridSpec(axes)
 
 
 def _value_at(f: SampledFunction, x: float) -> float:
@@ -75,6 +84,9 @@ def test_sampled_function_interpolates():
         _value_at(f, 1.5)
     with pytest.raises(ValueError):
         SampledFunction(GridSpec.line(0.0, 1.0, 0.5), np.zeros(5))
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="> -inf and not NaN"):
+            SampledFunction(GridSpec.line(0.0, 1.0, 0.5), np.array([0.0, bad, 0.0]))
 
 
 # ---------------------------------------------------------- conjugation
@@ -189,6 +201,114 @@ def test_conjugate_box_matches_unchunked_reference_bit_for_bit():
     assert _same_bits(got.values, ref)
 
 
+def _case(xs, rows, us, fortran=False):
+    vals = np.array(rows, dtype=float).reshape(-1, len(xs))
+    # The second pass of a box transform gets its rows as a transposed view.
+    if fortran:
+        vals = np.asfortranarray(vals)
+    return np.asarray(xs, dtype=float), vals, np.asarray(us, dtype=float)
+
+
+@st.composite
+def _conjugate_cases(draw):
+    """Sorted eighth-step grids, repeats allowed, and rows built to tie.
+
+    Every product and difference is exact, so maxima tie often, signed zeros
+    included.  A row is a parabola with a few runs set to one value or +inf:
+    plateaus, kinks where the argmax jumps, and holes in the domain.
+    """
+    eighths = st.integers(-64, 64)
+    n, m = draw(st.integers(1, 90)), draw(st.integers(1, 90))
+    xs = np.sort(draw(st.lists(eighths, min_size=n, max_size=n))) / 8.0
+    us = np.sort(draw(st.lists(eighths, min_size=m, max_size=m))) / 8.0
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        curve = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+        row = curve * xs * xs + draw(st.sampled_from([0.0, 1.0, -0.5]))
+        for _ in range(draw(st.integers(0, 4))):
+            i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2)))
+            row[i:j + 1] = draw(st.sampled_from([0.0, -1.0, 0.5, 2.0, np.inf]))
+        rows.append(row)
+    return _case(xs, rows, us, draw(st.booleans()))
+
+
+_X81 = np.arange(-40, 41) / 8.0
+_U61 = np.arange(-30, 31) / 8.0
+_XZ = np.arange(-30, 31) / 10.0        # holds 0.0 exactly
+_UZ = np.arange(-25, 26) / 10.0        # holds 0.0 at index 25, between two anchors
+_PLATEAU = np.where(np.abs(_XZ) <= 1.0, 0.0, 1.0 + _XZ * _XZ)
+_XS_WIDE = np.arange(-60, 61) / 20.0
+_I40 = np.arange(40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_conjugate_cases())
+# +inf entries, and a row that is +inf everywhere.
+@example(case=_case(_X81, [np.where(np.abs(_X81) <= 3.0, 0.5 * _X81 ** 2, np.inf),
+                           np.full(81, np.inf), np.abs(_X81)], _U61))
+# Affine rows, and rows constant on an interval: near-ties everywhere.
+@example(case=_case(_X81, [0.5 * _X81 + 1.0, np.where(np.abs(_X81) <= 2.0, 1.0, _X81 ** 2)], _U61))
+# Kinked rows: the l0 penalty plus a parabola, whose argmax jumps at u = +-sqrt(2).
+@example(case=_case(_XS_WIDE, [0.5 * _XS_WIDE ** 2 + (_XS_WIDE != 0.0), np.abs(_XS_WIDE) ** 3],
+                    _XS_WIDE, fortran=True))
+# u = 0.0 over a zero-valued interval: the maximum is reached by -0.0 (x < 0) and +0.0.
+@example(case=_case(_XZ, [_PLATEAU], _UZ))
+@example(case=_case(_XZ, [np.roll(_PLATEAU, k) for k in range(-5, 6)], _UZ, fortran=True))
+# The argmax jumps across a plateau at u = 0, so the rows are wider than a
+# window; -0.0 fills x < 0 and +0.0 the rest.  Transposed rows pick the sign
+# in another order than a block of whole contiguous rows does.
+@example(case=_case(_XZ, [np.where((_XZ >= -2.5) & (_XZ <= 0.1), 0.0, 9.0)] * 3, _UZ, fortran=True))
+# A dual grid wider than the primal one.
+@example(case=_case(_X81[::2], [_X81[::2] ** 2], np.arange(-60, 61) / 8.0))
+# A single row, and rows shorter than a window.
+@example(case=_case(_X81, [_X81 ** 2], _U61))
+@example(case=_case(_X81[:15], [_X81[:15] ** 2, -_X81[:15]], _U61))
+# S near 1e300 takes the windows; near the float range it takes the brute force.
+@example(case=_case(_X81 * 1e149, [1e300 * (_X81 / 5.0) ** 2], _U61 * 1e150))
+@example(case=_case(_X81 * 1e153, [1e306 * (_X81 / 5.0) ** 2], _U61 * 1e153))
+# Two points one ulp apart whose scores trade places by rounding between two
+# anchors; without a margin the window would leave out the winner.
+@example(case=_case(np.repeat([1.1140366758243674, 1.1140366758243676], [30, 10]),
+                    [np.where(_I40 == 5, 0.0, np.where(_I40 == 35, 1.7053025658242404e-13, 1e6))],
+                    [514.9385446563921] + [518.0975786235591] * 15 + [525.5262061156135]))
+# S itself overflows, though no score does: the brute force takes it.
+@example(case=_case(np.arange(41) * 2.5e152, [np.where(np.arange(41) % 7 == 0, 1.5e308, 0.0)],
+                    np.arange(61) * (1e154 / 60)))
+# Grids out of order, and NaN or -inf samples: the window proof does not apply.
+@example(case=_case(_X81[::-1], [_X81 ** 2], _U61))
+@example(case=_case(_X81, [_X81 ** 2], _U61[::-1]))
+@example(case=_case(_X81, [np.where(_X81 == 1.0, np.nan, _X81 ** 2),
+                           np.where(_X81 == -1.0, -np.inf, _X81 ** 2)], _U61))
+# Repeated primal points with different values.
+@example(case=_case(np.repeat(_X81, 2), [np.repeat(_X81 ** 2, 2) + np.tile([0.0, 0.25], 81)], _U61))
+def test_conjugate_lines_matches_reference_bit_for_bit(case):
+    xs, vals, us = case
+    assert _same_bits(transform._conjugate_lines(xs, vals, us), _conjugate_reference(xs, vals, us))
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that ``fn()`` allocates, after a first call has warmed any lazy import."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("grid, penalty, bound_mb", [
+    # The oracle's envelope grid: 241 x 241 samples, whose own arrays make up
+    # most of the 3.8 MB that the brute-force kernel peaked at.
+    (GridSpec.square(-6.0, 6.0, 0.05), lambda z: rowl_penalty(z, W02.as_array()), 4.0),
+    # 1201 samples on a line; the brute-force kernel peaked at 1.67 MB.
+    (GridSpec.line(-6.0, 6.0, 0.01), l0_norm, 1.75),
+], ids=["rowl-box", "l0-line"])
+def test_envelope_grid_peak_memory_stays_near_one_score_block(grid, penalty, bound_mb):
+    f = SampledFunction.sample(grid, penalty)
+    assert _traced_peak(lambda: weakly_convex_envelope_grid(f)) <= bound_mb * 1e6
+
+
 def test_conjugate_rejects_dimension_mismatch_and_empty_domain():
     f = SampledFunction.sample(GridSpec.line(-1.0, 1.0, 0.5), np.abs)
     with pytest.raises(ValueError):
@@ -249,6 +369,17 @@ def test_brute_force_prox_scalar_reports_a_nan_objective():
         brute_force_prox(nan_at_7, 1.0, 1.0, box)
     with pytest.raises(ValueError, match="objective has a NaN cell"):
         brute_force_prox(l0_norm, math.nan, 1.0, box)
+
+
+def test_brute_force_prox_scalar_refuses_three_minimizer_clusters():
+    box = GridSpec.line(-3.0, 3.0, 0.5)
+
+    def three_wells(y):
+        # The objective is exactly 0 at -1, 0 and 1, and 1 elsewhere.
+        return np.where(np.isin(y, (-1.0, 0.0, 1.0)), 0.0, 1.0) - y * y / 2.0
+
+    with pytest.raises(ValueError, match="found 3 optimizer clusters"):
+        brute_force_prox(three_wells, 0.0, 1.0, box)
 
 
 class _Counting:
@@ -696,6 +827,9 @@ def test_graph_inversion_rejects_bad_arguments():
         convert_1d(g, 0.0, 1.0)
     with pytest.raises(ValueError):
         convert_1d(g, 1.0, 1e7)
+    for q in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="q must be finite"):
+            convert_1d(g, 1.0, q)
 
 
 # ----------------------------------------------------- inclusion oracles
