@@ -13,10 +13,12 @@ The scenario decides the design.  B and C run through one function
 (``scenario_c`` is ``scenario_b``) and one trial worker.  Every trial draws
 from its own counter-based stream keyed by ``(seed, scenario, trial)``, so
 record sets are bitwise reproducible under any trial order.  An A or B run
-builds its one fixed design record (bounds, parameters, shrinkers) once; a C
-trial builds its own.  A trial draws its unit noise once and reuses it in each
-of its (SNR, x1) cells.  Output files are plain CSV with 17-significant-digit
-decimals plus a ``meta.json`` of the resolved setup.
+builds its one fixed design record (bounds, step, relaxation, shrinkers) once;
+a C trial builds its own.  A trial draws its unit noise once and reuses it in
+each of its (SNR, x1) cells.  Each cell's model is built by the one
+``LinearModel`` constructor on the path :func:`generate_model` takes, so it is
+the model that function draws for the cell.  Output files are plain CSV with
+17-significant-digit decimals plus a ``meta.json`` of the resolved setup.
 """
 from __future__ import annotations
 
@@ -41,9 +43,7 @@ from .solver import (
     DEFAULT_TOL,
     LinearModel,
     PfbsResult,
-    SolverParams,
     SpectralBounds,
-    _design_sums,
     _interpolated_step,
     pfbs,
     select_parameters,
@@ -214,16 +214,15 @@ def system_mismatch(x_hat, x_true) -> float:
 
 
 class _Design(NamedTuple):
-    """A design and all a run derives from it: ``A``'s rows and ``A^T A`` sums, the spectral bounds,
-    the selected parameters, the step ``mu`` of ROWL and eROWL (the override when one is set) and
-    each SNR's ``(method, shrinker, step)`` runs."""
+    """A design and all a run derives from it: ``A`` and its rows, the spectral bounds, the step
+    ``mu`` of ROWL and eROWL and the relaxation ``delta`` of eROWL (each the selected one or the
+    override when one is set), and each SNR's ``(method, shrinker, step)`` runs."""
 
     a: np.ndarray
     rows: list
-    sums: tuple[float, float, float]
     bounds: SpectralBounds
-    params: SolverParams
     mu: float
+    delta: float
     runs: dict
 
 
@@ -239,8 +238,7 @@ def _design(cfg: ScenarioConfig, a: np.ndarray, bounds: SpectralBounds) -> _Desi
         firm = (("firm", firm_shrinker(fp), mu_f),)
     runs = {snr_db: (("ROWL", rowl_shrinker((cfg.rowl_w_by_snr or {}).get(snr_db, cfg.w_rowl)), mu), erowl, *firm)
             for snr_db in cfg.snr_list_db}
-    rows = a.tolist()
-    return _Design(a, rows, _design_sums(rows), bounds, params, mu, runs)
+    return _Design(a, a.tolist(), bounds, mu, delta, runs)
 
 
 def _fixed_design(cfg: ScenarioConfig) -> _Design | None:
@@ -290,8 +288,7 @@ def _observations(rows: list, noise: list[float], snr_db: float, x_true: Point2)
 
 def _cell_model(design: _Design, noise: list[float], snr_db: float, x_true: Point2) -> LinearModel:
     """The model of one (SNR, ``x_true``) cell on ``design`` with the trial's unit ``noise``."""
-    y = _observations(design.rows, noise, snr_db, x_true)
-    return LinearModel._on_design(design.a, design.rows, design.sums, y, x_true)
+    return LinearModel(design.a, _observations(design.rows, noise, snr_db, x_true), x_true)
 
 
 def generate_model(cfg: ScenarioConfig, trial_index: int, snr_db: float) -> LinearModel:
@@ -305,7 +302,7 @@ def generate_model(cfg: ScenarioConfig, trial_index: int, snr_db: float) -> Line
     selected as in a run, so a config no run can take raises the run's ``ValueError``.
     """
     design, _, noise = _draw_trial(cfg, trial_index, _fixed_design(cfg))
-    return LinearModel(design.a, np.array(_observations(design.rows, noise, snr_db, cfg.x_true)), cfg.x_true)
+    return _cell_model(design, noise, snr_db, cfg.x_true)
 
 
 def _least_squares(model: LinearModel) -> Point2:
@@ -493,13 +490,14 @@ def _jsonable(v):
 
 
 def _write_meta(cfg: ScenarioConfig, design: _Design | None, resampled: int) -> None:
-    """``meta.json``: the config and, for a run on one design, its bounds, selected parameters and step."""
+    """``meta.json``: the config and, for a run on one design, its bounds and the ``delta`` (with its
+    ``beta``) and step ``mu`` the solves ran with."""
     derived: dict = {"resampled_trials": resampled}
     if design is not None:
-        derived.update(rho=design.bounds.rho, kappa=design.bounds.kappa, delta=design.params.delta,
-                       beta=design.params.beta, mu=design.mu)
+        derived.update(rho=design.bounds.rho, kappa=design.bounds.kappa, delta=design.delta,
+                       beta=design.delta / (1.0 + design.delta), mu=design.mu)
     meta = {
-        "schema": 3,
+        "schema": 4,
         "scenario": cfg.scenario,
         "config": _jsonable({**dataclasses.asdict(cfg), "tol": cfg.tol,
                              "max_iter": cfg.max_iter, "firm_lambda2": cfg.firm_lambda2}),

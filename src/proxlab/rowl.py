@@ -96,11 +96,14 @@ def rowl_envelope_2d(x, w: WeightPair):
         tail = s1 >= s2 + w.spread
         middle = s1 + s2 >= w.spread
         out = np.where(tail, base, np.where(middle, base - quad, inner))
-    # When the spread's square overflows, so can the selected middle regime,
-    # to inf or to inf - inf = NaN, where its value is finite or inf.  The
-    # envelope is homogeneous of degree 2 in (x, w) jointly, so there it is
-    # evaluated at (x, w) / 2**513, where nothing overflows, and scaled back.
-    if w.spread * w.spread == np.inf:
+        # A non-finite entry makes the sum non-finite; a sum that overflows
+        # on finite entries costs only the empty mask below.
+        overflowed = not np.isfinite(out.sum())
+    # The selected middle regime can overflow, in base or in quad, to inf or
+    # to inf - inf = NaN, where its value is finite or inf.  The envelope is
+    # homogeneous of degree 2 in (x, w) jointly, so there it is evaluated at
+    # (x, w) / 2**513, where nothing overflows, and scaled back.
+    if overflowed:
         redo = middle & ~tail & ~np.isfinite(out)
         if redo.any():
             scaled = WeightPair(w.w1 * 2.0 ** -513, w.w2 * 2.0 ** -513)

@@ -40,19 +40,13 @@ _NORM_GUARD = 7e11
 _TOL_GUARD = 1.0 + 2.0 ** -50
 
 
-def _design_sums(rows: list) -> tuple[float, float, float]:
-    """Entries ``(g11, g12, g22)`` of ``A^T A``, summed over the rows of ``A`` in order."""
-    g11 = g12 = g22 = 0.0
-    for a1, a2 in rows:
-        g11 += a1 * a1
-        g12 += a1 * a2
-        g22 += a2 * a2
-    return g11, g12, g22
-
-
 @dataclass(frozen=True)
 class LinearModel:
-    """Observation model ``y = A x + noise`` with an ``(M, 2)`` design matrix, Gram sums taken once."""
+    """Observation model ``y = A x + noise`` with an ``(M, 2)`` design matrix.
+
+    The entries of ``A^T A`` and ``A^T y`` are summed once, in one loop over
+    the rows of ``A`` in order, when the model is built.
+    """
 
     a_matrix: np.ndarray
     y: np.ndarray
@@ -66,23 +60,11 @@ class LinearModel:
             raise ValueError(f"a_matrix must be (M, 2) with M >= 1, got {a.shape}")
         if y.shape != (a.shape[0],):
             raise ValueError(f"y must have shape ({a.shape[0]},), got {y.shape}")
-        rows = a.tolist()
-        self._fill(a, rows, _design_sums(rows), y)
-
-    @classmethod
-    def _on_design(cls, a: np.ndarray, rows: list, design_sums: tuple, y: list[float], x_true) -> "LinearModel":
-        """``LinearModel(a, y, x_true)`` for a float ``(M, 2)`` array ``a`` whose ``tolist()`` is
-        ``rows`` and whose :func:`_design_sums` are ``design_sums``, with ``y`` a list of ``M`` floats."""
-        model = object.__new__(cls)
-        object.__setattr__(model, "x_true", x_true)
-        model._fill(a, rows, design_sums, np.array(y))
-        return model
-
-    def _fill(self, a: np.ndarray, rows: list, design_sums: tuple, y: np.ndarray) -> None:
-        """Sum ``A^T y`` in row order, check the entries and set the fields."""
-        g11, g12, g22 = design_sums
-        c1 = c2 = 0.0
-        for (a1, a2), yi in zip(rows, y.tolist()):
+        g11 = g12 = g22 = c1 = c2 = 0.0
+        for (a1, a2), yi in zip(a.tolist(), y.tolist()):
+            g11 += a1 * a1
+            g12 += a1 * a2
+            g22 += a2 * a2
             c1 += a1 * yi
             c2 += a2 * yi
         # A NaN or infinite entry makes g11, g22 or c1 non-finite, so finite

@@ -69,6 +69,18 @@ def test_usage_errors_exit_one(capsys):
     assert rc == 1 and "--threads" in err  # the option is gone
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["prox", "--op", "rowl", "--x", "1,2,3", "--w", "0,2"], "--x needs 2 comma-separated numbers, got '1,2,3'"),
+    (["experiment", "b", "--trials", "1", "--snr", "10:20"], "SNR sweep must be lo:step:hi, got '10:20'"),
+    (["experiment", "b", "--trials", "1", "--snr", "a:5:20"], "could not parse SNR sweep 'a:5:20'"),
+    (["experiment", "b", "--trials", "1", "--snr", "ten"], "could not parse SNR list 'ten'"),
+], ids=["x-count", "sweep-parts", "sweep-number", "list-number"])
+def test_malformed_numbers_are_usage_errors(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert message in err and "Traceback" not in err
+
+
 # What each op and scenario takes, written out here rather than read from the CLI.
 _TAKES = {
     "prox": {

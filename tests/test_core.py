@@ -26,6 +26,12 @@ def test_point2_of_accepts_tuples_arrays_and_points():
     assert np.asarray(p).tolist() == [1.5, -2.0]
 
 
+@pytest.mark.parametrize("p", [(1.0,), (1.0, 2.0, 3.0), np.zeros((2, 2))], ids=["one", "three", "2x2"])
+def test_point2_of_refuses_any_other_number_of_components(p):
+    with pytest.raises(ValueError, match="expected 2 components"):
+        Point2.of(p)
+
+
 def test_weight_pair_ordering_enforced():
     w = WeightPair(0.5, 2.0)
     assert w.spread == 1.5
@@ -53,6 +59,14 @@ def test_prox_set_membership_and_distance():
         probe = (2.0 * (1 - t), 2.0 * t)
         assert seg.distance(probe) <= 1e-12
     assert seg.distance((2.0, 2.0)) == pytest.approx(math.sqrt(2.0))
+
+
+def test_segment_distance_survives_ends_too_close_to_square():
+    # (b - a) . (b - a) = 1e-400 underflows to 0, so the distance is taken to the first end.
+    seg = ProxSet.segment((0.0, 0.0), (1e-200, 0.0))
+    assert seg.kind == "segment"
+    assert seg.distance((3.0, 4.0)) == 5.0
+    assert seg.distance((0.0, 0.0)) == 0.0
 
 
 @pytest.mark.parametrize("prox, query", [

@@ -55,6 +55,8 @@ def test_config_validation():
         ScenarioConfig.scenario_b_defaults(matrix_kind="gaussian")
     with pytest.raises(ValueError):
         ScenarioConfig.scenario_b_defaults(snr_list_db=())
+    with pytest.raises(ValueError, match="scenario must be one of \\['A', 'B', 'C'\\], got 'D'"):
+        dataclasses.replace(ScenarioConfig.scenario_b_defaults(), scenario="D")
     for bad in (math.nan, -math.inf):
         with pytest.raises(ValueError, match=f"got {bad!r}"):
             ScenarioConfig.scenario_b_defaults(snr_list_db=(20.0, bad))
@@ -358,11 +360,19 @@ def test_scenario_c_counts_a_resampled_trial_once(monkeypatch, tmp_path):
 
     records = scenario_c(cfg)
     meta = json.loads((tmp_path / "meta.json").read_text())
-    assert meta["schema"] == 3
+    assert meta["schema"] == 4
     assert meta["derived"]["resampled_trials"] == 1  # not once per (SNR, x1) cell
     assert "threads" not in meta["config"]
     got = [r for r in records if r.trial == 1]
     assert _exact(got) == _exact(_trial_reference(cfg, 1))
+
+
+def test_scenario_c_gives_up_after_a_hundred_singular_designs(monkeypatch):
+    monkeypatch.setattr(experiments, "spectral_bounds", lambda a: SpectralBounds(0.0, 1.0))
+    cfg = ScenarioConfig.scenario_c_defaults(trials=1, x1_sweep=(1.5,))
+    for draw in (lambda: scenario_c(cfg), lambda: generate_model(cfg, 0, 20.0)):
+        with pytest.raises(RuntimeError, match="could not draw a nonsingular design in 100 tries"):
+            draw()
 
 
 _CONFIG_KEYS = [
@@ -384,7 +394,7 @@ def test_meta_json_layout_is_pinned_by_its_schema(scenario, cfg, derived, tmp_pa
     scenario(dataclasses.replace(cfg, out_path=str(tmp_path)))
     meta = json.loads((tmp_path / "meta.json").read_text())
     assert sorted(meta) == ["config", "derived", "scenario", "schema"]
-    assert meta["schema"] == 3
+    assert meta["schema"] == 4
     assert sorted(meta["config"]) == _CONFIG_KEYS
     assert sorted(meta["derived"]) == derived
 
@@ -395,15 +405,16 @@ def test_meta_json_layout_is_pinned_by_its_schema(scenario, cfg, derived, tmp_pa
     (scenario_b, ScenarioConfig.scenario_b_defaults(trials=3, delta_override=5.0, mu_override=1.0), 1.0, 5.0),
 ], ids=["A", "B", "B-overrides"])
 def test_meta_json_derives_from_the_fixed_design(scenario, cfg, mu, delta_used, tmp_path):
-    # rho, kappa, delta and beta are the fixed design's selected ones, even where delta_override
-    # replaced the delta eROWL ran with; mu is the step ROWL and eROWL took, the override if set.
+    # rho and kappa are the fixed design's; delta (with its beta) is the relaxation eROWL ran with
+    # and mu the step ROWL and eROWL took: the selected ones, or the overrides where set.
     scenario(dataclasses.replace(cfg, out_path=str(tmp_path)))
     derived = json.loads((tmp_path / "meta.json").read_text())["derived"]
     bounds = spectral_bounds(fixed_design_matrix())
     params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu)
     assert params.delta != delta_used and params.mu != mu
-    assert derived == {"rho": bounds.rho, "kappa": bounds.kappa, "delta": params.delta,
-                       "beta": params.delta / (1.0 + params.delta),
+    delta = params.delta if delta_used is None else delta_used
+    assert derived == {"rho": bounds.rho, "kappa": bounds.kappa, "delta": delta,
+                       "beta": delta / (1.0 + delta),
                        "mu": params.mu if mu is None else mu, "resampled_trials": 0}
 
 

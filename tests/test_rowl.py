@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,6 +146,17 @@ def test_envelope_keeps_an_overflowed_regime_out_of_its_value(x, w, value):
     assert rowl_envelope_2d(x, w) == value
     batch = rowl_envelope_2d(np.array([x, [0.0, 0.0], [1.0, 1.0]]), w)
     assert batch[0] == value and batch[1] == 0.0 and batch[2] == rowl_envelope_2d([1.0, 1.0], w)
+
+
+def test_envelope_rescales_a_middle_regime_whose_base_alone_overflows():
+    # w2 * s2 = 1.82e308 overflows, but neither the spread's square (1.69e308) nor the
+    # value w2 * s2 - w2**2 / 4 = 1.3975e308 does.
+    x, w = [1.4e154, 1.4e154], WeightPair(0.0, 1.3e154)
+    s, w2 = Fraction(1.4e154), Fraction(1.3e154)
+    value = float(w2 * s - w2 * w2 / 4)
+    assert rowl_envelope_2d(x, w) == value
+    batch = rowl_envelope_2d(np.array([x, [0.0, 0.0], [-1.4e154, 1.4e154]]), w)
+    assert batch.tolist() == [value, 0.0, value]
 
 
 def test_envelope_prox_examples():

@@ -200,6 +200,21 @@ def test_soft_values():
     assert soft(1.7, 0.0) == 1.7
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: FirmParams(1.0, math.inf), "firm thresholds must be finite"),
+    (lambda: FirmParams(math.nan, 2.0), "firm thresholds must be finite"),
+    (lambda: prox_l0(math.inf), "x must be finite, got inf"),
+    (lambda: prox_l0_envelope(math.nan), "x must be finite, got nan"),
+    (lambda: hard(1.0, 0.0), "threshold must be positive and finite, got 0.0"),
+    (lambda: hard(1.0, math.inf), "threshold must be positive and finite, got inf"),
+    (lambda: soft(1.0, -1.0), "threshold must be nonnegative and finite, got -1.0"),
+    (lambda: soft(1.0, math.nan), "threshold must be nonnegative and finite, got nan"),
+], ids=["firm-inf", "firm-nan", "l0-inf", "l0-env-nan", "hard-zero", "hard-inf", "soft-negative", "soft-nan"])
+def test_scalar_ops_refuse_a_non_finite_or_out_of_range_argument(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @st.composite
 def firm_cases(draw):
     """Firm thresholds plus a point whose coordinates sit on, next to, or away from them."""

@@ -91,6 +91,15 @@ def test_spectral_bounds_simple_cases():
         SpectralBounds(2.0, 1.0)
     with pytest.raises(ValueError):
         SpectralBounds(-1.0, 1.0)
+    for rho, kappa in ((math.nan, 1.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="spectral bounds must be finite"):
+            SpectralBounds(rho, kappa)
+
+
+def test_spectral_bounds_clip_a_rounded_negative_rho_to_zero():
+    # Three equal rows make A^T A singular; its closed-form small eigenvalue rounds to -1.1e-16.
+    b = spectral_bounds(np.array([[0.3, 0.7]] * 3))
+    assert b.rho == 0.0 and b.kappa == pytest.approx(1.74, rel=1e-15)
 
 
 def test_spectral_bounds_match_dense_eigensolver():
