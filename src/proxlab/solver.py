@@ -269,20 +269,21 @@ def pfbs(
         for iterations in range(iterations + 1, min(iterations + block, max_iter) + 1):
             h1 = x1 - mu * (g11 * x1 + g12 * x2 - c1)
             h2 = x2 - mu * (g12 * x1 + g22 * x2 - c2)
+            # -0.0 keeps its sign as a magnitude; it and abs's 0.0 clip alike.
+            if h1 < 0.0:
+                a1 = -h1
+                s1 = -1.0
+            else:
+                a1 = h1
+                s1 = 1.0
+            if h2 < 0.0:
+                a2 = -h2
+                s2 = -1.0
+            else:
+                a2 = h2
+                s2 = 1.0
             # Each inline branch makes its factory closure's float operations, in its order.
             if kind == "erowl":
-                if h1 < 0.0:
-                    a1 = -h1
-                    s1 = -1.0
-                else:
-                    a1 = h1
-                    s1 = 1.0
-                if h2 < 0.0:
-                    a2 = -h2
-                    s2 = -1.0
-                else:
-                    a2 = h2
-                    s2 = 1.0
                 a12 = a1 + a2
                 below = a12 <= diag_gate
                 if below and (-a1 + dp1 * a2) > gate and (dp1 * a1 - a2) > gate:
@@ -310,19 +311,6 @@ def pfbs(
                     y2 = 0.0 if y2 <= 0.0 else y2
                 n1, n2 = s1 * y1, s2 * y2
             elif kind == "rowl":
-                # -0.0 keeps its sign as a magnitude; it and abs's 0.0 clip alike.
-                if h1 < 0.0:
-                    a1 = -h1
-                    s1 = -1.0
-                else:
-                    a1 = h1
-                    s1 = 1.0
-                if h2 < 0.0:
-                    a2 = -h2
-                    s2 = -1.0
-                else:
-                    a2 = h2
-                    s2 = 1.0
                 if a1 >= a2:
                     y1 = a1 - w1
                     y2 = a2 - w2
@@ -332,18 +320,16 @@ def pfbs(
                 n1 = 0.0 if y1 <= 0.0 else s1 * y1
                 n2 = 0.0 if y2 <= 0.0 else s2 * y2
             elif kind == "firm":
-                a1 = -h1 if h1 < 0.0 else h1
                 if a1 <= lam1:
                     n1 = 0.0
                 elif a1 <= lam2:
-                    n1 = (-1.0 if h1 < 0.0 else 1.0) * lam2 * (a1 - lam1) / gap
+                    n1 = s1 * lam2 * (a1 - lam1) / gap
                 else:
                     n1 = h1
-                a2 = -h2 if h2 < 0.0 else h2
                 if a2 <= lam1:
                     n2 = 0.0
                 elif a2 <= lam2:
-                    n2 = (-1.0 if h2 < 0.0 else 1.0) * lam2 * (a2 - lam1) / gap
+                    n2 = s2 * lam2 * (a2 - lam1) / gap
                 else:
                     n2 = h2
             else:
