@@ -165,6 +165,8 @@ class ScenarioConfig:
                 if v in seen:
                     raise ValueError(f"{name} repeats {v!r}: its cells would be solved and counted twice")
                 seen.add(v)
+        if self.scenario == "A" and (self.trials != 1 or len(self.snr_list_db) != 1 or self.x1_sweep):
+            raise ValueError("scenario A runs one trial at one SNR with no x1 sweep")
 
     @classmethod
     def defaults(cls, scenario: str, seed: int = 12345, **settings) -> "ScenarioConfig":

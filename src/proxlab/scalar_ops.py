@@ -76,7 +76,18 @@ def mc_penalty(x, lambda2: float):
         raise ValueError(f"lambda2 must be positive and finite, got {lam2!r}")
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
-    return _maybe_scalar(x, np.where(a <= lam2, a - a * a / (2.0 * lam2), lam2 / 2.0))
+    ramp = a <= lam2
+    # Both branches are evaluated everywhere; the quadratic one overflows
+    # where it is not selected, and, past |x| = 1.3e154, where it is.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.where(ramp, a - a * a / (2.0 * lam2), lam2 / 2.0)
+    # The penalty is homogeneous of degree 1 in (x, lambda2) jointly, so an
+    # overflowed selected value is evaluated at (x, lambda2) / 2**513, where
+    # nothing overflows, and scaled back.
+    redo = ramp & ~np.isfinite(out)
+    if redo.any():
+        out[redo] = mc_penalty(a[redo] * 2.0 ** -513, lam2 * 2.0 ** -513) * 2.0 ** 513
+    return _maybe_scalar(x, out)
 
 
 def l0_envelope(x):
@@ -87,7 +98,9 @@ def l0_envelope(x):
     """
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
-    return _maybe_scalar(x, np.where(a <= SQRT2, SQRT2 * a - a * a / 2.0, 1.0))
+    # The quadratic overflows only past |x| = 1.3e154, where it is not selected.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _maybe_scalar(x, np.where(a <= SQRT2, SQRT2 * a - a * a / 2.0, 1.0))
 
 
 def _prox_l0(x: float, thr: float, tie) -> ProxSet:
@@ -111,7 +124,11 @@ def prox_l0(x: float, gamma: float = 1.0) -> ProxSet:
     """
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
-    return _prox_l0(x, math.sqrt(2.0 * gamma), ProxSet.pair)
+    two_gamma = 2.0 * gamma
+    # Past gamma = 8.99e307, 2 * gamma overflows; 2 * sqrt(gamma / 2) is the
+    # same correctly rounded root there.
+    thr = math.sqrt(two_gamma) if two_gamma < math.inf else 2.0 * math.sqrt(0.5 * gamma)
+    return _prox_l0(x, thr, ProxSet.pair)
 
 
 def prox_l0_envelope(x: float) -> ProxSet:

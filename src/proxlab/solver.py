@@ -222,7 +222,8 @@ def pfbs(
     :func:`~proxlab.scalar_ops.firm_shrinker` carries its constants in a
     ``_pfbs_inline`` marker, and its arithmetic runs inline in this loop: the
     same float operations in the same order, without a call per iteration.
-    Any other callable, a wrapper around a library shrinker included, is
+    The loop splits each half-step into magnitudes and signs once, and all
+    three inline kernels read that split.  Any other callable, a wrapper around a library shrinker included, is
     called, with bit-for-bit the same results.  ``mu`` is taken as a
     ``float`` once, so every iterate is a Python float; ``float()`` runs only
     on what a called shrinker returns.  The loop stays in this function's own

@@ -356,7 +356,10 @@ def default_prox_box(x, reach: float, step: float) -> GridSpec:
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be positive and finite, got {step!r}")
     half = reach + 1.0
-    n = max(2, int(math.ceil(2.0 * half / step)))
+    span = 2.0 * half / step
+    if not math.isfinite(span):
+        raise ValueError(f"a box of half-width {half!r} has too many steps of {step!r} to count")
+    n = max(2, int(math.ceil(span)))
     p = np.atleast_1d(np.asarray(x, dtype=float))
     axes = tuple(Axis(c - half, (c - half) + n * step, step) for c in p)
     return GridSpec(axes)

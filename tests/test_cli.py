@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import proxlab
-from proxlab.cli import MAX_GRID_CELLS, MAX_SNR_POINTS, _parse_snr, run_cli
+from proxlab.cli import _ENVELOPE, _PROX, MAX_GRID_CELLS, MAX_SNR_POINTS, _parse_snr, run_cli
 
 
 def run(capsys, *argv):
@@ -151,11 +157,80 @@ def test_envelope_point_values(capsys):
     (("rowl", "--x", "1e308,1e308", "--w", "0,1e308"), "inf"),
     # The tail regime is selected; the quadratic one, also evaluated, is inf - inf.
     (("rowl", "--x", "1e308,0", "--w", "10,20"), "inf"),
-], ids=["rowl-bowl", "rowl-bowl-sum", "rowl-raw", "rowl-middle-nan", "rowl-tail-inf"])
+    # The constant is selected; the quadratic, also evaluated, overflows.
+    (("l0", "--x", "1e200"), "1.0"),
+], ids=["rowl-bowl", "rowl-bowl-sum", "rowl-raw", "rowl-middle-nan", "rowl-tail-inf", "l0-quadratic"])
 def test_envelope_point_value_leaks_no_overflow_warning(capsys, argv, value):
     # pytest's filterwarnings = error turns a leaked RuntimeWarning into a failure.
     rc, out, err = run(capsys, "envelope", "--op", *argv)
     assert (rc, out.strip(), err) == (0, value, "")
+
+
+EDGES = ["nan", "inf", "-inf", "0", "-0.0", "5e-324", "1e-300", "-1", "1", "3", "1e308"]
+
+
+@st.composite
+def declared_calls(draw):
+    """A ``prox`` or ``envelope --x`` call: an op, every option it requires, some it
+    may take, and each number drawn from ``EDGES``."""
+    command, table = draw(st.sampled_from([("prox", _PROX), ("envelope", _ENVELOPE)]))
+    op = draw(st.sampled_from(sorted(table)))
+    spec = table[op]
+
+    def numbers(n):
+        return ",".join(draw(st.lists(st.sampled_from(EDGES), min_size=n, max_size=n)))
+
+    argv = [command, "--op", op, "--x=" + numbers(spec.dims)]
+    for name, default in spec.options.items():
+        if name != "out" and (default is ... or draw(st.booleans())):
+            argv.append(f"--{name}=" + numbers(2 if name == "w" else 1))
+    return argv
+
+
+def _exact_rowl(op: str, x: str, w: str) -> Fraction:
+    """``rowl_penalty`` (``rowl-raw``) or ``rowl_envelope_2d`` in exact arithmetic."""
+    s1, s2 = sorted((abs(Fraction(v)) for v in x.split(",")), reverse=True)
+    w1, w2 = (Fraction(v) for v in w.split(","))
+    base = w1 * s1 + w2 * s2
+    if op == "rowl-raw" or s1 >= s2 + (w2 - w1):
+        return base
+    if s1 + s2 >= w2 - w1:
+        return base - ((s1 + w1) - (s2 + w2)) ** 2 / 4
+    return w1 * (s1 + s2) + s1 * s2
+
+
+def _past_the_float_range(value: Fraction) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return True
+    return False
+
+
+@given(declared_calls())
+@settings(max_examples=300, deadline=None)
+@example(["prox", "--op", "l0", "--x=1e308", "--gamma=1e308"])  # printed 0.0: 2 * gamma overflowed
+@example(["envelope", "--op", "l0", "--x=1e200"])  # leaked an overflow warning
+@example(["envelope", "--op", "rowl", "--x=1e308,1e308", "--w=3,1e308"])  # honestly inf
+@example(["prox", "--op", "firm", "--x=3", "--lambda1=5e-324", "--lambda2=1e308"])
+@example(["envelope", "--op", "rowl", "--x=0,0", "--w=0,1e308"])
+@example(["envelope", "--op", "rowl-raw", "--x=1,1", "--w=1e308,1e308"])
+def test_every_declared_call_exits_cleanly_with_finite_numbers(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")  # a leaked warning escapes run_cli as an exception
+        rc = run_cli(argv)
+    assert rc in (0, 1), (argv, rc)
+    if rc == 1:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, (argv, err.getvalue())
+        return
+    numbers = [float(t) for t in re.split(r"[\s,]+", out.getvalue()) if t not in ("", "segment", "interval")]
+    assert numbers and err.getvalue() == "", (argv, out.getvalue(), err.getvalue())
+    if all(map(math.isfinite, numbers)):
+        return
+    options = dict(a[2:].split("=", 1) for a in argv[3:])
+    assert argv[0] == "envelope" and argv[2] in ("rowl", "rowl-raw"), (argv, out.getvalue())
+    assert _past_the_float_range(_exact_rowl(argv[2], options["x"], options["w"])), (argv, out.getvalue())
 
 
 def test_envelope_grid_exports(tmp_path, capsys):

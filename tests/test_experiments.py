@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from proxlab import experiments
 from proxlab.core import Point2, WeightPair
@@ -67,6 +68,33 @@ def test_config_validation():
         ScenarioConfig.scenario_c_defaults(snr_list_db=(math.inf, math.inf))
     with pytest.raises(ValueError, match="x1_sweep repeats 1.5"):
         ScenarioConfig.scenario_c_defaults(x1_sweep=(1.0, 1.5, 2.0, 1.5))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"trials": 7}, {"snr_list_db": (math.inf, 10.0)}, {"x1_sweep": (1.0, 2.0)},
+], ids=["trials", "snrs", "x1-sweep"])
+def test_scenario_a_refuses_what_its_one_run_would_ignore(kwargs):
+    # Each of these ran the default A's two solves, and meta.json recorded the setting.
+    with pytest.raises(ValueError, match="scenario A runs one trial at one SNR with no x1 sweep"):
+        ScenarioConfig.scenario_a_defaults(**kwargs)
+
+
+@given(st.sampled_from("ABC"), st.sampled_from([0, 1, 2, 7]),
+       st.lists(st.sampled_from([math.inf, 20.0, 10.0, -300.0, math.nan, -math.inf]), max_size=2),
+       st.lists(st.sampled_from([1.0, 2.0]), max_size=2))
+@settings(max_examples=40, deadline=None)
+@example("A", 7, [math.inf], [])  # A ran its one trial and reported none of this
+@example("A", 1, [math.inf, 10.0], [])
+@example("A", 1, [math.inf], [1.0, 2.0])
+def test_a_scenario_config_is_refused_or_runs_every_cell_it_declares(scenario, trials, snrs, sweep):
+    try:
+        cfg = ScenarioConfig.defaults(scenario, trials=trials, snr_list_db=snrs, x1_sweep=sweep)
+    except ValueError:
+        return
+    records = scenario_a(cfg).records if scenario == "A" else scenario_b(cfg)
+    methods = {"A": 2, "B": 3, "C": 4}[scenario]
+    assert len(records) == methods * trials * len(snrs) * max(1, len(sweep))
+    assert all(math.isfinite(r.x_hat.x1) and math.isfinite(r.x_hat.x2) for r in records)
 
 
 def test_config_fields_are_the_settable_inputs_only():

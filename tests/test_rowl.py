@@ -20,6 +20,24 @@ W02 = WeightPair(0.0, 2.0)
 coord = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
 
+EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, -1.0, 1.0, 3.0, 1e308]
+edge = st.sampled_from(EDGES) | st.floats()
+finite_edge = st.sampled_from([v for v in EDGES if math.isfinite(v)]) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(edge, edge, st.tuples(finite_edge, finite_edge))
+@settings(max_examples=300)
+def test_a_weight_pair_is_refused_or_gives_finite_proxes(w1, w2, x):
+    try:
+        w = WeightPair(w1, w2)
+    except ValueError:
+        return
+    got = list(rowl_shrinker(w)(x))
+    for prox in (prox_rowl_2d, prox_rowl_envelope_2d):
+        got += [c for p in prox(x, w).points() for c in p]
+    assert all(map(math.isfinite, got)), (w, x, got)
+
+
 def test_penalty_values():
     assert rowl_penalty([3.0, -1.0], [0.0, 2.0]) == 2.0
     assert rowl_penalty([0.0, 0.0], [0.5, 1.0]) == 0.0

@@ -44,6 +44,33 @@ def test_mc_penalty_rejects_a_lambda2_that_is_not_positive_and_finite(lambda2):
         mc_penalty(1.0, lambda2)
 
 
+def _exact_mc(x: float, lambda2: float) -> Fraction:
+    a, lam2 = abs(Fraction(x)), Fraction(lambda2)
+    return a - a * a / (2 * lam2) if a <= lam2 else lam2 / 2
+
+
+@pytest.mark.parametrize("x, lambda2", [
+    (1e308, 1e308),  # returned nan: a * a and 2 * lambda2 both overflowed
+    (1e200, 1e200),  # returned -inf: a * a overflowed
+    (-3e200, 1e201),
+    (1e200, 1e308),
+    (1e154, sys.float_info.max),
+    (3.0, 1e308),
+])
+def test_mc_penalty_is_finite_where_its_quadratic_overflows(x, lambda2):
+    want = float(_exact_mc(x, lambda2))
+    assert mc_penalty(x, lambda2) == pytest.approx(want, rel=4 * sys.float_info.epsilon)
+    assert mc_penalty(np.array([x, 0.5]), lambda2).tolist() == [mc_penalty(x, lambda2), mc_penalty(0.5, lambda2)]
+
+
+@pytest.mark.parametrize("x", [1e308, -1e200, math.inf])
+def test_mc_penalty_and_l0_envelope_leak_no_warning_from_the_branch_they_drop(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mc_penalty(x, 1.0) == 0.5
+        assert l0_envelope(x) == 1.0
+
+
 def test_l0_envelope_values():
     assert l0_envelope(0.0) == 0.0
     assert l0_envelope(2.0) == 1.0
@@ -86,6 +113,26 @@ def test_prox_l0_threshold_scales_with_gamma():
     # both members attain the same prox objective
     obj = [l0_norm(v) + (thr - v) ** 2 / (2.0 * gamma) for v in pair.points()]
     assert abs(obj[0] - obj[1]) < 1e-12
+
+
+def _nearest_root(n: int) -> float:
+    """The float nearest ``sqrt(n)``: ``n`` lies between the squares of its midpoints to its neighbours."""
+    t = float(math.isqrt(n))
+    while ((Fraction(t) + Fraction(math.nextafter(t, math.inf))) / 2) ** 2 < n:
+        t = math.nextafter(t, math.inf)
+    while ((Fraction(math.nextafter(t, 0.0)) + Fraction(t)) / 2) ** 2 > n:
+        t = math.nextafter(t, 0.0)
+    return t
+
+
+@pytest.mark.parametrize("gamma", [8.9e307, 8.99e307, 1e308, sys.float_info.max])
+def test_prox_l0_threshold_is_the_rounded_root_of_two_gamma_near_the_float_limit(gamma):
+    # 2 * gamma overflows past 8.99e307; the threshold became inf and every x went to 0.
+    thr = _nearest_root(2 * int(gamma))
+    assert prox_l0(thr, gamma).points() == (0.0, thr)
+    assert prox_l0(-math.nextafter(thr, 0.0), gamma).points() == (0.0,)
+    assert prox_l0(math.nextafter(thr, math.inf), gamma).points() == (math.nextafter(thr, math.inf),)
+    assert prox_l0(1e308, gamma).points() == (1e308,)
 
 
 def test_prox_l0_envelope_cases():

@@ -53,6 +53,35 @@ def test_axis_validation_and_points():
             Axis(*bounds)
 
 
+EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, -1.0, 1.0, 3.0, 1e308]
+edge = st.sampled_from(EDGES) | st.floats()
+finite_edge = st.sampled_from([v for v in EDGES if math.isfinite(v)]) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(edge, edge, edge)
+@settings(max_examples=300)
+def test_a_grid_line_is_refused_or_runs_between_finite_ends(lo, hi, step):
+    try:
+        (ax,) = GridSpec.line(lo, hi, step).axes
+    except ValueError:
+        return
+    last = ax.lo + ax.step * (ax.count - 1)
+    assert ax.count >= 1 and ax.lo < ax.hi and math.isfinite(last), (ax, last)
+
+
+@given(st.tuples(finite_edge, finite_edge), edge, edge)
+@settings(max_examples=300)
+@example((0.0, 0.0), 1e308, 1.0)  # OverflowError: math.ceil of an overflowed step count
+@example((0.0, 0.0), 1.0, 5e-324)
+def test_a_prox_box_is_refused_or_holds_its_point(x, reach, step):
+    try:
+        box = default_prox_box(x, reach, step)
+    except ValueError:
+        return
+    for ax, c in zip(box.axes, x):
+        assert ax.lo <= c <= ax.hi and math.isfinite(ax.lo + ax.step * (ax.count - 1)), (ax, c)
+
+
 def test_gridspec_shapes():
     line = GridSpec.line(-2.0, 2.0, 0.5)
     assert line.dims == 1 and line.shape == (9,)
