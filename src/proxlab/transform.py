@@ -60,6 +60,9 @@ class Axis:
         ratio = (self.hi - self.lo) / self.step
         if not (math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9):
             raise ValueError(f"(hi - lo)/step must be finite and integral, got {ratio}")
+        # lo + step * (count - 1) rounds past hi and can overflow when ratio is huge.
+        if not math.isfinite(self.lo + self.step * round(ratio)):
+            raise ValueError(f"the last point of [{self.lo}, {self.hi}] @ {self.step} overflows")
 
     @property
     def count(self) -> int:
@@ -360,7 +363,8 @@ def default_prox_box(x, reach: float, step: float) -> GridSpec:
     if not math.isfinite(span):
         raise ValueError(f"a box of half-width {half!r} has too many steps of {step!r} to count")
     n = max(2, int(math.ceil(span)))
-    p = np.atleast_1d(np.asarray(x, dtype=float))
+    # Python floats: an upper end past the float range is inf, which Axis refuses, not a warning.
+    p = np.atleast_1d(np.asarray(x, dtype=float)).tolist()
     axes = tuple(Axis(c - half, (c - half) + n * step, step) for c in p)
     return GridSpec(axes)
 

@@ -2,6 +2,7 @@ import collections
 import hashlib
 import math
 import pickle
+import sys
 import tracemalloc
 
 import numpy as np
@@ -60,6 +61,7 @@ finite_edge = st.sampled_from([v for v in EDGES if math.isfinite(v)]) | st.float
 
 @given(edge, edge, edge)
 @settings(max_examples=300)
+@example(-sys.float_info.max, 0.0, 1916217563983001.0)  # its last point overflowed to inf
 def test_a_grid_line_is_refused_or_runs_between_finite_ends(lo, hi, step):
     try:
         (ax,) = GridSpec.line(lo, hi, step).axes
@@ -73,6 +75,7 @@ def test_a_grid_line_is_refused_or_runs_between_finite_ends(lo, hi, step):
 @settings(max_examples=300)
 @example((0.0, 0.0), 1e308, 1.0)  # OverflowError: math.ceil of an overflowed step count
 @example((0.0, 0.0), 1.0, 5e-324)
+@example((1e308, 0.0), 8e307, 1.0)  # the upper end overflowed with a RuntimeWarning
 def test_a_prox_box_is_refused_or_holds_its_point(x, reach, step):
     try:
         box = default_prox_box(x, reach, step)

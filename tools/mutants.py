@@ -43,10 +43,10 @@ class Mutant(NamedTuple):
 SOLVER, SCALAR = "tests/test_solver.py", "tests/test_scalar_ops.py"
 
 MUTANTS = [
-    # One sign/magnitude split in pfbs's loop.  A zero half-step taken as
-    # -0.0 with sign -1.0 still clips to 0.0 in every branch.
+    # One sign/magnitude split in pfbs's loop.  A zero half-step taken with
+    # sign -1.0 turns an eROWL output of 0.0 into -0.0.
     Mutant("solver.py", "            if h1 < 0.0:\n                a1 = -h1",
-           "            if h1 <= 0.0:\n                a1 = -h1", "equivalent"),
+           "            if h1 <= 0.0:\n                a1 = -h1", "caught", (SOLVER,)),
     Mutant("solver.py", "            if h1 < 0.0:\n                a1 = -h1",
            "            if h1 < 0:\n                a1 = -h1", "caught", (SOLVER,)),
     Mutant("solver.py", "                s2 = -1.0", "                s2 = 1.0", "caught", (SOLVER,)),
@@ -56,7 +56,9 @@ MUTANTS = [
            "caught", (SOLVER,)),
     Mutant("solver.py", "                    if y1 < 0.0 and y1 >= clamp:", "                    if y1 < 0.0:",
            "caught", (SOLVER,)),
-    # The kernels the loop copies.
+    # The kernels the loop copies.  ROWL clips a zero magnitude to 0.0
+    # whatever its sign, so its closure may take 0.0 as negative.
+    Mutant("rowl.py", "s1 = -1.0 if x1 < 0.0 else 1.0", "s1 = -1.0 if x1 <= 0.0 else 1.0", "equivalent"),
     Mutant("scalar_ops.py", "(-1.0 if x < 0.0 else 1.0)", "(-1.0 if x < 0 else 1.0)", "caught", (SOLVER,)),
     Mutant("erowl.py", "        a2 = -x2 if x2 < 0.0 else x2", "        a2 = -x2 if 0 > x2 else x2",
            "caught", (SOLVER,)),
@@ -75,6 +77,10 @@ MUTANTS = [
     Mutant("scalar_ops.py", "if not math.isfinite(self.lambda2 * (self.lambda2 - self.lambda1)):",
            "if False:", "caught", (SCALAR,)),
     Mutant("transform.py", "    if not math.isfinite(span):", "    if False:", "caught", ("tests/test_transform.py",)),
+    Mutant("transform.py", "if not math.isfinite(self.lo + self.step * round(ratio)):", "if False:", "caught",
+           ("tests/test_transform.py",)),
+    Mutant("transform.py", "np.asarray(x, dtype=float)).tolist()", "np.asarray(x, dtype=float))", "caught",
+           ("tests/test_transform.py",)),
     Mutant("experiments.py", 'if self.scenario == "A" and (', "if False and (", "caught",
            ("tests/test_experiments.py",)),
     # rowl: the honest inf of the penalty, the envelope's regimes and its rescale.
