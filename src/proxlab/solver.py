@@ -223,13 +223,13 @@ def pfbs(
     ``_pfbs_inline`` marker, and its arithmetic runs inline in this loop: the
     same float operations in the same order, without a call per iteration.
     The loop splits each half-step into magnitudes and signs once, and all
-    three inline kernels read that split.  Any other callable, a wrapper around a library shrinker included, is
-    called, with bit-for-bit the same results.  ``mu`` is taken as a
-    ``float`` once, so every iterate is a Python float; ``float()`` runs only
-    on what a called shrinker returns.  The loop stays in this function's own
-    frame, and ``iterations`` is its loop variable, advanced every iteration:
-    a sampler may find the running solve through ``pfbs.__code__`` and read
-    that counter.  Every zero the loop compares an iterate with is ``0.0``:
+    three inline kernels read that split.  Any other callable, a wrapper
+    around a library shrinker included, is called, with bit-for-bit the
+    same results.  ``mu`` is taken as a ``float`` once, so every iterate is
+    a Python float; ``float()`` runs only on what a called shrinker returns.
+    The loop stays in this function's own frame, and ``iterations`` is its
+    loop variable, advanced every iteration: a sampler may find the running
+    solve through ``pfbs.__code__`` and read that counter.  Every zero the loop compares an iterate with is ``0.0``:
     CPython 3.11 specializes a comparison only when both operands have one
     type, and the float-with-int ``h1 < 0`` would take the generic path on
     every iteration.
