@@ -82,20 +82,30 @@ def rowl_envelope_2d(x, w: WeightPair):
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != 2:
         raise ValueError("x must have 2 trailing components")
+    if x.ndim == 1:
+        return float(rowl_envelope_2d(x[None], w)[0])
     a = np.abs(x)
     s1 = np.maximum(a[..., 0], a[..., 1])
     s2 = np.minimum(a[..., 0], a[..., 1])
+    del a
     # Each regime is evaluated everywhere, so one may overflow where another
     # is selected.  The bowl's 0 * inf (w1 = 0) comes only from an overflowed
-    # s1 + s2, where it is not selected.
+    # s1 + s2, where it is not selected.  Buffers are reused once read, so a
+    # mesh needs few fresh pages; every operation is that of the formulas.
     with np.errstate(over="ignore", invalid="ignore"):
-        base = w.w1 * s1 + w.w2 * s2
-        d = (s1 + w.w1) - (s2 + w.w2)
-        quad = 0.25 * d * d
-        inner = w.w1 * (s1 + s2) + s1 * s2
+        total = s1 + s2
         tail = s1 >= s2 + w.spread
-        middle = s1 + s2 >= w.spread
-        out = np.where(tail, base, np.where(middle, base - quad, inner))
+        middle = total >= w.spread
+        out = np.multiply(w.w1, total, out=total)
+        out += s1 * s2                                # the bowl
+        base = w.w1 * s1 + w.w2 * s2
+        d = np.add(s1, w.w1, out=s1)
+        d -= np.add(s2, w.w2, out=s2)
+        quad = 0.25 * d
+        quad *= d
+        np.subtract(base, quad, out=quad)             # the middle regime
+        np.copyto(out, quad, where=middle)
+        np.copyto(out, base, where=tail)
         # A non-finite entry makes the sum non-finite; a sum that overflows
         # on finite entries costs only the empty mask below.
         overflowed = not np.isfinite(out.sum())
@@ -110,8 +120,6 @@ def rowl_envelope_2d(x, w: WeightPair):
             with np.errstate(over="ignore"):
                 part = rowl_envelope_2d(x[redo] * 2.0 ** -513, scaled)
                 out[redo] = part * 2.0 ** 513 * 2.0 ** 513
-    if out.ndim == 0:
-        return float(out)
     return out
 
 

@@ -76,15 +76,15 @@ def mc_penalty(x, lambda2: float):
         raise ValueError(f"lambda2 must be positive and finite, got {lam2!r}")
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
-    ramp = a <= lam2
     # Both branches are evaluated everywhere; the quadratic one overflows
-    # where it is not selected, and, past |x| = 1.3e154, where it is.
+    # where it is not selected, and, past |x| = 1.3e154, where it is.  A NaN
+    # fails `a > lam2` and stays NaN through the quadratic.
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.where(ramp, a - a * a / (2.0 * lam2), lam2 / 2.0)
+        out = np.where(a > lam2, lam2 / 2.0, a - a * a / (2.0 * lam2))
     # The penalty is homogeneous of degree 1 in (x, lambda2) jointly, so an
     # overflowed selected value is evaluated at (x, lambda2) / 2**513, where
-    # nothing overflows, and scaled back.
-    redo = ramp & ~np.isfinite(out)
+    # nothing overflows, and scaled back.  A NaN stays out of it.
+    redo = (a <= lam2) & ~np.isfinite(out)
     if redo.any():
         out[redo] = mc_penalty(a[redo] * 2.0 ** -513, lam2 * 2.0 ** -513) * 2.0 ** 513
     return _maybe_scalar(x, out)
@@ -98,9 +98,10 @@ def l0_envelope(x):
     """
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
-    # The quadratic overflows only past |x| = 1.3e154, where it is not selected.
+    # The quadratic overflows only past |x| = 1.3e154, where it is not
+    # selected.  A NaN fails `a > SQRT2` and stays NaN through the quadratic.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _maybe_scalar(x, np.where(a <= SQRT2, SQRT2 * a - a * a / 2.0, 1.0))
+        return _maybe_scalar(x, np.where(a > SQRT2, 1.0, SQRT2 * a - a * a / 2.0))
 
 
 def _prox_l0(x: float, thr: float, tie) -> ProxSet:

@@ -4,9 +4,11 @@ Everything here is deliberately independent of the closed forms elsewhere in
 the package, so it can serve as an oracle against them: a grid Legendre
 transform that gives the bits of the brute-force maximum over every grid
 point while scoring only a window of the points that can hold it, the weakly
-convex envelope built from a double conjugation, an exhaustive grid prox
-search with cluster detection, and the linear map of a filled graph that
-converts a scalar shrinkage operator into its relaxed counterpart.
+convex envelope built from a double conjugation, a grid prox search with
+cluster detection that gives the bits of the exhaustive search while
+scoring, on a planar box, only the rows and columns that can reach its
+minimum, and the linear map of a filled graph that converts a scalar
+shrinkage operator into its relaxed counterpart.
 """
 from __future__ import annotations
 
@@ -60,6 +62,8 @@ class Axis:
         ratio = (self.hi - self.lo) / self.step
         if not (math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9):
             raise ValueError(f"(hi - lo)/step must be finite and integral, got {ratio}")
+        if round(ratio) == 0:
+            raise ValueError(f"[{self.lo}, {self.hi}] is shorter than one step of {self.step}")
         # lo + step * (count - 1) rounds past hi and can overflow when ratio is huge.
         if not math.isfinite(self.lo + self.step * round(ratio)):
             raise ValueError(f"the last point of [{self.lo}, {self.hi}] @ {self.step} overflows")
@@ -108,8 +112,10 @@ class GridSpec:
         """Grid coordinates: shape ``(n,)`` for a line, ``(n0, n1, 2)`` for a box."""
         if self.dims == 1:
             return self.axes[0].points()
-        g0, g1 = np.meshgrid(self.axes[0].points(), self.axes[1].points(), indexing="ij")
-        return np.stack([g0, g1], axis=-1)
+        out = np.empty((*self.shape, 2))
+        out[..., 0] = self.axes[0].points()[:, None]
+        out[..., 1] = self.axes[1].points()
+        return out
 
 
 @dataclass(frozen=True)
@@ -395,22 +401,23 @@ def _objective_min(obj: np.ndarray) -> float:
 
 
 @functools.lru_cache(maxsize=2)
-def _sampled(penalty, box: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The box mesh and ``penalty`` on it, both read-only, memoised per (penalty, box).
+def _sampled(penalty, box: GridSpec) -> tuple[np.ndarray, np.ndarray, float]:
+    """The box mesh, ``penalty`` on it and the least sample, memoised per (penalty, box).
 
-    Two entries hold what :func:`verify_inclusion` alternates between: a
-    penalty and its envelope on one box.  Reuse assumes ``penalty`` is a pure
-    function of its argument.
+    The mesh and the samples are read-only.  Two entries hold what
+    :func:`verify_inclusion` alternates between: a penalty and its envelope
+    on one box.  Reuse assumes ``penalty`` is a pure function of its
+    argument.  The least sample is NaN when any sample is.
     """
     mesh = box.mesh()
     mesh.setflags(write=False)
-    # A view, so freezing it never freezes an array the penalty itself owns.
-    values = np.asarray(penalty(mesh), dtype=float).view()
-    values.setflags(write=False)
-    return mesh, values
+    # A read-only view, so it never freezes an array the penalty itself owns;
+    # a penalty that returns one number is that number on every cell.
+    values = np.broadcast_to(np.asarray(penalty(mesh), dtype=float), box.shape)
+    return mesh, values, float(np.min(values))
 
 
-def _penalty_samples(penalty, box: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+def _penalty_samples(penalty, box: GridSpec) -> tuple[np.ndarray, np.ndarray, float]:
     """:func:`_sampled`, evaluated directly for a callable that cannot be hashed."""
     try:
         hash(penalty)
@@ -421,7 +428,7 @@ def _penalty_samples(penalty, box: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _brute_force_prox_1d(penalty, x: float, gamma: float, box: GridSpec) -> ProxSet:
     ax = box.axes[0]
-    ys, pen = _penalty_samples(penalty, box)
+    ys, pen, _ = _penalty_samples(penalty, box)
     obj = pen + (x - ys) ** 2 / (2.0 * gamma)
     tol = _cluster_tol(ax.step, gamma)
     sel = np.flatnonzero(obj <= _objective_min(obj) + tol)
@@ -464,24 +471,47 @@ def _clusters(mask: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+def _reach(lowest: float, dist: np.ndarray, two_gamma: float, top: float) -> tuple[int, int]:
+    """The first and one past the last index whose bound ``lowest + dist/two_gamma`` is not above ``top``.
+
+    A NaN bound, or a NaN ``top``, is not above it, so it keeps its index.
+    """
+    keep = np.flatnonzero(~(lowest + dist / two_gamma > top))
+    return int(keep[0]), int(keep[-1]) + 1
+
+
 def _brute_force_prox_2d(penalty, x, gamma: float, box: GridSpec) -> ProxSet:
-    mesh, pen = _penalty_samples(penalty, box)
+    mesh, pen, lowest = _penalty_samples(penalty, box)
+    n0, n1 = pen.shape
     p = Point2.of(x)
     # Squared distances per axis, summed by broadcasting: each cell adds the
     # same two squares a full-mesh evaluation would, so every bit is the same.
     d0 = (p.x1 - mesh[:, 0, 0]) ** 2
     d1 = (p.x2 - mesh[0, :, 1]) ** 2
-    obj = pen + (d0[:, None] + d1[None, :]) / (2.0 * gamma)
+    two_gamma = 2.0 * gamma
     step = box.max_step
     tol = _cluster_tol(step, gamma)
+    # Score only the rows and columns whose bound can reach top = fl(U + tol),
+    # U the objective at the cell nearest x (see brute_force_prox).
+    i, j = int(np.argmin(d0)), int(np.argmin(d1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = pen[i, j] + (d0[i] + d1[j]) / two_gamma + tol
+        r0, r1 = _reach(lowest, d0, two_gamma, top)
+        c0, c1 = _reach(lowest, d1, two_gamma, top)
+    obj = pen[r0:r1, c0:c1] + (d0[r0:r1, None] + d1[None, c0:c1]) / two_gamma
     mask = obj <= _objective_min(obj) + tol
-    if mask[0].any() or mask[-1].any() or mask[:, 0].any() or mask[:, -1].any():
+    if ((r0 == 0 and mask[0].any()) or (r1 == n0 and mask[-1].any())
+            or (c0 == 0 and mask[:, 0].any()) or (c1 == n1 and mask[:, -1].any())):
         raise BoxTooSmallError("minimizer cluster touches the search-box boundary")
     clusters = _clusters(mask)
-    flat_mesh = mesh.reshape(-1, 2)
+
+    def mesh_points(flat: np.ndarray) -> np.ndarray:
+        """Mesh points of the slice's flat cell indices."""
+        rows, cols = np.unravel_index(flat, mask.shape)
+        return mesh[r0 + rows, c0 + cols]
 
     def cluster_best(flat: np.ndarray) -> np.ndarray:
-        return flat_mesh[_best_index(obj, flat)]
+        return mesh_points(_best_index(obj, flat))
 
     if len(clusters) == 1:
         [flat] = clusters
@@ -489,7 +519,7 @@ def _brute_force_prox_2d(penalty, x, gamma: float, box: GridSpec) -> ProxSet:
         extent = cells.max(axis=0) - cells.min(axis=0)
         if max(extent) <= 3:
             return ProxSet.single(cluster_best(flat))
-        pts = flat_mesh[flat]
+        pts = mesh_points(flat)
         center = pts.mean(axis=0)
         dev = pts - center
         cov = dev.T @ dev
@@ -516,6 +546,18 @@ def brute_force_prox(penalty, x, gamma: float, box: GridSpec) -> ProxSet:
     by adjacency; one compact cluster reports a single point, one elongated
     collinear cluster reports a segment/interval, two clusters report a pair.
     A cluster touching the box boundary raises :class:`BoxTooSmallError`.
+
+    A line is scored whole; a box is scored only on the rows and columns
+    that can reach ``fl(min + tol)``, the near-optimal threshold.  With
+    ``L`` the least sample, ``U`` the objective at the cell nearest ``x``
+    and ``T = fl(U + tol)``: rounding is monotone, so each cell of row ``i``
+    scores at least ``fl(L + fl(d0[i] / (2*gamma)))``, as its sample is at
+    least ``L`` and its column's square ``d1[j]`` at least 0, and ``T`` is
+    at least ``fl(min + tol)``, as ``min <= U``.  A row whose bound exceeds
+    ``T`` holds neither the minimum nor a near-optimal cell, and likewise a
+    column.  So the result, and which error is raised, are those of the
+    whole box.  A NaN or -inf sample, or a ``U`` that is not finite, keeps
+    the whole box: a NaN anywhere raises, as does an all-+inf box.
     """
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")

@@ -177,6 +177,67 @@ def test_envelope_rescales_a_middle_regime_whose_base_alone_overflows():
     assert batch.tolist() == [value, 0.0, value]
 
 
+def _reference_envelope(x, w):
+    """:func:`rowl_envelope_2d` as it was written with nested ``np.where``: ``s1 + s2``
+    is formed twice and every regime gets its own array."""
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    s1 = np.maximum(a[..., 0], a[..., 1])
+    s2 = np.minimum(a[..., 0], a[..., 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = w.w1 * s1 + w.w2 * s2
+        d = (s1 + w.w1) - (s2 + w.w2)
+        quad = 0.25 * d * d
+        inner = w.w1 * (s1 + s2) + s1 * s2
+        tail = s1 >= s2 + w.spread
+        middle = s1 + s2 >= w.spread
+        out = np.where(tail, base, np.where(middle, base - quad, inner))
+    redo = middle & ~tail & ~np.isfinite(out)
+    if redo.any():
+        scaled = WeightPair(w.w1 * 2.0 ** -513, w.w2 * 2.0 ** -513)
+        with np.errstate(over="ignore"):
+            out[redo] = _reference_envelope(x[redo] * 2.0 ** -513, scaled) * 2.0 ** 513 * 2.0 ** 513
+    return float(out) if out.ndim == 0 else out
+
+
+def _envelope_points(rng):
+    """Random points at several scales, signed zeros on and off the axes, and ties."""
+    scale = 10.0 ** rng.integers(-3, 4, size=(400, 1))
+    pts = rng.normal(size=(400, 2)) * scale
+    pts[::7, 1] = pts[::7, 0]                          # ties |x1| = |x2|
+    pts[1::7, 1] = -pts[1::7, 0]
+    zeros = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [-0.0, 1.5], [2.5, -0.0]]
+    return np.concatenate([pts, zeros])
+
+
+@pytest.mark.parametrize("w", [
+    W02, WeightPair(0.5, 1.5), WeightPair(1.0, 1.0), WeightPair(0.0, 0.0), WeightPair(2.0, 3.0),
+    WeightPair(0.0, 1e155), WeightPair(0.0, 1e308), WeightPair(0.0, 2e154), WeightPair(0.0, 1.3e154),
+    WeightPair(1e300, 1e306),
+], ids=lambda w: f"{w.w1:g}-{w.w2:g}")
+def test_envelope_matches_its_nested_where_reference_bit_for_bit(w):
+    rng = np.random.default_rng(17)
+    pts = _envelope_points(rng)
+    # The overflow and 2**-513 rescale regimes: points at w's own scale, and
+    # near the diagonal, where the middle regime holds.
+    unit = pts[:60] / np.abs(pts[:60]).max()
+    near_diag = rng.uniform(0.5, 1.0, size=(60, 1)) * rng.choice([-1.0, 1.0], size=(60, 2))
+    near_diag[:, 1] *= rng.uniform(0.6, 1.0, size=60)
+    big = max(w.w2, 1.0)
+    pts = np.concatenate([pts, unit * big, unit * (big * 1e-3), near_diag * big,
+                          [[1e308, 1e308], [1.4e154, -1.4e154]]])
+    batch = rowl_envelope_2d(pts, w)
+    assert batch.tobytes() == _reference_envelope(pts, w).tobytes()
+    cube = pts[:384].reshape(4, 12, 8, 2)[:, ::2].transpose(1, 0, 2, 3)  # strided, 3 batch axes
+    got = rowl_envelope_2d(cube, w)
+    assert got.shape == (6, 4, 8) and got.tobytes() == _reference_envelope(cube, w).tobytes()
+    for p in pts[::9]:
+        value = rowl_envelope_2d(p, w)
+        assert type(value) is float
+        assert value.hex() == _reference_envelope(p, w).hex()
+        assert rowl_envelope_2d(p.tolist(), w).hex() == value.hex()
+
+
 def test_envelope_prox_examples():
     seg = prox_rowl_envelope_2d((2.0, 2.0), W02)
     assert seg.kind == "segment"

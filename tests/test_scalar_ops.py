@@ -71,6 +71,19 @@ def test_mc_penalty_and_l0_envelope_leak_no_warning_from_the_branch_they_drop(x)
         assert l0_envelope(x) == 1.0
 
 
+@pytest.mark.parametrize("lambda2", [2.0, 1e200, 1e308])
+def test_mc_penalty_and_l0_envelope_map_a_nan_to_nan(lambda2):
+    # A NaN used to fail `a <= lambda2` and take the constant branch: 0.5 * lambda2 and 1.0.
+    assert math.isnan(mc_penalty(math.nan, lambda2))
+    assert math.isnan(l0_envelope(math.nan))
+    # With lambda2 = 1e200 or 1e308 the other entries take the 2**-513 rescale.
+    xs = np.array([0.0, -1.5, 1e154, -1e200, 1e308, math.inf])
+    for fn in (lambda v: mc_penalty(v, lambda2), l0_envelope):
+        mixed = fn(np.insert(xs, [0, 3, 6], math.nan))
+        assert np.isnan(mixed[[0, 4, 8]]).all()
+        assert np.delete(mixed, [0, 4, 8]).tobytes() == fn(xs).tobytes()
+
+
 def test_l0_envelope_values():
     assert l0_envelope(0.0) == 0.0
     assert l0_envelope(2.0) == 1.0

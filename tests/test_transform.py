@@ -4,6 +4,7 @@ import math
 import pickle
 import sys
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -54,6 +55,13 @@ def test_axis_validation_and_points():
             Axis(*bounds)
 
 
+@pytest.mark.parametrize("lo, hi, step", [(0.0, 1e-300, 1.0), (0.0, 1e-10, 1.0), (1.0, 1.0 + 2.0 ** -52, 1.0)])
+def test_axis_refuses_a_span_shorter_than_one_step(lo, hi, step):
+    # (hi - lo)/step passed the integrality test as 0 steps: count 1, and hi no grid point.
+    with pytest.raises(ValueError, match="shorter than one step"):
+        Axis(lo, hi, step)
+
+
 EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, -1.0, 1.0, 3.0, 1e308]
 edge = st.sampled_from(EDGES) | st.floats()
 finite_edge = st.sampled_from([v for v in EDGES if math.isfinite(v)]) | st.floats(allow_nan=False, allow_infinity=False)
@@ -68,7 +76,7 @@ def test_a_grid_line_is_refused_or_runs_between_finite_ends(lo, hi, step):
     except ValueError:
         return
     last = ax.lo + ax.step * (ax.count - 1)
-    assert ax.count >= 1 and ax.lo < ax.hi and math.isfinite(last), (ax, last)
+    assert ax.count >= 2 and ax.lo < ax.hi and math.isfinite(last), (ax, last)
 
 
 @given(st.tuples(finite_edge, finite_edge), edge, edge)
@@ -98,6 +106,28 @@ def test_gridspec_shapes():
     for axes in ((), (ax, ax, ax)):
         with pytest.raises(ValueError, match="1 or 2 axes"):
             GridSpec(axes)
+
+
+def _reference_mesh(grid: GridSpec) -> np.ndarray:
+    """:meth:`GridSpec.mesh` as it was written, through ``meshgrid`` and ``stack``."""
+    if grid.dims == 1:
+        return grid.axes[0].points()
+    g0, g1 = np.meshgrid(grid.axes[0].points(), grid.axes[1].points(), indexing="ij")
+    return np.stack([g0, g1], axis=-1)
+
+
+@pytest.mark.parametrize("grid", [
+    GridSpec.square(-6.0, 6.0, 0.05),
+    GridSpec((Axis(-5.0, 4.0, 0.05), Axis(-4.5, 6.5, 0.05))),
+    GridSpec((Axis(-4.0, 4.0, 0.1), Axis(-3.0, 5.0, 0.04))),
+    GridSpec((Axis(-0.0, 0.3, 0.1), Axis(2.0 ** 1000, 2.0 ** 1000 + 3 * 2.0 ** 990, 2.0 ** 990))),
+    GridSpec.line(-5.0, 5.0, 0.01),
+], ids=["square", "uneven", "steps", "one-by-far", "line"])
+def test_mesh_matches_its_meshgrid_reference_bit_for_bit(grid):
+    got, want = grid.mesh(), _reference_mesh(grid)
+    assert got.shape == want.shape == grid.shape + ((2,) if grid.dims == 2 else ())
+    assert got.flags.c_contiguous and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
 
 
 def _value_at(f: SampledFunction, x: float) -> float:
@@ -469,7 +499,7 @@ def test_verify_inclusion_samples_each_callable_once_per_box(penalty, envelope, 
 def test_sampled_arrays_are_read_only():
     box = GridSpec.square(-1.0, 1.0, 0.5)
     owned = np.zeros(box.shape)
-    mesh, values = transform._sampled(lambda z: owned, box)
+    mesh, values, _ = transform._sampled(lambda z: owned, box)
     assert not mesh.flags.writeable and not values.flags.writeable
     with pytest.raises(ValueError):
         values[0, 0] = 1.0
@@ -661,6 +691,97 @@ def test_planar_grid_prox_matches_full_mesh_reference_bit_for_bit(name, gamma):
                 assert got == (ValueError, "objective has a NaN cell on the box"), (box, x)
             else:
                 assert got == _outcome(_reference_prox_2d, penalty, x, gamma, box), (name, box, x)
+
+
+@dataclass(frozen=True)
+class _WedgePenalty:
+    """``offset + slope * (w1*max(|u|, |v|) + w2*min(|u|, |v|))`` of ``(u, v) = z - centre``.
+
+    A positive ``quantum`` rounds the values to its multiples, which makes
+    ties; the penalty is +inf past ``radius`` from the centre in the l1
+    norm, and NaN at the mesh cell ``nan_cell``.
+    """
+
+    centre: tuple[float, float]
+    weights: tuple[float, float]
+    slope: float
+    offset: float
+    quantum: float = 0.0
+    radius: float = math.inf
+    nan_cell: tuple[int, int] | None = None
+
+    def __call__(self, z):
+        u = np.abs(z - np.asarray(self.centre))
+        big, small = np.maximum(u[..., 0], u[..., 1]), np.minimum(u[..., 0], u[..., 1])
+        out = self.offset + self.slope * (self.weights[0] * big + self.weights[1] * small)
+        if self.quantum:
+            out = np.round(out / self.quantum) * self.quantum
+        out = np.where(u[..., 0] + u[..., 1] <= self.radius, out, np.inf)
+        if self.nan_cell is not None:
+            out[self.nan_cell] = np.nan
+        return out
+
+
+def _uneven_box(lo0, n0, step0, lo1, n1, step1):
+    return GridSpec((Axis(lo0, lo0 + n0 * step0, step0), Axis(lo1, lo1 + n1 * step1, step1)))
+
+
+@st.composite
+def _planar_prox_cases(draw):
+    axes = []
+    for _ in range(2):
+        step = draw(st.sampled_from([0.05, 0.1, 0.125, 0.2, 0.25, 0.3]))
+        n = draw(st.integers(4, 60))
+        axes.append((draw(st.integers(-n, 0)) * step, n, step))
+    box = _uneven_box(*axes[0], *axes[1])
+    coords = []
+    for (lo, n, step) in axes:
+        hi = lo + n * step
+        coords.append(draw(st.one_of(
+            st.integers(0, n).map(lambda k, lo=lo, step=step: lo + k * step),  # a grid line, edges included
+            st.floats(lo, hi),
+            st.floats(lo - 2.0, lo) | st.floats(hi, hi + 2.0),  # outside the box
+        )))
+    centre = (draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+    weights = (draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0)))
+    penalty = _WedgePenalty(
+        centre, weights, slope=draw(st.floats(-0.5, 3.0)), offset=draw(st.floats(-5.0, 5.0)),
+        quantum=draw(st.sampled_from([0.0, 0.05, 0.25, 1.0])),
+        radius=draw(st.sampled_from([math.inf, 0.5, 1.0, 2.0, 4.0])),
+    )
+    gamma = draw(st.sampled_from([0.5, 0.7, 1.0, 2.0]) | st.floats(0.2, 3.0))
+    return penalty, tuple(coords), gamma, box
+
+
+_PULL_IN = _WedgePenalty((0.0, 0.0), (1.0, 1.0), slope=3.0, offset=-1.0)
+_EDGE_BOX = _uneven_box(-2.0, 40, 0.1, -1.5, 16, 0.25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_planar_prox_cases())
+# x lies left of the box, so the cell nearest it is on the first row; the
+# penalty pulls the minimum inside.
+@example(case=(_PULL_IN, (-3.0, 0.3), 1.0, _EDGE_BOX))
+# One NaN sample in the corner cell, far from the rows and columns that
+# could reach the minimum near (1, 1).
+@example(case=(_WedgePenalty((1.0, 1.0), (0.5, 1.0), slope=2.0, offset=0.0, nan_cell=(0, 0)),
+               (1.0, 1.0), 1.0, GridSpec.square(-3.0, 3.0, 0.05)))
+def test_planar_grid_prox_matches_the_reference_on_drawn_cases(case):
+    penalty, x, gamma, box = case
+    got = _outcome(brute_force_prox, penalty, x, gamma, box)
+    if penalty.nan_cell is not None:  # the reference finds 0 clusters; the prox names the NaN
+        assert got == (ValueError, "objective has a NaN cell on the box"), case
+    else:
+        assert got == _outcome(_reference_prox_2d, penalty, x, gamma, box), case
+
+
+def test_a_penalty_of_one_number_is_that_number_on_every_cell():
+    for x in [(0.3, 0.2), (1.5, -0.75), (9.0, 0.0)]:
+        for box in _PROX_BOXES:
+            got = _outcome(brute_force_prox, lambda z: -1.5, x, 0.7, box)
+            assert got == _outcome(_reference_prox_2d, lambda z: -1.5, x, 0.7, box), (x, box)
+    line = GridSpec.line(-2.0, 2.0, 0.1)
+    assert brute_force_prox(lambda z: 2.0, 0.3, 1.0, line) == brute_force_prox(np.zeros_like, 0.3, 1.0, line)
 
 
 @pytest.mark.parametrize(

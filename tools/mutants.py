@@ -69,14 +69,22 @@ MUTANTS = [
     # mc_penalty's rescale and the two errstate contexts of scalar_ops.
     Mutant("scalar_ops.py", "    if redo.any():\n        out[redo] = mc_penalty(",
            "    if False:\n        out[redo] = mc_penalty(", "caught", (SCALAR,)),
-    Mutant("scalar_ops.py", 'with np.errstate(over="ignore", invalid="ignore"):\n        out = np.where(ramp',
-           "with np.errstate():\n        out = np.where(ramp", "caught", (SCALAR,)),
+    Mutant("scalar_ops.py", 'with np.errstate(over="ignore", invalid="ignore"):\n        out = np.where(a > lam2',
+           "with np.errstate():\n        out = np.where(a > lam2", "caught", (SCALAR,)),
     Mutant("scalar_ops.py", 'with np.errstate(over="ignore", invalid="ignore"):\n        return _maybe_scalar',
            "with np.errstate():\n        return _maybe_scalar", "caught", (SCALAR,)),
+    # A NaN stays NaN in mc_penalty and l0_envelope.
+    Mutant("scalar_ops.py", "out = np.where(a > lam2, lam2 / 2.0, a - a * a / (2.0 * lam2))",
+           "out = np.where(a <= lam2, a - a * a / (2.0 * lam2), lam2 / 2.0)", "caught", (SCALAR,)),
+    Mutant("scalar_ops.py", "redo = (a <= lam2) & ~np.isfinite(out)", "redo = ~np.isfinite(out)", "caught", (SCALAR,)),
+    Mutant("scalar_ops.py", "np.where(a > SQRT2, 1.0, SQRT2 * a - a * a / 2.0)",
+           "np.where(a <= SQRT2, SQRT2 * a - a * a / 2.0, 1.0)", "caught", (SCALAR,)),
     # The refusals: firm thresholds, prox boxes, scenario A.
     Mutant("scalar_ops.py", "if not math.isfinite(self.lambda2 * (self.lambda2 - self.lambda1)):",
            "if False:", "caught", (SCALAR,)),
     Mutant("transform.py", "    if not math.isfinite(span):", "    if False:", "caught", ("tests/test_transform.py",)),
+    Mutant("transform.py", "        if round(ratio) == 0:", "        if False:", "caught",
+           ("tests/test_transform.py",)),
     Mutant("transform.py", "if not math.isfinite(self.lo + self.step * round(ratio)):", "if False:", "caught",
            ("tests/test_transform.py",)),
     Mutant("transform.py", "np.asarray(x, dtype=float)).tolist()", "np.asarray(x, dtype=float))", "caught",
@@ -86,13 +94,28 @@ MUTANTS = [
     # rowl: the honest inf of the penalty, the envelope's regimes and its rescale.
     Mutant("rowl.py", 'with np.errstate(over="ignore"):  # a sum past', "with np.errstate():  # a sum past",
            "caught", ("tests/test_cli.py",)),
-    Mutant("rowl.py", '    with np.errstate(over="ignore", invalid="ignore"):\n        base =',
-           "    with np.errstate():\n        base =", "caught", ("tests/test_rowl.py",)),
+    Mutant("rowl.py", '    with np.errstate(over="ignore", invalid="ignore"):\n        total =',
+           "    with np.errstate():\n        total =", "caught", ("tests/test_rowl.py",)),
     Mutant("rowl.py", "        overflowed = not np.isfinite(out.sum())",
            "        overflowed = w.spread * w.spread == np.inf", "caught", ("tests/test_rowl.py",)),
     Mutant("rowl.py", "    if overflowed:", "    if False:", "caught", ("tests/test_rowl.py",)),
     Mutant("core.py", "        if _KIND_SIZES.get(self.kind) != len(pts)", "        if False and _KIND_SIZES.get(self.kind) != len(pts)",
            "caught", ("tests/test_core.py",)),
+    # The envelope's regimes: the tail must be copied last.
+    Mutant("rowl.py", "        np.copyto(out, quad, where=middle)\n        np.copyto(out, base, where=tail)",
+           "        np.copyto(out, base, where=tail)\n        np.copyto(out, quad, where=middle)", "caught",
+           ("tests/test_rowl.py",)),
+    # The planar grid prox's slice: its bound T = fl(U + tol), the column
+    # bound, the NaN-keeping comparison (a NaN or -inf lowest sample or a
+    # non-finite U keeps the whole box) and the box-edge test.
+    Mutant("transform.py", "        top = pen[i, j] + (d0[i] + d1[j]) / two_gamma + tol",
+           "        top = pen[i, j] + (d0[i] + d1[j]) / two_gamma", "caught", ("tests/test_transform.py",)),
+    Mutant("transform.py", "        c0, c1 = _reach(lowest, d1, two_gamma, top)",
+           "        c0, c1 = _reach(lowest, d0, two_gamma, top)", "caught", ("tests/test_transform.py",)),
+    Mutant("transform.py", "    keep = np.flatnonzero(~(lowest + dist / two_gamma > top))",
+           "    keep = np.flatnonzero(lowest + dist / two_gamma <= top)", "caught", ("tests/test_transform.py",)),
+    Mutant("transform.py", "    if ((r0 == 0 and mask[0].any())", "    if ((mask[0].any())", "caught",
+           ("tests/test_transform.py",)),
     # The grid Legendre kernel's windows.
     Mutant("transform.py", "fits = last[:, gaps + 1] - start < _WINDOW", "fits = last[:, gaps + 1] - start <= _WINDOW",
            "caught", ("tests/test_transform.py",)),
