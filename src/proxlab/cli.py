@@ -80,7 +80,7 @@ def _parse_snr(text: str) -> tuple[float, ...]:
             raise _UsageError(f"SNR sweep {text!r} has more than {MAX_SNR_POINTS} values")
         return tuple(lo + i * step for i in range(int(math.floor(span)) + 1))
     try:
-        return tuple(math.inf if p.strip() in ("inf", "+inf") else float(p) for p in text.split(","))
+        return tuple(float(p) for p in text.split(","))
     except ValueError:
         raise _UsageError(f"could not parse SNR list {text!r}") from None
 

@@ -83,10 +83,6 @@ class WeightPair:
     def as_array(self) -> np.ndarray:
         return np.array([self.w1, self.w2])
 
-    def reversed_array(self) -> np.ndarray:
-        """The weights in reversed order (larger weight first)."""
-        return np.array([self.w2, self.w1])
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.array([self.w1, self.w2], dtype=dtype)
 

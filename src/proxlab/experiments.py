@@ -216,15 +216,15 @@ def system_mismatch(x_hat, x_true) -> float:
 
 
 class _Design(NamedTuple):
-    """A design and all a run derives from it: ``A`` and its rows, the spectral bounds, the step
-    ``mu`` of ROWL and eROWL and the relaxation ``delta`` of eROWL (each the selected one or the
-    override when one is set), and each SNR's ``(method, shrinker, step)`` runs."""
+    """A design and all a run derives from it: ``A`` and its rows, the spectral bounds, the step ``mu``
+    of ROWL and eROWL, the :class:`~proxlab.erowl.ErowlParams` of eROWL's shrinker (``mu`` and its
+    ``delta`` each the override when one is set), and each SNR's ``(method, shrinker, step)`` runs."""
 
     a: np.ndarray
     rows: list
     bounds: SpectralBounds
     mu: float
-    delta: float
+    erowl: ErowlParams
     runs: dict
 
 
@@ -232,15 +232,15 @@ def _design(cfg: ScenarioConfig, a: np.ndarray, bounds: SpectralBounds) -> _Desi
     """The cells' shared setup on design ``a``; the ROWL weights may differ per SNR, and scenario C adds firm."""
     params = select_parameters(bounds, cfg.gamma_delta, cfg.gamma_mu)
     mu = params.mu if cfg.mu_override is None else cfg.mu_override
-    delta = params.delta if cfg.delta_override is None else cfg.delta_override
-    erowl = ("eROWL", erowl_shrinker(ErowlParams(cfg.w_erowl, delta)), mu)
+    erowl = ErowlParams(cfg.w_erowl, params.delta if cfg.delta_override is None else cfg.delta_override)
+    erowl_run = ("eROWL", erowl_shrinker(erowl), mu)
     firm = ()
     if cfg.scenario == "C":
         fp, mu_f = firm_rule(bounds, cfg.firm_lambda2, cfg.gamma_mu)
         firm = (("firm", firm_shrinker(fp), mu_f),)
-    runs = {snr_db: (("ROWL", rowl_shrinker((cfg.rowl_w_by_snr or {}).get(snr_db, cfg.w_rowl)), mu), erowl, *firm)
+    runs = {snr_db: (("ROWL", rowl_shrinker((cfg.rowl_w_by_snr or {}).get(snr_db, cfg.w_rowl)), mu), erowl_run, *firm)
             for snr_db in cfg.snr_list_db}
-    return _Design(a, a.tolist(), bounds, mu, delta, runs)
+    return _Design(a, a.tolist(), bounds, mu, erowl, runs)
 
 
 def _fixed_design(cfg: ScenarioConfig) -> _Design | None:
@@ -276,25 +276,21 @@ def _draw_trial(cfg: ScenarioConfig, trial_index: int, design: _Design | None) -
     return design, resamples, noise
 
 
-def _observations(rows: list, noise: list[float], snr_db: float, x_true: Point2) -> list[float]:
-    """``y = A x_true + sigma * noise`` row by row from ``A``'s rows, noiseless at infinite SNR."""
-    clean = [r1 * x_true.x1 + r2 * x_true.x2 for r1, r2 in rows]
-    if math.isinf(snr_db):
-        return clean
-    power = 0.0
-    for v in clean:
-        power += v * v
-    sigma = math.sqrt(power * 10.0 ** (-snr_db / 10.0) / len(clean))
-    return [v + sigma * z for v, z in zip(clean, noise)]
-
-
 def _cell_model(design: _Design, noise: list[float], snr_db: float, x_true: Point2) -> LinearModel:
-    """The model of one (SNR, ``x_true``) cell on ``design`` with the trial's unit ``noise``."""
-    return LinearModel(design.a, _observations(design.rows, noise, snr_db, x_true), x_true)
+    """One (SNR, ``x_true``) cell's model on ``design``: ``A`` and ``y = A x_true + sigma * noise``,
+    row by row with the trial's unit ``noise`` (none at infinite SNR).  The model keeps no truth."""
+    y = [r1 * x_true.x1 + r2 * x_true.x2 for r1, r2 in design.rows]
+    if not math.isinf(snr_db):
+        power = 0.0
+        for v in y:
+            power += v * v
+        sigma = math.sqrt(power * 10.0 ** (-snr_db / 10.0) / len(y))
+        y = [v + sigma * z for v, z in zip(y, noise)]
+    return LinearModel(design.a, y)
 
 
 def generate_model(cfg: ScenarioConfig, trial_index: int, snr_db: float) -> LinearModel:
-    """Design matrix and observation for one trial, drawn from the trial's own stream.
+    """The model ``A``, ``y`` of one trial at ``cfg.x_true``, drawn from the trial's own stream.
 
     The stream is keyed by ``(seed, scenario, trial)``; scenario C draws its
     Gaussian design first (row major), then unit noise, scaled to the requested SNR via
@@ -492,12 +488,12 @@ def _jsonable(v):
 
 
 def _write_meta(cfg: ScenarioConfig, design: _Design | None, resampled: int) -> None:
-    """``meta.json``: the config and, for a run on one design, its bounds and the ``delta`` (with its
-    ``beta``) and step ``mu`` the solves ran with."""
+    """``meta.json``: the config and, for a run on one design, its bounds, the step ``mu`` and the
+    ``delta`` and ``beta`` of the :class:`~proxlab.erowl.ErowlParams` the solves ran with."""
     derived: dict = {"resampled_trials": resampled}
     if design is not None:
-        derived.update(rho=design.bounds.rho, kappa=design.bounds.kappa, delta=design.delta,
-                       beta=design.delta / (1.0 + design.delta), mu=design.mu)
+        derived.update(rho=design.bounds.rho, kappa=design.bounds.kappa, delta=design.erowl.delta,
+                       beta=design.erowl.beta, mu=design.mu)
     meta = {
         "schema": 4,
         "scenario": cfg.scenario,

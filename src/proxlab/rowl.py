@@ -44,16 +44,18 @@ def rowl_penalty(x, w):
 
 def _prox_2d(x, w: WeightPair, tie) -> ProxSet:
     """Prox of the penalty and of its envelope; ``tie`` joins the two matchings on a tie."""
-    v = Point2.of(x).as_array()
-    a = np.abs(v)
-    s = np.where(v < 0, -1.0, 1.0)
-    cand_keep = np.maximum(a - w.as_array(), 0.0)
-    cand_swap = np.maximum(a - w.reversed_array(), 0.0)
-    if a[0] > a[1]:
-        return ProxSet.single(s * cand_keep)
-    if a[0] < a[1]:
-        return ProxSet.single(s * cand_swap)
-    return tie(s * cand_keep, s * cand_swap)
+    x1, x2 = Point2.of(x)
+    a1, a2 = abs(x1), abs(x2)
+    s1 = -1.0 if x1 < 0.0 else 1.0
+    s2 = -1.0 if x2 < 0.0 else 1.0
+    # A clipped coordinate keeps the input's sign: -1.0 * 0.0 is -0.0.
+    keep = Point2(s1 * max(a1 - w.w1, 0.0), s2 * max(a2 - w.w2, 0.0))
+    swap = Point2(s1 * max(a1 - w.w2, 0.0), s2 * max(a2 - w.w1, 0.0))
+    if a1 > a2:
+        return ProxSet.single(keep)
+    if a1 < a2:
+        return ProxSet.single(swap)
+    return tie(keep, swap)
 
 
 def prox_rowl_2d(x, w: WeightPair) -> ProxSet:

@@ -42,7 +42,8 @@ _TOL_GUARD = 1.0 + 2.0 ** -50
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Observation model ``y = A x + noise`` with an ``(M, 2)`` design matrix.
+    """Observation model ``y = A x + noise``: an ``(M, 2)`` design matrix ``A``, the observation
+    ``y`` and their Gram sums, and nothing else.
 
     The entries of ``A^T A`` and ``A^T y`` are summed once, in one loop over
     the rows of ``A`` in order, when the model is built.
@@ -50,7 +51,6 @@ class LinearModel:
 
     a_matrix: np.ndarray
     y: np.ndarray
-    x_true: Point2 | None = None
     _gram: tuple[float, float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -237,6 +237,8 @@ def pfbs(
     if not (math.isfinite(mu) and mu > 0.0):
         raise ValueError(f"mu must be positive and finite, got {mu!r}")
     mu = float(mu)
+    if not abs(max_iter) < math.inf or int(max_iter) != max_iter:  # NaN fails the first test
+        raise ValueError(f"max_iter must be a finite whole number, got {max_iter!r}")
     max_iter = int(max_iter)
     if not tol >= 0.0 or max_iter < 1:
         raise ValueError(f"need tol >= 0 and max_iter >= 1, got {tol!r} and {max_iter!r}")

@@ -64,6 +64,9 @@ class Axis:
             raise ValueError(f"(hi - lo)/step must be finite and integral, got {ratio}")
         if round(ratio) == 0:
             raise ValueError(f"[{self.lo}, {self.hi}] is shorter than one step of {self.step}")
+        # points() holds count float64s, and numpy sizes no array past intp's byte range.
+        if round(ratio) + 1 > np.iinfo(np.intp).max // 8:
+            raise ValueError(f"[{self.lo}, {self.hi}] @ {self.step} has more points than numpy can index")
         # lo + step * (count - 1) rounds past hi and can overflow when ratio is huge.
         if not math.isfinite(self.lo + self.step * round(ratio)):
             raise ValueError(f"the last point of [{self.lo}, {self.hi}] @ {self.step} overflows")

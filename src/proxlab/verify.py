@@ -232,7 +232,7 @@ def _suite_solver(seed: int) -> list[CheckResult]:
 
     a = fixed_design_matrix()
     x_star = Point2(0.3, -1.2)
-    model = LinearModel(a, a @ np.array([0.3, -1.2]), x_true=x_star)
+    model = LinearModel(a, a @ np.array([0.3, -1.2]))
     res = pfbs(model, lambda p: p, 2.0, record_trace=False)
     err = math.hypot(res.x_hat.x1 - x_star.x1, res.x_hat.x2 - x_star.x2)
     out.append(_check("solver", "identity shrinkage solves the noiseless system",
@@ -288,7 +288,4 @@ def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
 
 def run_all(seed: int = 0) -> list[CheckResult]:
     """Run every suite in declaration order."""
-    results: list[CheckResult] = []
-    for name in SUITE_NAMES:
-        results.extend(_SUITES[name](seed))
-    return results
+    return [result for name in SUITE_NAMES for result in run_suite(name, seed)]

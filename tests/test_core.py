@@ -36,7 +36,6 @@ def test_weight_pair_ordering_enforced():
     w = WeightPair(0.5, 2.0)
     assert w.spread == 1.5
     assert w.as_array().tolist() == [0.5, 2.0]
-    assert w.reversed_array().tolist() == [2.0, 0.5]
     with pytest.raises(ValueError):
         WeightPair(2.0, 0.5)
     with pytest.raises(ValueError):

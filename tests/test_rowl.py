@@ -1,11 +1,12 @@
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from proxlab.core import Point2, WeightPair
+from proxlab.core import Point2, ProxSet, WeightPair
 from proxlab.rowl import (
     prox_rowl_2d,
     prox_rowl_envelope_2d,
@@ -352,6 +353,63 @@ def test_shrinker_returns_a_prox_point(case):
     if a[0] == a[1]:
         keep = tuple(math.copysign(max(ai - wi, 0.0), xi) for ai, wi, xi in zip(a, w, x))
         assert got == keep, (x, got)
+
+
+def _numpy_prox_2d(x, w, tie):
+    """The set-valued planar prox as it was written, on numpy two-vectors: the bits to keep."""
+    v = Point2.of(x).as_array()
+    a = np.abs(v)
+    s = np.where(v < 0, -1.0, 1.0)
+    cand_keep = np.maximum(a - np.array([w.w1, w.w2]), 0.0)
+    cand_swap = np.maximum(a - np.array([w.w2, w.w1]), 0.0)
+    if a[0] > a[1]:
+        return ProxSet.single(s * cand_keep)
+    if a[0] < a[1]:
+        return ProxSet.single(s * cand_swap)
+    return tie(s * cand_keep, s * cand_swap)
+
+
+def _assert_prox_bits_match_numpy_formula(x, w):
+    for prox, tie in ((prox_rowl_2d, ProxSet.pair), (prox_rowl_envelope_2d, ProxSet.segment)):
+        got, want = prox(x, w), _numpy_prox_2d(x, w, tie)
+        bits = [[struct.pack("<dd", *p) for p in ps.points()] for ps in (got, want)]
+        assert got.kind == want.kind and bits[0] == bits[1], (prox.__name__, x, w, got, want)
+
+
+@st.composite
+def prox_bit_cases(draw):
+    """A weight pair (``w1 = 0`` and ``w1 == w2`` included) and a finite point with signed zeros,
+    the smallest subnormal, components of 1e308, exact ties and ``|x_i| = w_j``."""
+    mag = st.sampled_from([0.0, 5e-324, 1.0, 1e308]) | st.floats(min_value=0.0, max_value=1e308)
+    w1, w2 = sorted((draw(st.just(0.0) | mag), draw(mag)))
+    w = WeightPair(w1, draw(st.sampled_from([w1, w2])))
+    a2 = draw(mag | st.sampled_from([w.w1, w.w2]))
+    a1 = draw(mag | st.just(a2) | st.sampled_from([w.w1, w.w2]))
+    x = [a1, a2]
+    if draw(st.booleans()):
+        x.reverse()
+    return tuple(-v if draw(st.booleans()) else v for v in x), w
+
+
+@given(prox_bit_cases())
+@settings(max_examples=2000)
+@example(((-0.0, 0.0), WeightPair(0.0, 0.0)))
+@example(((-0.0, -0.0), W02))
+@example(((2.0, -2.0), W02))
+@example(((-5e-324, 5e-324), WeightPair(0.0, 5e-324)))
+@example(((-1e308, 1e308), WeightPair(0.0, 1e308)))
+@example(((1e308, -5e-324), WeightPair(1e308, 1e308)))
+def test_prox_matches_its_numpy_formula_bit_for_bit(case):
+    # Both proxes work on the point's two floats; every output bit, -0.0 of a
+    # clipped negative coordinate included, is that of the numpy formula.
+    _assert_prox_bits_match_numpy_formula(*case)
+
+
+def test_prox_matches_its_numpy_formula_on_seeded_points():
+    rng = np.random.default_rng(20261020)
+    for w1, dw, x in zip(rng.uniform(0.0, 2.0, 500), rng.choice([0.0, 0.5, 2.0], 500),
+                         rng.uniform(-5.0, 5.0, (500, 2))):
+        _assert_prox_bits_match_numpy_formula(tuple(x.tolist()), WeightPair(w1, w1 + dw))
 
 
 def test_scalar_input_is_a_value_error():

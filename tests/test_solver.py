@@ -33,7 +33,7 @@ def test_model_validation():
         LinearModel(np.ones((3, 2)), np.zeros(4))
     with pytest.raises(ValueError):
         LinearModel(np.ones((3, 2)), np.array([0.0, np.inf, 0.0]))
-    m = LinearModel(np.eye(2), np.array([1.0, 2.0]), x_true=Point2(1.0, 2.0))
+    m = LinearModel(np.eye(2), np.array([1.0, 2.0]))
     assert m.gram_terms() == (1.0, 0.0, 1.0, 1.0, 2.0)
 
 
@@ -254,6 +254,20 @@ def test_pfbs_rejects_a_negative_tol_and_no_iterations(tol, max_iter):
     model = LinearModel(np.eye(2), np.zeros(2))
     with pytest.raises(ValueError, match="need tol >= 0 and max_iter >= 1"):
         pfbs(model, lambda p: p, mu=0.5, tol=tol, max_iter=max_iter)
+
+
+def test_pfbs_refuses_a_max_iter_that_is_not_a_finite_whole_number():
+    # inf escaped as int()'s OverflowError, NaN raised int()'s own message, and
+    # 2.5 ran 2 iterations.
+    model = LinearModel(np.eye(2), np.zeros(2))
+    for bad in (math.inf, math.nan, 2.5):
+        with pytest.raises(ValueError, match="max_iter must be a finite whole number"):
+            pfbs(model, lambda p: p, mu=0.5, max_iter=bad)
+    halving = LinearModel(np.eye(2), np.ones(2))  # the error to (1, 1) halves per iteration
+    for whole in (3.0, np.int64(3)):
+        res = pfbs(halving, lambda p: p, mu=0.5, tol=0.0, max_iter=whole)
+        assert res.iterations == 3 and type(res.iterations) is int and res.stop_reason == "max_iter"
+    assert pfbs(halving, lambda p: p, mu=0.5, max_iter=1e5).converged
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

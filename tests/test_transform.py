@@ -50,6 +50,8 @@ def test_axis_validation_and_points():
         Axis(0.0, 1e10, 1e-300)  # too many steps to count
     with pytest.raises(ValueError, match="finite and integral"):
         Axis(-1e308, 1e308, 1.0)  # the span itself overflows
+    with pytest.raises(ValueError, match="more points than numpy can index"):
+        Axis(0.0, 3.0, 1e-300)  # 3e300 + 1 points: points() could not be built
     for bounds in ((0.0, math.inf, 1.0), (math.nan, 1.0, 0.5), (0.0, 1.0, math.inf)):
         with pytest.raises(ValueError, match="bounds and step must be finite"):
             Axis(*bounds)
@@ -70,6 +72,7 @@ finite_edge = st.sampled_from([v for v in EDGES if math.isfinite(v)]) | st.float
 @given(edge, edge, edge)
 @settings(max_examples=300)
 @example(-sys.float_info.max, 0.0, 1916217563983001.0)  # its last point overflowed to inf
+@example(0.0, 3.0, 1e-300)  # 3e300 + 1 points: more than numpy can index
 def test_a_grid_line_is_refused_or_runs_between_finite_ends(lo, hi, step):
     try:
         (ax,) = GridSpec.line(lo, hi, step).axes
@@ -77,6 +80,7 @@ def test_a_grid_line_is_refused_or_runs_between_finite_ends(lo, hi, step):
         return
     last = ax.lo + ax.step * (ax.count - 1)
     assert ax.count >= 2 and ax.lo < ax.hi and math.isfinite(last), (ax, last)
+    assert ax.count <= np.iinfo(np.intp).max // 8, ax  # points() is an array numpy can size
 
 
 @given(st.tuples(finite_edge, finite_edge), edge, edge)
