@@ -149,6 +149,9 @@ def test_generate_model_noiseless_and_noise_power():
     model = generate_model(cfg, 0, math.inf)
     clean = model.a_matrix @ np.array([cfg.x_true.x1, cfg.x_true.x2])
     assert np.array_equal(model.y, clean)
+    # A noiseless cell adds no noise term, so a truth whose ||A x||^2 overflows still has a model.
+    huge = dataclasses.replace(cfg, x_true=Point2(1e200, 1e200))
+    assert np.array_equal(generate_model(huge, 0, math.inf).y, model.a_matrix @ np.array([1e200, 1e200]))
 
     # empirical noise power tracks the SNR rule sigma^2 = ||Ax||^2 10^(-snr/10) / M
     snr_db = 20.0

@@ -73,6 +73,7 @@ finite_edge = st.sampled_from([v for v in EDGES if math.isfinite(v)]) | st.float
 @settings(max_examples=300)
 @example(-sys.float_info.max, 0.0, 1916217563983001.0)  # its last point overflowed to inf
 @example(0.0, 3.0, 1e-300)  # 3e300 + 1 points: more than numpy can index
+@example(-sys.float_info.max, 0.0, 5.590906352488902e+291)  # 3.2e16 + 1 points, the last one inf
 def test_a_grid_line_is_refused_or_runs_between_finite_ends(lo, hi, step):
     try:
         (ax,) = GridSpec.line(lo, hi, step).axes

@@ -41,6 +41,8 @@ class Mutant(NamedTuple):
 
 
 SOLVER, SCALAR = "tests/test_solver.py", "tests/test_scalar_ops.py"
+TRANSFORM, EXPERIMENTS = "tests/test_transform.py", "tests/test_experiments.py"
+ROWL, EROWL, CLI = "tests/test_rowl.py", "tests/test_erowl.py", "tests/test_cli.py"
 
 MUTANTS = [
     # One sign/magnitude split in pfbs's loop.  A zero half-step taken with
@@ -58,7 +60,8 @@ MUTANTS = [
            "caught", (SOLVER,)),
     # The kernels the loop copies.  ROWL clips a zero magnitude to 0.0
     # whatever its sign, so its closure may take 0.0 as negative.
-    Mutant("rowl.py", "s1 = -1.0 if x1 < 0.0 else 1.0", "s1 = -1.0 if x1 <= 0.0 else 1.0", "equivalent"),
+    Mutant("rowl.py", "abs(x2)\n        s1 = -1.0 if x1 < 0.0 else 1.0", "abs(x2)\n        s1 = -1.0 if x1 <= 0.0 else 1.0",
+           "equivalent"),
     Mutant("scalar_ops.py", "(-1.0 if x < 0.0 else 1.0)", "(-1.0 if x < 0 else 1.0)", "caught", (SOLVER,)),
     Mutant("erowl.py", "        a2 = -x2 if x2 < 0.0 else x2", "        a2 = -x2 if 0 > x2 else x2",
            "caught", (SOLVER,)),
@@ -127,6 +130,135 @@ MUTANTS = [
     # LinearModel's Gram sums, in row order.
     Mutant("solver.py", "zip(a.tolist(), y.tolist())", "zip(a.tolist()[::-1], y.tolist()[::-1])", "caught", (SOLVER,)),
     Mutant("solver.py", "            c1 += a1 * yi", "            c1 += a2 * yi", "caught", (SOLVER,)),
+    # The planar set-valued prox on the point's two floats: the strict order
+    # test (a tie gives both matchings), the clip at zero and the sign of a
+    # zero coordinate.
+    Mutant("rowl.py", "    if a1 > a2:\n        return ProxSet.single(keep)",
+           "    if a1 >= a2:\n        return ProxSet.single(keep)", "caught", (ROWL,)),
+    Mutant("rowl.py", "s1 * max(a1 - w.w1, 0.0)", "s1 * (a1 - w.w1)", "caught", (ROWL,)),
+    Mutant("rowl.py", "abs(x2)\n    s1 = -1.0 if x1 < 0.0 else 1.0", "abs(x2)\n    s1 = -1.0 if x1 <= 0.0 else 1.0",
+           "caught", (ROWL,)),
+    # Each solve input stored once: eROWL's params carry the override, meta.json
+    # reads them, and a cell's model computes its own y.
+    Mutant("experiments.py", "ErowlParams(cfg.w_erowl, params.delta if cfg.delta_override is None else cfg.delta_override)",
+           "ErowlParams(cfg.w_erowl, params.delta)", "caught", (EXPERIMENTS,)),
+    Mutant("experiments.py", "beta=design.erowl.beta", "beta=select_parameters(design.bounds, cfg.gamma_delta).beta",
+           "caught", (EXPERIMENTS,)),
+    Mutant("experiments.py", "zip(y, noise)]", "zip(y, noise[::-1])]", "caught", (EXPERIMENTS,)),
+    Mutant("experiments.py", "    if not math.isinf(snr_db):\n        power", "    if True:\n        power", "caught",
+           (EXPERIMENTS,)),
+    # pfbs refuses a max_iter that is not a finite whole number; an Axis refuses
+    # more points than numpy can index.
+    Mutant("solver.py", "if not abs(max_iter) < math.inf or int(max_iter) != max_iter:",
+           "if not abs(max_iter) < math.inf:", "caught", (SOLVER,)),
+    Mutant("solver.py", "if not abs(max_iter) < math.inf or int(max_iter) != max_iter:",
+           "if int(max_iter) != max_iter:", "caught", (SOLVER,)),
+    Mutant("transform.py", "        if round(ratio) + 1 > np.iinfo(np.intp).max // 8:", "        if False:", "caught",
+           (TRANSFORM,)),
+    # run_all is run_suite over the suite table; float() reads every SNR list
+    # item the old inf test did.
+    Mutant("verify.py", "for result in run_suite(name, seed)]", "for result in run_suite(name, 0)]", "caught",
+           ("tests/test_verify.py",)),
+    Mutant("cli.py", 'return tuple(float(p) for p in text.split(","))',
+           'return tuple(math.inf if p.strip() in ("inf", "+inf") else float(p) for p in text.split(","))',
+           "equivalent"),
+    # The benchmark's own checks: eROWL's w2 term scaled, and every mean moved.
+    Mutant("erowl.py", "w1s, w2s = w1 / dp1, w2 / dp1", "w1s, w2s = w1 / dp1, 1.001 * w2 / dp1", "caught"),
+    Mutant("experiments.py", "_fmt(sum(vals) / len(vals))", "_fmt(sum(vals) / len(vals) + 1e-9)", "caught"),
+    # The inline kernels' gates: firm's thresholds in either coordinate, eROWL's
+    # second clamp clause and ROWL's identity matching on a tie.
+    Mutant("solver.py", "                if a1 <= lam1:", "                if a1 < lam1:", "caught", (SOLVER,)),
+    Mutant("solver.py", "                elif a1 <= lam2:", "                elif a1 < lam2:", "caught", (SOLVER,)),
+    Mutant("solver.py", "                if a2 <= lam1:", "                if a2 < lam1:", "caught", (SOLVER,)),
+    Mutant("solver.py", "                elif a2 <= lam2:", "                elif a2 < lam2:", "caught", (SOLVER,)),
+    Mutant("solver.py", "                    if y2 < 0.0 and y2 >= clamp:", "                    if y2 < 0.0:",
+           "caught", (SOLVER,)),
+    Mutant("solver.py", "                if a1 >= a2:\n                    y1 = a1 - w1\n",
+           "                if a1 > a2:\n                    y1 = a1 - w1\n", "caught", (SOLVER,)),
+    # One ProxSet on the line: an interval holds its low end first.
+    Mutant("core.py", 'return cls("interval", (min(a, b), max(a, b)))', 'return cls("interval", (a, b))', "caught",
+           ("tests/test_core.py", SCALAR)),
+    # What each CLI op and scenario takes, the grid cap, per-config weight
+    # dicts and the l0 envelope's tie segment.
+    Mutant("cli.py", '"l0": _Spec(1, {"gamma": 1.0}, prox_l0)', '"l0": _Spec(1, {"gamma": 1.0, "w": None}, prox_l0)',
+           "caught", (CLI,)),
+    Mutant("cli.py", 'dict.fromkeys(("w", "delta", "gamma_delta", "out"))',
+           'dict.fromkeys(("w", "delta", "gamma_delta", "seed", "out"))', "caught", (CLI,)),
+    Mutant("cli.py", "MAX_GRID_CELLS = 1_000_000", "MAX_GRID_CELLS = 2_000_000", "caught", (CLI,)),
+    Mutant("experiments.py", "fixed = {k: dict(v) if isinstance(v, dict) else v for k, v in _SCENARIOS[scenario].items()}",
+           "fixed = dict(_SCENARIOS[scenario])", "caught", (EXPERIMENTS,)),
+    Mutant("scalar_ops.py", "return _prox_l0(x, SQRT2, ProxSet.segment)", "return _prox_l0(x, SQRT2, ProxSet.pair)",
+           "caught", (SCALAR,)),
+    # One scalar kernel per shrinker, held to the exact proxes: each eROWL
+    # piece's constant moved by 0.2 %, and firm's ramp and thresholds.  Firm is
+    # continuous at both thresholds, so `<` there moves a value by one ulp or
+    # the sign of a zero, which the inline bit-for-bit test sees.
+    Mutant("erowl.py", "alpha = 0.5 + dp1 * (a1 - a2) / denom", "alpha = 1.002 * (0.5 + dp1 * (a1 - a2) / denom)",
+           "caught", (EROWL,)),
+    Mutant("erowl.py", "m = (dp1 * (a1 + a2) + delta * w1) / dp2", "m = (dp1 * (a1 + a2) + 1.002 * delta * w1) / dp2",
+           "caught", (EROWL,)),
+    Mutant("erowl.py", "return self.delta * self.w.w1 / (self.delta + 1.0)",
+           "return 1.002 * self.delta * self.w.w1 / (self.delta + 1.0)", "caught", (EROWL,)),
+    Mutant("erowl.py", "(a1 - a2 if a1 >= a2 else a2 - a1) < eta:", "(a1 - a2 if a1 >= a2 else a2 - a1) < 1.002 * eta:",
+           "caught", (EROWL,)),
+    Mutant("erowl.py", "below = (a1 + a2) <= diag_gate", "below = (a1 + a2) <= 1.002 * diag_gate", "caught", (EROWL,)),
+    Mutant("erowl.py", "y2 = a2 - hi", "y2 = a2 - 1.002 * hi", "caught", (EROWL,)),
+    Mutant("scalar_ops.py", "lam2 * (a - lam1) / gap", "lam2 * (a - 1.002 * lam1) / gap", "caught", (SCALAR,)),
+    Mutant("scalar_ops.py", "    if a <= lam2:", "    if a < lam2:", "caught", (SOLVER,)),
+    Mutant("scalar_ops.py", "    if a <= lam1:", "    if a < lam1:", "caught", (SOLVER,)),
+    # The filled graph as one vertex list, and its conversion.  The last row
+    # reads x0 where x0 == x1, so it is equivalent.
+    Mutant("transform.py", "ex, ey = (x0, y0) if x - x0 <= x1 - x else (x1, y1)",
+           "ex, ey = (x1, y1) if x - x0 <= x1 - x else (x0, y0)", "caught", (TRANSFORM,)),
+    Mutant("transform.py", "((x + delta * p) / scale, p)", "((x + p) / scale, p)", "caught", (TRANSFORM,)),
+    Mutant("transform.py", "((x + delta * p) / scale, p)", "(x / scale + delta * p / scale, p)", "caught",
+           (TRANSFORM, "tests/test_acceptance.py")),
+    Mutant("transform.py", "if x1 < x0 or y1 < y0:", "if x1 <= x0 or y1 <= y0:", "caught", (TRANSFORM,)),
+    Mutant("transform.py", "if x1 < x0 or y1 < y0:", "if x1 < x0:", "caught", (TRANSFORM,)),
+    Mutant("transform.py", "if x1 == x0 and y1 == y0:", "if False:", "caught", (TRANSFORM,)),
+    Mutant("transform.py", "if not all(math.isfinite(c) for vertex in v for c in vertex):", "if False:", "caught",
+           (TRANSFORM,)),
+    Mutant("transform.py", "if len(v) < 2:", "if len(v) < 1:", "caught", (TRANSFORM,)),
+    Mutant("transform.py", "ys.append(ey + (y1 - y0) * (x - ex) / (x1 - x0))",
+           "ys.append(ey + (x - ex) * ((y1 - y0) / (x1 - x0)))", "caught", (TRANSFORM, "tests/test_acceptance.py")),
+    Mutant("transform.py", "ys.extend((y0, y1))", "ys.append(y0)", "caught", (TRANSFORM,)),
+    Mutant("transform.py", "if not (math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9):",
+           "if abs(ratio - round(ratio)) > 1e-9:", "caught", (TRANSFORM,)),
+    Mutant("transform.py", "if not (math.isfinite(step) and step > 0):", "if False:", "caught", (TRANSFORM,)),
+    Mutant("transform.py", "return [(x0, ProxSet.segment(y0, y1)) for", "return [(x1, ProxSet.segment(y0, y1)) for",
+           "equivalent"),
+    Mutant("solver.py", "if not (math.isfinite(gamma_delta) and gamma_delta > 1.0):", "if gamma_delta <= 1.0:",
+           "caught", (SOLVER,)),
+    Mutant("solver.py", "    if not math.isfinite(delta):", "    if False:", "caught", (SOLVER,)),
+    Mutant("core.py", "if math.isnan(v):", "if False:", "caught", ("tests/test_core.py",)),
+    Mutant("__init__.py", "for module in (core, scalar_ops, rowl, erowl, transform, solver, experiments)",
+           "for module in (core, scalar_ops, rowl, transform, solver, experiments)", "caught",
+           ("tests/test_exports.py",)),
+    # The PFBS loop's counter, its step and shrinker types, eROWL's triangle and
+    # ROWL's clip; the model's finite-entry check, ErowlParams's overflow
+    # clauses and the CLI's finite --x.
+    Mutant("solver.py", "                a12 = a1 + a2", "                a12 = a1 - a2", "caught", (SOLVER,)),
+    Mutant("solver.py", "range(iterations + 1, min(iterations + block, max_iter) + 1)",
+           "range(iterations + 2, min(iterations + block, max_iter) + 2)", "caught", (SOLVER,)),
+    Mutant("solver.py", "                n1, n2 = float(n1), float(n2)\n", "", "caught", (SOLVER,)),
+    Mutant("solver.py", "    mu = float(mu)\n", "", "caught", (SOLVER,)),
+    Mutant("solver.py", "        dw1 = delta * w1", "        dw1 = delta * w2", "caught", (SOLVER,)),
+    Mutant("solver.py", "n1 = 0.0 if y1 <= 0.0 else s1 * y1", "n1 = 0.0 if y1 < 0.0 else s1 * y1", "caught", (SOLVER,)),
+    Mutant("solver.py", "        if not math.isfinite(g11 + g22 + c1 + c2) and not (", "        if False and not (",
+           "caught", (SOLVER,)),
+    Mutant("erowl.py", "if not (math.isfinite(2.0 * self.delta * self.w.spread)", "if not (True", "caught", (EROWL,)),
+    Mutant("erowl.py", "and math.isfinite((self.delta + 1.0) * self._diag_gate + self.delta * self.w.w1)):",
+           "and True):", "caught", (EROWL,)),
+    Mutant("cli.py", "    if not all(map(math.isfinite, x)):\n        raise ValueError(f\"--x must be finite",
+           "    if False:\n        raise ValueError(f\"--x must be finite", "caught", (CLI,)),
+    # One setup path: meta.json's step is the one the solves ran with, the LS
+    # row reports 0 iterations, and A's noiseless cell ignores its noise.
+    Mutant("experiments.py", "mu=design.mu)", "mu=select_parameters(design.bounds, cfg.gamma_delta, cfg.gamma_mu).mu)",
+           "caught", (EXPERIMENTS,)),
+    Mutant("experiments.py", 'PfbsResult(_least_squares(model), 0, "converged", None)',
+           'PfbsResult(_least_squares(model), 1, "converged", None)', "caught", (EXPERIMENTS,)),
+    Mutant("experiments.py", "model = _cell_model(design, noise, snr_db, cfg.x_true)",
+           "model = _cell_model(design, [0.0] * len(noise), snr_db, cfg.x_true)", "equivalent"),
 ]
 
 
