@@ -232,7 +232,7 @@ def _suite_solver(seed: int) -> list[CheckResult]:
 
     a = fixed_design_matrix()
     x_star = Point2(0.3, -1.2)
-    model = LinearModel(a, a @ np.array([0.3, -1.2]))
+    model = LinearModel(a, a @ np.array(x_star))
     res = pfbs(model, lambda p: p, 2.0, record_trace=False)
     err = math.hypot(res.x_hat.x1 - x_star.x1, res.x_hat.x2 - x_star.x2)
     out.append(_check("solver", "identity shrinkage solves the noiseless system",
