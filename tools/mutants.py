@@ -85,48 +85,48 @@ MUTANTS = [
     # The refusals: firm thresholds, prox boxes, scenario A.
     Mutant("scalar_ops.py", "if not math.isfinite(self.lambda2 * (self.lambda2 - self.lambda1)):",
            "if False:", "caught", (SCALAR,)),
-    Mutant("transform.py", "    if not math.isfinite(span):", "    if False:", "caught", ("tests/test_transform.py",)),
+    Mutant("transform.py", "    if not math.isfinite(span):", "    if False:", "caught", (TRANSFORM,)),
     Mutant("transform.py", "        if round(ratio) == 0:", "        if False:", "caught",
-           ("tests/test_transform.py",)),
+           (TRANSFORM,)),
     Mutant("transform.py", "if not math.isfinite(self.lo + self.step * round(ratio)):", "if False:", "caught",
-           ("tests/test_transform.py",)),
+           (TRANSFORM,)),
     Mutant("transform.py", "np.asarray(x, dtype=float)).tolist()", "np.asarray(x, dtype=float))", "caught",
-           ("tests/test_transform.py",)),
+           (TRANSFORM,)),
     Mutant("experiments.py", 'if self.scenario == "A" and (', "if False and (", "caught",
-           ("tests/test_experiments.py",)),
+           (EXPERIMENTS,)),
     # rowl: the honest inf of the penalty, the envelope's regimes and its rescale.
     Mutant("rowl.py", 'with np.errstate(over="ignore"):  # a sum past', "with np.errstate():  # a sum past",
-           "caught", ("tests/test_cli.py",)),
+           "caught", (CLI,)),
     Mutant("rowl.py", '    with np.errstate(over="ignore", invalid="ignore"):\n        total =',
-           "    with np.errstate():\n        total =", "caught", ("tests/test_rowl.py",)),
+           "    with np.errstate():\n        total =", "caught", (ROWL,)),
     Mutant("rowl.py", "        overflowed = not np.isfinite(out.sum())",
-           "        overflowed = w.spread * w.spread == np.inf", "caught", ("tests/test_rowl.py",)),
-    Mutant("rowl.py", "    if overflowed:", "    if False:", "caught", ("tests/test_rowl.py",)),
+           "        overflowed = w.spread * w.spread == np.inf", "caught", (ROWL,)),
+    Mutant("rowl.py", "    if overflowed:", "    if False:", "caught", (ROWL,)),
     Mutant("core.py", "        if _KIND_SIZES.get(self.kind) != len(pts)", "        if False and _KIND_SIZES.get(self.kind) != len(pts)",
            "caught", ("tests/test_core.py",)),
     # The envelope's regimes: the tail must be copied last.
     Mutant("rowl.py", "        np.copyto(out, quad, where=middle)\n        np.copyto(out, base, where=tail)",
            "        np.copyto(out, base, where=tail)\n        np.copyto(out, quad, where=middle)", "caught",
-           ("tests/test_rowl.py",)),
+           (ROWL,)),
     # The planar grid prox's slice: its bound T = fl(U + tol), the column
     # bound, the NaN-keeping comparison (a NaN or -inf lowest sample or a
     # non-finite U keeps the whole box) and the box-edge test.
     Mutant("transform.py", "        top = pen[i, j] + (d0[i] + d1[j]) / two_gamma + tol",
-           "        top = pen[i, j] + (d0[i] + d1[j]) / two_gamma", "caught", ("tests/test_transform.py",)),
+           "        top = pen[i, j] + (d0[i] + d1[j]) / two_gamma", "caught", (TRANSFORM,)),
     Mutant("transform.py", "        c0, c1 = _reach(lowest, d1, two_gamma, top)",
-           "        c0, c1 = _reach(lowest, d0, two_gamma, top)", "caught", ("tests/test_transform.py",)),
+           "        c0, c1 = _reach(lowest, d0, two_gamma, top)", "caught", (TRANSFORM,)),
     Mutant("transform.py", "    keep = np.flatnonzero(~(lowest + dist / two_gamma > top))",
-           "    keep = np.flatnonzero(lowest + dist / two_gamma <= top)", "caught", ("tests/test_transform.py",)),
+           "    keep = np.flatnonzero(lowest + dist / two_gamma <= top)", "caught", (TRANSFORM,)),
     Mutant("transform.py", "    if ((r0 == 0 and mask[0].any())", "    if ((mask[0].any())", "caught",
-           ("tests/test_transform.py",)),
+           (TRANSFORM,)),
     # The grid Legendre kernel's windows.
     Mutant("transform.py", "fits = last[:, gaps + 1] - start < _WINDOW", "fits = last[:, gaps + 1] - start <= _WINDOW",
-           "caught", ("tests/test_transform.py",)),
+           "caught", (TRANSFORM,)),
     Mutant("transform.py", "    return 64.0 * 2.0 ** -53 * size", "    return 0.0 * size", "caught",
-           ("tests/test_transform.py",)),
-    Mutant("transform.py", "        rescore[js[mixed]] = True", "        pass", "caught", ("tests/test_transform.py",)),
+           (TRANSFORM,)),
+    Mutant("transform.py", "        rescore[js[mixed]] = True", "        pass", "caught", (TRANSFORM,)),
     Mutant("transform.py", "            rescore[js[mixed.any(axis=0)]] = True", "            pass", "caught",
-           ("tests/test_transform.py",)),
+           (TRANSFORM,)),
     # LinearModel's Gram sums, in row order.
     Mutant("solver.py", "zip(a.tolist(), y.tolist())", "zip(a.tolist()[::-1], y.tolist()[::-1])", "caught", (SOLVER,)),
     Mutant("solver.py", "            c1 += a1 * yi", "            c1 += a2 * yi", "caught", (SOLVER,)),
