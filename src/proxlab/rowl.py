@@ -23,20 +23,27 @@ __all__ = [
 def rowl_penalty(x, w):
     """Weighted sum of sorted magnitudes, smallest weight on the largest entry.
 
-    ``x`` may carry leading batch axes; ``w`` is a nondecreasing, nonnegative
-    weight vector matching the trailing axis.
+    ``x`` may carry leading batch axes; ``w`` is a finite, nondecreasing,
+    nonnegative weight vector matching the trailing axis.  Compare-exchanges
+    of whole columns sort the magnitudes, and the sum reads them reversed in
+    the layout of ``np.sort(...)[..., ::-1]``, as matmul rounds by layout.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("w must be a nonempty 1-D weight vector")
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"weights must be finite, got {w}")
     if np.any(w < 0) or np.any(np.diff(w) < 0):
         raise ValueError("weights must be nonnegative and nondecreasing")
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != w.size:
         raise ValueError(f"x has shape {x.shape} but w has {w.size} components")
-    a = np.sort(np.abs(x), axis=-1)[..., ::-1]
+    cols = list(np.moveaxis(np.abs(x), -1, 0))
+    for r in range(w.size):  # odd-even transposition: one exchange in the plane
+        for k in range(r % 2, w.size - 1, 2):
+            cols[k], cols[k + 1] = np.minimum(cols[k], cols[k + 1]), np.maximum(cols[k], cols[k + 1])
     with np.errstate(over="ignore"):  # a sum past the float range is an honest inf
-        out = a @ w
+        out = np.stack(cols, axis=-1)[..., ::-1] @ w
     if out.ndim == 0:
         return float(out)
     return out

@@ -38,6 +38,9 @@ __all__ = [
     "jacobian_symmetry_defect",
 ]
 
+# The most float64s an array can hold: numpy sizes no array past intp's byte range.
+_MAX_FLOATS = np.iinfo(np.intp).max // 8
+
 
 class BoxTooSmallError(ValueError):
     """A brute-force prox search hit the search-box boundary."""
@@ -64,8 +67,7 @@ class Axis:
             raise ValueError(f"(hi - lo)/step must be finite and integral, got {ratio}")
         if round(ratio) == 0:
             raise ValueError(f"[{self.lo}, {self.hi}] is shorter than one step of {self.step}")
-        # points() holds count float64s, and numpy sizes no array past intp's byte range.
-        if round(ratio) + 1 > np.iinfo(np.intp).max // 8:
+        if round(ratio) + 1 > _MAX_FLOATS:  # points() holds count float64s
             raise ValueError(f"[{self.lo}, {self.hi}] @ {self.step} has more points than numpy can index")
         # lo + step * (count - 1) rounds past hi and can overflow when ratio is huge.
         if not math.isfinite(self.lo + self.step * round(ratio)):
@@ -89,6 +91,8 @@ class GridSpec:
         if len(self.axes) not in (1, 2):
             raise ValueError("GridSpec supports 1 or 2 axes")
         object.__setattr__(self, "axes", tuple(self.axes))
+        if math.prod(self.shape) * self.dims > _MAX_FLOATS:  # mesh() holds dims float64s a point
+            raise ValueError(f"a grid of shape {self.shape} has more points than numpy can index")
 
     @classmethod
     def line(cls, lo: float, hi: float, step: float) -> "GridSpec":
@@ -146,7 +150,7 @@ class SampledFunction:
 # L2 cache; a block of whole rows may reach ``vals.size`` doubles.
 _BLOCK = 65_536
 # Every 16th dual is an anchor, scored in full; each dual between two anchors
-# scores a window of 20 primal points.
+# scores a window of 20 * 2**k primal points, the narrowest that can hold its maximum.
 _ANCHOR_STRIDE = 16
 _WINDOW = 20
 
@@ -266,14 +270,14 @@ def _conjugate_lines(xs: np.ndarray, vals: np.ndarray, us: np.ndarray) -> np.nda
     ``u_c``.  An index with ``vals = +inf`` scores -inf and never reaches a
     finite maximum; a row whose maximum is -inf is all near-max.
 
-    Each window is 20 wide and starts at ``min(L_a, n - 20)``; its extra
-    indices score strictly below the maximum too.  One brute-force block
-    serves three cases: rows whose ``[L_a, R_c]`` is wider (the argmax jumps
-    between the anchors); duals where a window's maximum is a zero reached
-    by both +0.0 and -0.0, which :func:`_maxima` finds and the whole
-    column is rescored for; and whole calls that the proof does not cover
-    or with ``n <= 20``.  Every temporary stays within ``max(vals.size,
-    65,536)`` doubles.
+    Each (row, gap) pair is scored in the narrowest window of ``20 * 2**k``
+    points, or the whole row, that holds its ``[L_a, R_c]``.  A window of
+    ``size`` points starts at ``min(L_a, n - size)``; its extra indices
+    score strictly below the maximum too.  One brute-force block serves two
+    cases: duals where a window's maximum is a zero reached by both +0.0
+    and -0.0, which :func:`_maxima` finds and the whole column is rescored
+    for; and whole calls that the proof does not cover or with ``n <= 20``.
+    Every temporary stays within ``max(vals.size, 15 * n, 65,536)`` doubles.
     """
     b, n = vals.shape
     m = us.size
@@ -289,29 +293,27 @@ def _conjugate_lines(xs: np.ndarray, vals: np.ndarray, us: np.ndarray) -> np.nda
     span = np.arange(1, _ANCHOR_STRIDE)
     gaps = np.flatnonzero(np.diff(anchors) > 1)
     duals = np.minimum(anchors[gaps, None] + span, anchors[gaps + 1, None] - 1)
-    start = np.minimum(first[:, gaps], n - _WINDOW)
-    fits = last[:, gaps + 1] - start < _WINDOW
+    left = first[:, gaps]
+    width = last[:, gaps + 1] - left + 1
     flat_out = out.reshape(-1)
     rescore = np.zeros(m, dtype=bool)
 
-    rows, gap = np.nonzero(fits)
-    lag = np.arange(_WINDOW)[:, None]
-    per_block = _BLOCK // (2 * span.size * _WINDOW)
-    for p0 in range(0, rows.size, per_block):
-        r, g = rows[p0:p0 + per_block], gap[p0:p0 + per_block]
-        js = duals[g].T
-        top, mixed = _window_maxima(xs, vals, us, r, start[r, g] + lag, js)
-        flat_out[r * m + js] = top
-        rescore[js[mixed]] = True
-
-    per_block = max(1, _BLOCK // (span.size * n))
-    for g, js in enumerate(duals):
-        wide = np.flatnonzero(~fits[:, g])
-        for p0 in range(0, wide.size, per_block):
-            r = wide[p0:p0 + per_block]
-            top, mixed = _maxima(_scores(xs, vals[r], us[js]))
-            flat_out[r[:, None] * m + js] = top
-            rescore[js[mixed.any(axis=0)]] = True
+    size, done = _WINDOW, np.zeros(width.shape, dtype=bool)
+    while True:
+        size = min(size, n)
+        fits = width <= size
+        rows, gap = np.nonzero(fits & ~done)
+        lag = np.arange(size)[:, None]
+        per_block = max(1, _BLOCK // (2 * span.size * size))
+        for p0 in range(0, rows.size, per_block):
+            r, g = rows[p0:p0 + per_block], gap[p0:p0 + per_block]
+            js = duals[g].T
+            top, mixed = _window_maxima(xs, vals, us, r, np.minimum(left[r, g], n - size) + lag, js)
+            flat_out[r * m + js] = top
+            rescore[js[mixed]] = True
+        if size == n:
+            break
+        size, done = 2 * size, fits
 
     cols = np.flatnonzero(rescore)
     if cols.size:
@@ -448,14 +450,14 @@ def _brute_force_prox_1d(penalty, x: float, gamma: float, box: GridSpec) -> Prox
     raise ValueError(f"found {len(runs)} optimizer clusters; expected at most 2")
 
 
-def _clusters(mask: np.ndarray) -> list[np.ndarray]:
+def _clusters(mask: np.ndarray) -> list[list[int]]:
     """8-connected components of a 2-D boolean mask, as sorted flat cell indices.
 
     Components are numbered in row-major order of their first cell, as
     ``scipy.ndimage.label`` numbers them with a 3x3 structure.
     """
     width = mask.shape[1]
-    cells = [divmod(c, width) for c in np.flatnonzero(mask).tolist()]
+    cells = np.flatnonzero(mask).tolist()
     unseen = set(cells)
     out = []
     for start in cells:
@@ -464,13 +466,16 @@ def _clusters(mask: np.ndarray) -> list[np.ndarray]:
         unseen.remove(start)
         stack, members = [start], []
         while stack:
-            i, j = stack.pop()
-            members.append(i * width + j)
-            for nb in ((i + di, j + dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)):
-                if nb in unseen:
-                    unseen.remove(nb)
-                    stack.append(nb)
-        out.append(np.array(sorted(members)))
+            c = stack.pop()
+            members.append(c)
+            j = c % width  # an index off either row end is never in ``unseen``
+            lo, hi = (-1 if j > 0 else 0), (2 if j < width - 1 else 1)
+            for row in (c - width, c, c + width):
+                for nb in range(row + lo, row + hi):
+                    if nb in unseen:
+                        unseen.remove(nb)
+                        stack.append(nb)
+        out.append(sorted(members))
     return out
 
 
@@ -507,22 +512,19 @@ def _brute_force_prox_2d(penalty, x, gamma: float, box: GridSpec) -> ProxSet:
             or (c0 == 0 and mask[:, 0].any()) or (c1 == n1 and mask[:, -1].any())):
         raise BoxTooSmallError("minimizer cluster touches the search-box boundary")
     clusters = _clusters(mask)
+    width = c1 - c0
 
-    def mesh_points(flat: np.ndarray) -> np.ndarray:
-        """Mesh points of the slice's flat cell indices."""
-        rows, cols = np.unravel_index(flat, mask.shape)
-        return mesh[r0 + rows, c0 + cols]
-
-    def cluster_best(flat: np.ndarray) -> np.ndarray:
-        return mesh_points(_best_index(obj, flat))
+    def cluster_best(flat: list[int]) -> np.ndarray:
+        i, j = divmod(_best_index(obj, flat), width)
+        return mesh[r0 + i, c0 + j]
 
     if len(clusters) == 1:
         [flat] = clusters
-        cells = np.column_stack(np.unravel_index(flat, mask.shape))
-        extent = cells.max(axis=0) - cells.min(axis=0)
-        if max(extent) <= 3:
+        cols = [c % width for c in flat]
+        # flat is sorted, so its ends hold the first and last row.
+        if max(flat[-1] // width - flat[0] // width, max(cols) - min(cols)) <= 3:
             return ProxSet.single(cluster_best(flat))
-        pts = mesh_points(flat)
+        pts = mesh[r0 + np.array(flat) // width, c0 + np.array(cols)]
         center = pts.mean(axis=0)
         dev = pts - center
         cov = dev.T @ dev

@@ -61,6 +61,59 @@ def test_penalty_accepts_any_length_but_validates_weights():
             rowl_penalty([1.0, 2.0], w)
 
 
+@pytest.mark.parametrize("w", [[math.nan, 1.0], [0.0, math.inf], [math.inf, math.inf], [0.0, math.nan, 1.0]])
+def test_penalty_refuses_non_finite_weights(w):
+    # A NaN passes both the sign and the order test, and inf - inf is NaN.
+    with pytest.raises(ValueError, match="weights must be finite"):
+        rowl_penalty([1.0, 2.0, 3.0][:len(w)], w)
+
+
+def _sorted_penalty(x, w):
+    """The penalty as first written: a per-row ``np.sort``, reversed, times ``w``."""
+    return np.sort(np.abs(x), axis=-1)[..., ::-1] @ w
+
+
+PENALTY_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 2.5, 1e308, -1e308, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def penalty_cases(draw):
+    """Batches of 2, 3, 4 or 7 magnitudes, full of ties and edge values, in several layouts."""
+    d = draw(st.sampled_from([2, 3, 4, 7]))
+    batch = draw(st.lists(st.integers(1, 4), max_size=2))
+    size = math.prod(batch) * d
+    x = np.array(draw(st.lists(st.sampled_from(PENALTY_EDGES) | st.floats(), min_size=size, max_size=size)))
+    x = x.reshape(*batch, d)
+    layout = draw(st.sampled_from(["contiguous", "strided", "fortran"]))
+    if layout == "strided":
+        wide = np.zeros((*batch, 2 * d))
+        wide[..., ::2] = x
+        x = wide[..., ::2]
+    elif layout == "fortran":
+        x = np.asfortranarray(x)
+    weights = st.sampled_from([0.0, 5e-324, 0.5, 1.0, 2.0, 1e308]) | st.floats(0.0, 1e308)
+    w = np.sort(draw(st.lists(weights, min_size=d, max_size=d)))
+    return x, w
+
+
+@given(penalty_cases())
+@settings(max_examples=400)
+@example((np.array([[math.nan, 1.0], [1e308, 1e308]]), np.array([0.0, 1e308])))
+@example((np.array([-0.0, 0.0, 5e-324, -5e-324]), np.array([0.0, 0.0, 1.0, 1.0])))
+@example((np.array([math.inf, -math.inf, 1.0]), np.array([0.0, 0.0, 2.0])))
+# A contiguous descending copy sums the second row one ulp away.
+@example((np.array([[0.189, -0.005, -0.004, -2.441], [1.8, 0.011, -0.003, 0.774]]),
+          np.array([0.45, 1.3, 1.69, 2.01])))
+def test_penalty_matches_its_sorted_formula_bit_for_bit(case):
+    # A NaN is compared as NaN: numpy's vectorised sort may rewrite a NaN's payload.
+    x, w = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = np.asarray(rowl_penalty(x, w)), _sorted_penalty(x, w)
+    nan = np.isnan(want)
+    assert got.shape == want.shape and np.array_equal(np.isnan(got), nan), (x, w, got, want)
+    assert got[~nan].tobytes() == want[~nan].tobytes(), (x, w, got, want)
+
+
 @given(coord, coord)
 @settings(max_examples=200)
 def test_penalty_invariant_under_signs_and_swap(x1, x2):

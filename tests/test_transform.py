@@ -113,6 +113,23 @@ def test_gridspec_shapes():
             GridSpec(axes)
 
 
+def test_gridspec_refuses_a_box_whose_mesh_numpy_cannot_index():
+    # mesh() holds n0 * n1 * 2 float64s; each axis alone is one numpy can index.
+    # Nothing is allocated: the refusal comes before any array is built.
+    limit = np.iinfo(np.intp).max // 8
+    with pytest.raises(ValueError, match="more points than numpy can index"):
+        GridSpec.square(0.0, 3.0, 1e-9)  # 3e9 + 1 points a side
+    pair = Axis(0.0, 1.0, 1.0)
+    wide, wider = Axis(0.0, 1.0, 2.0 ** -57), Axis(0.0, 1.0, 2.0 ** -58)
+    assert wide.count * 2 * 2 <= limit < wider.count * 2 * 2
+    assert GridSpec((wide, pair)).shape == (2 ** 57 + 1, 2)
+    assert GridSpec((pair, wide)).shape == (2, 2 ** 57 + 1)
+    for axes in ((wider, pair), (pair, wider)):
+        with pytest.raises(ValueError, match="more points than numpy can index"):
+            GridSpec(axes)
+    assert GridSpec((wider,)).shape == (2 ** 58 + 1,)  # a line holds one float64 per point
+
+
 def _reference_mesh(grid: GridSpec) -> np.ndarray:
     """:meth:`GridSpec.mesh` as it was written, through ``meshgrid`` and ``stack``."""
     if grid.dims == 1:
@@ -306,6 +323,12 @@ _UZ = np.arange(-25, 26) / 10.0        # holds 0.0 at index 25, between two anch
 _PLATEAU = np.where(np.abs(_XZ) <= 1.0, 0.0, 1.0 + _XZ * _XZ)
 _XS_WIDE = np.arange(-60, 61) / 20.0
 _I40 = np.arange(40)
+_X241 = np.arange(-120, 121) / 20.0
+
+
+def _plateau(xs, half):
+    """1.0 on ``|x| <= half``, a steep parabola off it."""
+    return np.where(np.abs(xs) <= half, 1.0, 1.0 + 50.0 * xs * xs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -348,9 +371,64 @@ _I40 = np.arange(40)
                            np.where(_X81 == -1.0, -np.inf, _X81 ** 2)], _U61))
 # Repeated primal points with different values.
 @example(case=_case(np.repeat(_X81, 2), [np.repeat(_X81 ** 2, 2) + np.tile([0.0, 0.25], 81)], _U61))
+# The argmax jumps across a plateau at 1.0 between two anchors, so the gap's
+# span is the plateau: 33 of 81 points take a window of 40, 61 of 81 one of
+# 80; 51 of 61 take the whole row, and so do 201 of 241, past 160.
+@example(case=_case(_X81, [_plateau(_X81, 2.0)], _U61))
+@example(case=_case(_X81, [_plateau(_X81, 3.75), _plateau(_X81, 2.0)], _U61, fortran=True))
+@example(case=_case(_XZ, [_plateau(_XZ, 2.5)], _UZ))
+@example(case=_case(_X241, [_plateau(_X241, 5.0), _plateau(_X241, 3.0), _X241 ** 2], _U61))
 def test_conjugate_lines_matches_reference_bit_for_bit(case):
     xs, vals, us = case
     assert _same_bits(transform._conjugate_lines(xs, vals, us), _conjugate_reference(xs, vals, us))
+
+
+_SPAN_CASES = {
+    "40-of-81": (_case(_X81, [_plateau(_X81, 2.0)], _U61), {20, 40}),
+    "80-of-81": (_case(_X81, [_plateau(_X81, 3.75), _plateau(_X81, 2.0)], _U61, fortran=True), {20, 40, 80}),
+    "row-of-61": (_case(_XZ, [_plateau(_XZ, 2.5)], _UZ), {20, 61}),
+    "row-of-241": (_case(_X241, [_plateau(_X241, 5.0), _plateau(_X241, 3.0), _X241 ** 2], _U61), {20, 40, 160, 241}),
+    # The argmax moves 1.25 and 2.5 points per dual: 20 to 40 points per gap.
+    "parabolas": (_case(_X241, [_X241 ** 2, 0.5 * _X241 ** 2 + 1.0], _U61), {20, 40, 80}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPAN_CASES))
+def test_conjugate_lines_scores_each_pair_in_the_narrowest_window_that_holds_its_span(name, monkeypatch):
+    """Each (row, gap) pair is scored once, in the narrowest of 20 * 2**k
+    points or the whole row that holds its span ``[L_a, R_c]``, starting at
+    ``min(L_a, n - size)``."""
+    (xs, vals, us), sizes = _SPAN_CASES[name]
+    b, n = vals.shape
+    stride = transform._ANCHOR_STRIDE
+    anchors = np.minimum(np.arange(0, us.size + stride - 1, stride), us.size - 1)
+    margin = transform._window_margin(xs, vals, us)
+    _, first, last = transform._anchor_spans(xs, vals, us[anchors], margin)
+    want = {}
+    for r in range(b):
+        for a in range(anchors.size - 1):
+            size = transform._WINDOW
+            while size < n and last[r, a + 1] - first[r, a] + 1 > size:
+                size *= 2
+            size = min(size, n)
+            want[r, a] = (min(first[r, a], n - size), size)
+
+    got = collections.Counter()
+    seen = {}
+    real = transform._window_maxima
+
+    def spy(xs, vals, us, rows, cols, js):
+        for p, r in enumerate(rows.tolist()):
+            key = (r, (int(js[0, p]) - 1) // stride)
+            got[key] += 1
+            seen[key] = (int(cols[0, p]), cols.shape[0])
+        return real(xs, vals, us, rows, cols, js)
+
+    monkeypatch.setattr(transform, "_window_maxima", spy)
+    out = transform._conjugate_lines(xs, vals, us)
+    assert _same_bits(out, _conjugate_reference(xs, vals, us))
+    assert set(got.values()) == {1} and seen == want
+    assert {size for _, size in want.values()} == sizes
 
 
 def _traced_peak(fn) -> int:

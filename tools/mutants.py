@@ -119,14 +119,16 @@ MUTANTS = [
            "    keep = np.flatnonzero(lowest + dist / two_gamma <= top)", "caught", (TRANSFORM,)),
     Mutant("transform.py", "    if ((r0 == 0 and mask[0].any())", "    if ((mask[0].any())", "caught",
            (TRANSFORM,)),
-    # The grid Legendre kernel's windows.
-    Mutant("transform.py", "fits = last[:, gaps + 1] - start < _WINDOW", "fits = last[:, gaps + 1] - start <= _WINDOW",
+    # The grid Legendre kernel's windows: each pair in the narrowest window
+    # that holds its span, started inside the row, and the mixed-zero rescore.
+    Mutant("transform.py", "        fits = width <= size", "        fits = width < size", "caught", (TRANSFORM,)),
+    Mutant("transform.py", "np.minimum(left[r, g], n - size) + lag", "np.minimum(left[r, g], n - size + 1) + lag",
+           "caught", (TRANSFORM,)),
+    Mutant("transform.py", "    width = last[:, gaps + 1] - left + 1", "    width = last[:, gaps + 1] - left",
            "caught", (TRANSFORM,)),
     Mutant("transform.py", "    return 64.0 * 2.0 ** -53 * size", "    return 0.0 * size", "caught",
            (TRANSFORM,)),
-    Mutant("transform.py", "        rescore[js[mixed]] = True", "        pass", "caught", (TRANSFORM,)),
-    Mutant("transform.py", "            rescore[js[mixed.any(axis=0)]] = True", "            pass", "caught",
-           (TRANSFORM,)),
+    Mutant("transform.py", "            rescore[js[mixed]] = True", "            pass", "caught", (TRANSFORM,)),
     # LinearModel's Gram sums, in row order.
     Mutant("solver.py", "zip(a.tolist(), y.tolist())", "zip(a.tolist()[::-1], y.tolist()[::-1])", "caught", (SOLVER,)),
     Mutant("solver.py", "            c1 += a1 * yi", "            c1 += a2 * yi", "caught", (SOLVER,)),
@@ -153,8 +155,28 @@ MUTANTS = [
            "if not abs(max_iter) < math.inf:", "caught", (SOLVER,)),
     Mutant("solver.py", "if not abs(max_iter) < math.inf or int(max_iter) != max_iter:",
            "if int(max_iter) != max_iter:", "caught", (SOLVER,)),
-    Mutant("transform.py", "        if round(ratio) + 1 > np.iinfo(np.intp).max // 8:", "        if False:", "caught",
+    Mutant("transform.py", "        if round(ratio) + 1 > _MAX_FLOATS:", "        if False:", "caught",
            (TRANSFORM,)),
+    # A box refuses a mesh of more float64s than numpy can index (two per
+    # point); rowl_penalty refuses non-finite weights.
+    Mutant("transform.py", "        if math.prod(self.shape) * self.dims > _MAX_FLOATS:", "        if False:", "caught",
+           (TRANSFORM,)),
+    Mutant("transform.py", "        if math.prod(self.shape) * self.dims > _MAX_FLOATS:",
+           "        if math.prod(self.shape) > _MAX_FLOATS:", "caught", (TRANSFORM,)),
+    Mutant("rowl.py", "    if not np.all(np.isfinite(w)):", "    if False:", "caught", (ROWL,)),
+    # rowl_penalty's compare-exchanges and the layout of its sum; the planar
+    # grid prox's flat-index neighbours and its compact-cluster extent.
+    Mutant("rowl.py", "np.minimum(cols[k], cols[k + 1]), np.maximum(cols[k], cols[k + 1])",
+           "np.maximum(cols[k], cols[k + 1]), np.minimum(cols[k], cols[k + 1])", "caught", (ROWL,)),
+    Mutant("rowl.py", "        for k in range(r % 2, w.size - 1, 2):", "        for k in range(0, w.size - 1, 2):",
+           "caught", (ROWL,)),
+    Mutant("rowl.py", "out = np.stack(cols, axis=-1)[..., ::-1] @ w", "out = np.stack(cols[::-1], axis=-1) @ w",
+           "caught", (ROWL,)),
+    Mutant("transform.py", "lo, hi = (-1 if j > 0 else 0), (2", "lo, hi = -1, (2", "caught", (TRANSFORM,)),
+    Mutant("transform.py", "(2 if j < width - 1 else 1)", "2", "caught", (TRANSFORM,)),
+    Mutant("transform.py", "max(cols) - min(cols)) <= 3:", "max(cols) - min(cols)) < 3:", "caught", (TRANSFORM,)),
+    Mutant("transform.py", "max(flat[-1] // width - flat[0] // width,", "max(flat[-1] // width - flat[-1] // width,",
+           "caught", (TRANSFORM,)),
     # run_all is run_suite over the suite table; float() reads every SNR list
     # item the old inf test did.
     Mutant("verify.py", "for result in run_suite(name, seed)]", "for result in run_suite(name, 0)]", "caught",
