@@ -385,7 +385,7 @@ def _cluster_tol(step: float, gamma: float) -> float:
     return 1e-9 + step * step / gamma
 
 
-def _best_index(obj: np.ndarray, flat_idx: np.ndarray) -> int:
+def _best_index(obj: np.ndarray, flat_idx: np.ndarray | list[int]) -> int:
     # Deterministic representative: lowest objective, first in row-major order.
     sub = obj.reshape(-1)[flat_idx]
     return int(flat_idx[int(np.argmin(sub))])

@@ -331,6 +331,20 @@ def _plateau(xs, half):
     return np.where(np.abs(xs) <= half, 1.0, 1.0 + 50.0 * xs * xs)
 
 
+# Cases for the window sizes, with the sizes each reaches.  The argmax jumps
+# across a plateau between two anchors, so the gap's span is the plateau: 33
+# of 81 points take a window of 40 and 61 of 81 one of 80; 51 of 61 take the
+# whole row; in 241 points, 121 take a window of 160 and 201 the whole row.
+_SPAN_CASES = {
+    "40-of-81": (_case(_X81, [_plateau(_X81, 2.0)], _U61), {20, 40}),
+    "80-of-81": (_case(_X81, [_plateau(_X81, 3.75), _plateau(_X81, 2.0)], _U61, fortran=True), {20, 40, 80}),
+    "row-of-61": (_case(_XZ, [_plateau(_XZ, 2.5)], _UZ), {20, 61}),
+    "row-of-241": (_case(_X241, [_plateau(_X241, 5.0), _plateau(_X241, 3.0), _X241 ** 2], _U61), {20, 40, 160, 241}),
+    # The argmax moves 1.25 and 2.5 points per dual: 20 to 40 points per gap.
+    "parabolas": (_case(_X241, [_X241 ** 2, 0.5 * _X241 ** 2 + 1.0], _U61), {20, 40, 80}),
+}
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=_conjugate_cases())
 # +inf entries, and a row that is +inf everywhere.
@@ -371,26 +385,14 @@ def _plateau(xs, half):
                            np.where(_X81 == -1.0, -np.inf, _X81 ** 2)], _U61))
 # Repeated primal points with different values.
 @example(case=_case(np.repeat(_X81, 2), [np.repeat(_X81 ** 2, 2) + np.tile([0.0, 0.25], 81)], _U61))
-# The argmax jumps across a plateau at 1.0 between two anchors, so the gap's
-# span is the plateau: 33 of 81 points take a window of 40, 61 of 81 one of
-# 80; 51 of 61 take the whole row, and so do 201 of 241, past 160.
-@example(case=_case(_X81, [_plateau(_X81, 2.0)], _U61))
-@example(case=_case(_X81, [_plateau(_X81, 3.75), _plateau(_X81, 2.0)], _U61, fortran=True))
-@example(case=_case(_XZ, [_plateau(_XZ, 2.5)], _UZ))
-@example(case=_case(_X241, [_plateau(_X241, 5.0), _plateau(_X241, 3.0), _X241 ** 2], _U61))
+# A (row, gap) span in each window size, the whole row included.
+@example(case=_SPAN_CASES["40-of-81"][0])
+@example(case=_SPAN_CASES["80-of-81"][0])
+@example(case=_SPAN_CASES["row-of-61"][0])
+@example(case=_SPAN_CASES["row-of-241"][0])
 def test_conjugate_lines_matches_reference_bit_for_bit(case):
     xs, vals, us = case
     assert _same_bits(transform._conjugate_lines(xs, vals, us), _conjugate_reference(xs, vals, us))
-
-
-_SPAN_CASES = {
-    "40-of-81": (_case(_X81, [_plateau(_X81, 2.0)], _U61), {20, 40}),
-    "80-of-81": (_case(_X81, [_plateau(_X81, 3.75), _plateau(_X81, 2.0)], _U61, fortran=True), {20, 40, 80}),
-    "row-of-61": (_case(_XZ, [_plateau(_XZ, 2.5)], _UZ), {20, 61}),
-    "row-of-241": (_case(_X241, [_plateau(_X241, 5.0), _plateau(_X241, 3.0), _X241 ** 2], _U61), {20, 40, 160, 241}),
-    # The argmax moves 1.25 and 2.5 points per dual: 20 to 40 points per gap.
-    "parabolas": (_case(_X241, [_X241 ** 2, 0.5 * _X241 ** 2 + 1.0], _U61), {20, 40, 80}),
-}
 
 
 @pytest.mark.parametrize("name", sorted(_SPAN_CASES))
