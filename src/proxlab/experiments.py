@@ -17,8 +17,13 @@ builds its one fixed design record (bounds, step, relaxation, shrinkers) once;
 a C trial builds its own.  A trial draws its unit noise once and reuses it in
 each of its (SNR, x1) cells.  Each cell's model is built by the one
 ``LinearModel`` constructor on the path :func:`generate_model` takes, so it is
-the model that function draws for the cell.  Output files are plain CSV with
-17-significant-digit decimals plus a ``meta.json`` of the resolved setup.
+the model that function draws for the cell.  A B or C run draws every trial's
+cells first; then each method's solves of all the cells start together in
+:func:`~proxlab.solver.pfbs_lockstep`, and each solve it hands back runs on in
+this module's ``pfbs`` from its iterate, with the steps already done added to
+its iterations.  The records are those of one scalar solve per cell.  Output
+files are plain CSV with 17-significant-digit decimals plus a ``meta.json`` of
+the resolved setup.
 """
 from __future__ import annotations
 
@@ -46,6 +51,7 @@ from .solver import (
     SpectralBounds,
     _interpolated_step,
     pfbs,
+    pfbs_lockstep,
     select_parameters,
     spectral_bounds,
 )
@@ -354,26 +360,46 @@ def scenario_a(cfg: ScenarioConfig) -> ScenarioAResult:
     return ScenarioAResult(tuple(records), trajectories)
 
 
-def _trial_records(cfg: ScenarioConfig, trial: int, design: _Design | None) -> tuple[list[TrialRecord], int]:
-    """LS, ROWL and eROWL (and firm in scenario C) on each (SNR, x1) cell of one trial.
+class _Cell(NamedTuple):
+    """One (SNR, ``x_true``) cell of a trial: its model and its ``(method, shrinker, step)`` runs."""
+
+    trial: int
+    snr_db: float
+    x_true: Point2
+    model: LinearModel
+    runs: tuple
+
+
+def _trial_cells(cfg: ScenarioConfig, trial: int, design: _Design | None) -> tuple[list[_Cell], int]:
+    """Each (SNR, x1) cell of one trial, and the number of redraws.
 
     The cells share the trial's unit noise and its :class:`_Design`: a B
-    run's one ``design``, or the one a C trial draws.  Also returns the
-    number of redraws.
+    run's one ``design``, or the one a C trial draws.
     """
     design, resamples, noise = _draw_trial(cfg, trial, design)
-    out: list[TrialRecord] = []
-    for snr_db in cfg.snr_list_db:
-        runs = design.runs[snr_db]
-        for x1 in cfg.x1_sweep or (cfg.x_true.x1,):
-            x_true = Point2(x1, cfg.x_true.x2)
-            model = _cell_model(design, noise, snr_db, x_true)
-            out.append(_record(cfg, "LS", trial, snr_db, x_true,
-                               PfbsResult(_least_squares(model), 0, "converged", None)))
-            for method, shrink, step in runs:
-                res = pfbs(model, shrink, step, tol=cfg.tol, max_iter=cfg.max_iter, record_trace=False)
-                out.append(_record(cfg, method, trial, snr_db, x_true, res))
-    return out, resamples
+    cells = [_Cell(trial, snr_db, x_true, _cell_model(design, noise, snr_db, x_true), design.runs[snr_db])
+             for snr_db in cfg.snr_list_db
+             for x_true in (Point2(x1, cfg.x_true.x2) for x1 in cfg.x1_sweep or (cfg.x_true.x1,))]
+    return cells, resamples
+
+
+def _solve_cells(cfg: ScenarioConfig, cells: list[_Cell]) -> list[TrialRecord]:
+    """LS, ROWL and eROWL (and firm in scenario C) records of every cell.
+
+    Each method's solves start together in :func:`~proxlab.solver.pfbs_lockstep`;
+    each solve it hands back runs on in this module's ``pfbs`` from where it stopped.
+    """
+    out = [_record(cfg, "LS", cell.trial, cell.snr_db, cell.x_true,
+                   PfbsResult(_least_squares(cell.model), 0, "converged", None)) for cell in cells]
+    for m in range(len(cells[0].runs) if cells else 0):
+        solves = [(cell.model, *cell.runs[m][1:]) for cell in cells]
+        for cell, solve, res in zip(cells, solves, pfbs_lockstep(solves, cfg.tol, cfg.max_iter)):
+            if not isinstance(res, PfbsResult):
+                x, k = res
+                res = pfbs(*solve, x0=x, tol=cfg.tol, max_iter=cfg.max_iter - k, record_trace=False)
+                res = res._replace(iterations=res.iterations + k)
+            out.append(_record(cfg, cell.runs[m][0], cell.trial, cell.snr_db, cell.x_true, res))
+    return out
 
 
 def firm_rule(bounds, lambda2: float, gamma_mu: float) -> tuple[FirmParams, float]:
@@ -394,26 +420,29 @@ def _sort_key(r: TrialRecord):
     return (r.method, r.snr_db, r.x_true.x1, r.trial)
 
 
-def _run_tasks(cfg: ScenarioConfig, trials, worker) -> tuple[list[TrialRecord], int]:
-    """Run ``worker`` on each trial; sorted records and the number of resampled trials."""
-    records: list[TrialRecord] = []
+def _run_tasks(cfg: ScenarioConfig, trials, worker) -> tuple[list[_Cell], int]:
+    """Run ``worker`` on each trial; the cells in trial order and the number of resampled trials."""
+    cells: list[_Cell] = []
     resampled = 0
     for trial in trials:
-        recs, resamples = worker(cfg, trial)
-        records.extend(recs)
+        trial_cells, resamples = worker(cfg, trial)
+        cells.extend(trial_cells)
         resampled += resamples > 0
-    records.sort(key=_sort_key)
-    return records, resampled
+    return cells, resampled
 
 
 def scenario_b(cfg: ScenarioConfig) -> list[TrialRecord]:
     """Every trial of a B or C run (``cfg.scenario`` decides), sorted by method, SNR, x1, trial.
 
-    Writes ``records.csv``, ``means.csv`` and ``meta.json`` when an output
+    Every trial's cells are drawn first, then each method's solves of all
+    the cells run together (see :func:`_solve_cells`).  Writes
+    ``records.csv``, ``means.csv`` and ``meta.json`` when an output
     directory is configured.
     """
     design = _fixed_design(cfg)
-    records, resampled = _run_tasks(cfg, range(cfg.trials), functools.partial(_trial_records, design=design))
+    cells, resampled = _run_tasks(cfg, range(cfg.trials), functools.partial(_trial_cells, design=design))
+    records = _solve_cells(cfg, cells)
+    records.sort(key=_sort_key)
     if cfg.out_path is not None:
         os.makedirs(cfg.out_path, exist_ok=True)
         write_records_csv(os.path.join(cfg.out_path, "records.csv"), records)

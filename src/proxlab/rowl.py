@@ -23,10 +23,11 @@ __all__ = [
 def rowl_penalty(x, w):
     """Weighted sum of sorted magnitudes, smallest weight on the largest entry.
 
-    ``x`` may carry leading batch axes; ``w`` is a finite, nondecreasing,
-    nonnegative weight vector matching the trailing axis.  Compare-exchanges
-    of whole columns sort the magnitudes, and the sum reads them reversed in
-    the layout of ``np.sort(...)[..., ::-1]``, as matmul rounds by layout.
+    ``x`` is finite and may carry leading batch axes; ``w`` is a finite,
+    nondecreasing, nonnegative weight vector matching the trailing axis.
+    Compare-exchanges of whole columns sort the magnitudes, and the sum reads
+    them reversed in the layout of ``np.sort(...)[..., ::-1]``, as matmul
+    rounds by layout.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.size == 0:
@@ -42,8 +43,13 @@ def rowl_penalty(x, w):
     for r in range(w.size):  # odd-even transposition: one exchange in the plane
         for k in range(r % 2, w.size - 1, 2):
             cols[k], cols[k + 1] = np.minimum(cols[k], cols[k + 1]), np.maximum(cols[k], cols[k + 1])
-    with np.errstate(over="ignore"):  # a sum past the float range is an honest inf
+    # A sum past the float range is an honest inf.  An infinite magnitude on a
+    # zero weight makes a NaN, and any non-finite x a non-finite sum of sums;
+    # only then are the entries of x scanned.
+    with np.errstate(over="ignore", invalid="ignore"):
         out = np.stack(cols, axis=-1)[..., ::-1] @ w
+        if not np.isfinite(out.sum()) and not np.isfinite(x).all():
+            raise ValueError("x must be finite")
     if out.ndim == 0:
         return float(out)
     return out

@@ -5,6 +5,14 @@ follows the cocoercivity recipe for relaxed shrinkage operators: the
 relaxation ``delta`` is chosen from the Gram spectrum so the operator is the
 gradient of a convex potential under the data term, and the step ``mu`` is an
 interpolation across its admissible interval.
+
+:func:`pfbs` runs one solve as a scalar loop.  :func:`pfbs_lockstep` starts
+many untraced solves of one library shrinker together, as numpy float64
+lanes with the scalar loop's float operations in its order, and hands the
+last few back, each with its iterate and its steps done, for :func:`pfbs`
+to finish.  Every result is bit for bit the scalar loop's.  A B or C
+experiment run solves this way; scenario A and every traced solve run
+:func:`pfbs` alone.
 """
 from __future__ import annotations
 
@@ -25,6 +33,8 @@ __all__ = [
     "spectral_bounds",
     "select_parameters",
     "pfbs",
+    "pfbs_lockstep",
+    "LOCKSTEP_LANES",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -38,6 +48,8 @@ _NORM_GUARD = 7e11
 # hypot(d1, d2) >= max(|d1|, |d2|) up to hypot's <= 1 ulp error, so a step
 # component past tol times this factor puts the step past tol (normal tol).
 _TOL_GUARD = 1.0 + 2.0 ** -50
+#: Live lanes at or below which :func:`pfbs_lockstep` hands its lanes back.
+LOCKSTEP_LANES = 128
 
 
 @dataclass(frozen=True)
@@ -189,6 +201,23 @@ class PfbsResult(NamedTuple):
         return path
 
 
+def _iteration_budget(tol: float, max_iter) -> int:
+    """``max_iter`` as an ``int``, after the checks :func:`pfbs` makes of it and of ``tol``."""
+    if not abs(max_iter) < math.inf or int(max_iter) != max_iter:  # NaN fails the first test
+        raise ValueError(f"max_iter must be a finite whole number, got {max_iter!r}")
+    max_iter = int(max_iter)
+    if not tol >= 0.0 or max_iter < 1:
+        raise ValueError(f"need tol >= 0 and max_iter >= 1, got {tol!r} and {max_iter!r}")
+    return max_iter
+
+
+def _inline_spec(shrink):
+    """The ``_pfbs_inline`` marker of an unwrapped library shrinker; ``None`` for any other callable."""
+    spec = getattr(shrink, "_pfbs_inline", None)
+    # functools.wraps copies the marker onto a wrapper but not the code object.
+    return spec if spec is not None and spec[1] is getattr(shrink, "__code__", None) else None
+
+
 def pfbs(
     model: LinearModel,
     shrink,
@@ -233,15 +262,14 @@ def pfbs(
     CPython 3.11 specializes a comparison only when both operands have one
     type, and the float-with-int ``h1 < 0`` would take the generic path on
     every iteration.
+
+    :func:`pfbs_lockstep`'s lanes make this loop's float operations in its
+    order; a solve they hand back goes on here from ``x0``.
     """
     if not (math.isfinite(mu) and mu > 0.0):
         raise ValueError(f"mu must be positive and finite, got {mu!r}")
     mu = float(mu)
-    if not abs(max_iter) < math.inf or int(max_iter) != max_iter:  # NaN fails the first test
-        raise ValueError(f"max_iter must be a finite whole number, got {max_iter!r}")
-    max_iter = int(max_iter)
-    if not tol >= 0.0 or max_iter < 1:
-        raise ValueError(f"need tol >= 0 and max_iter >= 1, got {tol!r} and {max_iter!r}")
+    max_iter = _iteration_budget(tol, max_iter)
     g11, g12, g22, c1, c2 = model.gram_terms()
     x0 = Point2.of(x0)
     x1, x2 = x0.x1, x0.x2
@@ -254,9 +282,8 @@ def pfbs(
     tol_hi = tol * _TOL_GUARD
     tol_lo = -tol_hi
     block = max_iter if record_trace else CYCLE_BLOCK
-    spec = getattr(shrink, "_pfbs_inline", None)
-    # functools.wraps copies the marker onto a wrapper but not the code object.
-    kind = spec[0] if spec is not None and spec[1] is getattr(shrink, "__code__", None) else "call"
+    spec = _inline_spec(shrink)
+    kind = "call" if spec is None else spec[0]
     if kind == "rowl":
         w1, w2 = spec[2:]
     elif kind == "erowl":
@@ -363,3 +390,205 @@ def pfbs(
             continue
         break  # converged or diverged
     return PfbsResult(Point2(x1, x2), iterations, stop_reason, None if trace is None else tuple(trace))
+
+# Lane kernels: pfbs's inline branches on arrays.  ``h``, ``a`` and ``s`` are
+# the (2, lanes) half-steps, their magnitudes and their signs; ``c`` holds one
+# row per constant, one column per lane.  Each float operation is one ufunc in
+# the inline branch's order, and a lane takes a branch's values where the
+# inline branch would take that branch, so each lane gets its bits.
+
+
+def _rowl_lanes(h, a, s, c):
+    """ROWL on lanes; ``c`` rows ``(w1, w2, w2, w1)``: the identity matching, then the swapped one."""
+    y = a - np.where(a[0] >= a[1], c[0:2], c[2:4])
+    return np.where(y <= 0.0, 0.0, s * y)
+
+
+def _erowl_lanes(h, a, s, c):
+    """eROWL on lanes; ``c`` rows ``(w1, w2, w2, w1)``, ``(w1s, w2s, w2s, w1s)``, then
+    ``delta, dp1, dp2, diag_gate, gate, eta, denom, clamp, dw1``.
+
+    The subtract-and-clip branches go everywhere first; the slab's and the
+    triangle's values replace them only on lanes in the slab or the triangle,
+    and only when there is one.
+    """
+    w, ws = c[0:4], c[4:8]
+    delta, dp1, dp2, diag_gate, gate, eta, denom, clamp, dw1 = c[8:]
+    a1, a2 = a
+    y = a - np.where(a1 >= a2, ws[0:2], ws[2:4])
+    y = np.where(y <= 0.0, 0.0, y)
+    a12 = a1 + a2
+    below = a12 <= diag_gate
+    # |a1 - a2| is the inline branch's a1 - a2 or a2 - a1: round to nearest is symmetric.
+    diff = a1 - a2
+    slab = np.abs(diff) < eta
+    slab &= ~below
+    if slab.any():
+        alpha = 0.5 + dp1 * diff / denom
+        np.copyto(y, a - (alpha * w[0:2] + (1.0 - alpha) * w[2:4]) / dp1, where=slab)
+    da2 = dp1 * a2
+    triangle = below & (-a1 + da2 > gate) & (dp1 * a1 - a2 > gate)
+    if triangle.any():
+        m = (dp1 * a12 + dw1) / dp2
+        d = (da2 - m) / delta
+        for row, v in zip(y, (m - w[0] - d, d)):
+            np.copyto(row, np.where((v < 0.0) & (v >= clamp), 0.0, v), where=triangle)
+    return s * y
+
+
+def _firm_lanes(h, a, s, c):
+    """Firm shrinkage on lanes; ``c`` rows ``lam1, lam2, gap``."""
+    lam1, lam2, gap = c
+    return np.where(a <= lam1, 0.0, np.where(a <= lam2, s * lam2 * (a - lam1) / gap, h))
+
+
+def _shrink_lanes(kernel, h, c):
+    """``kernel`` on half-steps ``h`` after pfbs's sign split: a -0.0 half-step keeps its sign as a magnitude."""
+    neg = h < 0.0
+    return kernel(h, np.where(neg, -h, h), np.where(neg, -1.0, 1.0), c)
+
+
+#: Each inline kind's lane kernel, and its constant rows from the marker's constants.
+_LANE_KERNELS = {
+    "rowl": (_rowl_lanes, lambda w1, w2: (w1, w2, w2, w1)),
+    "erowl": (_erowl_lanes, lambda delta, w1, w2, dp1, dp2, diag_gate, gate, eta, denom, w1s, w2s, clamp: (
+        w1, w2, w2, w1, w1s, w2s, w2s, w1s, delta, dp1, dp2, diag_gate, gate, eta, denom, clamp, delta * w1)),
+    "firm": (_firm_lanes, lambda lam1, lam2, gap: (lam1, lam2, gap)),
+}
+
+
+def pfbs_lockstep(solves, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> list:
+    """Start untraced :func:`pfbs` solves from the origin together, as numpy lanes.
+
+    ``solves`` is a sequence of ``(model, shrink, mu)``.  The solves whose
+    shrinker :func:`pfbs` runs inline (an unwrapped library shrinker) and
+    whose ``mu`` it accepts are grouped by shrinker kind.  A group of more
+    than ``LOCKSTEP_LANES`` lanes is stepped together, one ufunc per float
+    operation of :func:`pfbs`'s loop.  A lane that converges, diverges or
+    reaches ``max_iter`` is done: its entry is the :class:`PfbsResult` that
+    :func:`pfbs` returns.  Every other entry is a pair ``(x, k)``: the lane's
+    iterate after ``k`` steps.  Then ``pfbs(model, shrink, mu, x0=x, tol=tol,
+    max_iter=max_iter - k, record_trace=False)``, with ``k`` added to its
+    ``iterations``, is bit for bit ``pfbs(model, shrink, mu, tol=tol,
+    max_iter=max_iter, record_trace=False)``.  Any other solve, and every
+    solve of a group of at most ``LOCKSTEP_LANES``, is ``(origin, 0)``.
+
+    The lanes run ``CYCLE_BLOCK`` steps at a time.  At each block's end their
+    iterates' bits are compared with the last block's, as :func:`pfbs` does;
+    a lane that matches is handed back one block early, from the same bits,
+    so the scalar loop finds the cycle again.  At the first block end with
+    at most ``LOCKSTEP_LANES`` live lanes and more than two blocks left,
+    every live lane is handed back.  With two blocks or fewer left, the
+    scalar loop could not find a cycle where the lanes would: there the lanes
+    run to the end, and a lane that matched ends ``"cycled"``.
+    """
+    max_iter = _iteration_budget(tol, max_iter)
+    out: list = [(Point2(0.0, 0.0), 0)] * len(solves)
+    groups: dict[str, list[int]] = {}
+    for i, (_, shrink, mu) in enumerate(solves):
+        spec = _inline_spec(shrink)
+        if spec is not None and math.isfinite(mu) and mu > 0.0:
+            groups.setdefault(spec[0], []).append(i)
+    for kind, lanes in groups.items():
+        if len(lanes) > LOCKSTEP_LANES:
+            # A diverging lane overflows, and eROWL's unselected branches may too.
+            with np.errstate(all="ignore"):
+                done = _run_lanes(kind, [solves[i] for i in lanes], tol, max_iter)
+            for i, res in zip(lanes, done):
+                out[i] = res
+    return out
+
+
+def _same_bits(x, mark):
+    """The lanes whose iterate has the bits of ``mark``'s: as in pfbs's cycle check, -0.0 is not 0.0."""
+    same = x.view(np.int64) == mark.view(np.int64)
+    return same[0] & same[1]
+
+
+#: Rows of a lane table ahead of the kernel's constants: the Gram rows that
+#: multiply x1 and x2, A^T y, the step, and the tolerance pre-filter's bound.
+_GA, _GB, _C, _MU, _TOL = slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 8), 8
+
+
+def _run_lanes(kind: str, solves, tol: float, max_iter: int) -> list:
+    """Step one kind's lanes for :func:`pfbs_lockstep`; one entry per solve, as it returns them.
+
+    A lane that ends mid-block stays in the arrays until the block ends, with
+    a zero iterate, zero Gram terms and step, and a bound of -1 no step
+    passes: it steps from 0 to 0 and no test picks it again.
+    """
+    kernel, constants = _LANE_KERNELS[kind]
+    tol_hi = tol * _TOL_GUARD
+    rows = []
+    for model, shrink, mu in solves:
+        g11, g12, g22, c1, c2 = model.gram_terms()
+        rows.append((g11, g12, g12, g22, c1, c2, float(mu), float(mu), tol_hi,
+                     *constants(*_inline_spec(shrink)[2:])))
+    table = np.array(rows).T.copy()  # one row per term, one column per lane
+    lane = np.arange(len(solves))     # each column's solve; -1 once it has ended
+    x = np.zeros((2, len(solves)))
+    out: list = [None] * len(solves)
+    mark = None
+    cycled: set[int] = set()
+    done = 0
+    while True:
+        ga, gb, c, mu, bound, consts = table[_GA], table[_GB], table[_C], table[_MU], table[_TOL], table[_TOL + 1:]
+        for done in range(done + 1, min(done + CYCLE_BLOCK, max_iter) + 1):
+            # pfbs's h = x - mu * (G x - c): g11 * x1 + g12 * x2 - c1 on top, g12 * x1 + g22 * x2 - c2 below.
+            t = ga * x[0]
+            t += gb * x[1]
+            t -= c
+            t *= mu
+            h = x - t
+            n = _shrink_lanes(kernel, h, consts)
+            d = n - x
+            last, x = x, n
+            # pfbs's pre-filters: both |n_i| below the norm guard, or either |d_i| past tol's bound
+            # (where both are finite).  Only the lanes that fail one reach hypot.
+            inside = np.abs(n) < _NORM_GUARD
+            ad = np.abs(d)
+            near = np.maximum(ad[0], ad[1]) <= bound
+            outside = np.count_nonzero(inside) < inside.size
+            if not (outside or np.count_nonzero(near)):
+                continue
+            ended: dict[int, tuple[float, float, str]] = {}
+            if outside:
+                for j in (~(inside[0] & inside[1])).nonzero()[0].tolist():
+                    n1, n2 = n[:, j].tolist()
+                    if not math.hypot(n1, n2) <= DIVERGENCE_NORM:
+                        if not (math.isfinite(n1) and math.isfinite(n2)):
+                            n1, n2 = last[:, j].tolist()
+                        ended[j] = (n1, n2, "diverged")
+            for j in near.nonzero()[0].tolist():
+                if j not in ended and math.hypot(*d[:, j].tolist()) <= tol:
+                    ended[j] = (*n[:, j].tolist(), "converged")
+            if ended:
+                js = list(ended)
+                for j, (x1, x2, reason) in ended.items():
+                    out[lane[j]] = PfbsResult(Point2(x1, x2), done, reason, None)
+                lane[js] = -1
+                x[:, js] = 0.0
+                table[:_TOL, js] = 0.0
+                table[_TOL, js] = -1.0
+        if done == max_iter:
+            for j, (x1, x2) in zip(lane.tolist(), x.T.tolist()):
+                if j >= 0:
+                    out[j] = PfbsResult(Point2(x1, x2), max_iter, "cycled" if j in cycled else "max_iter", None)
+            return out
+        if mark is not None:
+            for j in (_same_bits(x, mark) & (lane >= 0)).nonzero()[0].tolist():
+                if max_iter - done > CYCLE_BLOCK:
+                    out[lane[j]] = (Point2(*x[:, j].tolist()), done - CYCLE_BLOCK)
+                    lane[j] = -1
+                else:  # the lanes run to max_iter within the next block
+                    cycled.add(int(lane[j]))
+        if (lane < 0).any():
+            keep = (lane >= 0).nonzero()[0]
+            if not keep.size:
+                return out
+            table, lane, x = table[:, keep], lane[keep], x[:, keep]
+        mark = x
+        if lane.size <= LOCKSTEP_LANES and max_iter - done > 2 * CYCLE_BLOCK:
+            for j, (x1, x2) in zip(lane.tolist(), x.T.tolist()):
+                out[j] = (Point2(x1, x2), done)
+            return out

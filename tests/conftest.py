@@ -6,20 +6,20 @@ from proxlab import experiments
 
 @pytest.fixture
 def reversed_trials(monkeypatch):
-    """Make the experiments run their trials last to first.
+    """Make the experiments draw their trials last to first.
 
-    Returns the list of trial indices in the order they ran, so a test can
-    check that the reversal took effect.
+    A B or C run draws every trial's cells, then solves each method's cells
+    together as lanes in the order they were drawn, so the lanes run in
+    reversed trial order too.  Returns the trials of the drawn cells, in
+    lane order, so a test can check that the reversal took effect.
     """
     ran: list[int] = []
     real = experiments._run_tasks
 
     def run_reversed(cfg, trials, worker):
-        def traced(cfg, trial):
-            ran.append(trial)
-            return worker(cfg, trial)
-
-        return real(cfg, list(trials)[::-1], traced)
+        cells, resampled = real(cfg, list(trials)[::-1], worker)
+        ran.extend(dict.fromkeys(cell.trial for cell in cells))
+        return cells, resampled
 
     monkeypatch.setattr(experiments, "_run_tasks", run_reversed)
     return ran

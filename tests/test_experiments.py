@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from proxlab import experiments
+from proxlab import experiments, solver
 from proxlab.core import Point2, WeightPair
 from proxlab.erowl import ErowlParams, erowl_shrinker
 from proxlab.experiments import (
@@ -318,15 +318,27 @@ def _model_key(model):
 
 def _assert_cells_solve_generate_model_draws(scenario, cfg, monkeypatch):
     """Every cell's solves ran on the model generate_model draws for that cell
-    on its own, and each trial's records equal the cell-by-cell reference."""
+    on its own, and each trial's records equal the cell-by-cell reference.
+
+    A B or C run starts each solve in ``pfbs_lockstep`` and goes on in
+    ``pfbs`` (from an iterate ``x0``) with the solves it hands back; scenario A
+    calls ``pfbs`` alone.  A solve counts where it starts.  Returns the expected
+    count per model and how many solves went on in ``pfbs``.
+    """
     solved = collections.Counter()
-    real_pfbs = experiments.pfbs
+    went_on = collections.Counter()
+    real_pfbs, real_lockstep = experiments.pfbs, experiments.pfbs_lockstep
 
     def recording_pfbs(model, *args, **kwargs):
-        solved[_model_key(model)] += 1
+        (went_on if "x0" in kwargs else solved)[_model_key(model)] += 1
         return real_pfbs(model, *args, **kwargs)
 
+    def recording_lockstep(solves, *args):
+        solved.update(_model_key(model) for model, _, _ in solves)
+        return real_lockstep(solves, *args)
+
     monkeypatch.setattr(experiments, "pfbs", recording_pfbs)
+    monkeypatch.setattr(experiments, "pfbs_lockstep", recording_lockstep)
     records = scenario(cfg)
     solves_per_cell = 3 if cfg.scenario == "C" else 2
     expected = collections.Counter()
@@ -335,24 +347,26 @@ def _assert_cells_solve_generate_model_draws(scenario, cfg, monkeypatch):
             model = _cell_model(cfg, trial, snr_db, x1)
             expected[_model_key(model)] += solves_per_cell
     assert solved == expected
+    assert not went_on - solved  # only a solve the lanes started goes on in pfbs
     for trial in range(cfg.trials):
         got = [r for r in records if r.trial == trial]
         assert _exact(got) == _exact(_trial_reference(cfg, trial))
-    return expected
+    return expected, sum(went_on.values())
 
 
 def test_scenario_b_cells_solve_the_models_generate_model_draws(monkeypatch):
     # One cell per SNR on the fixed design: noiseless cells of all trials coincide.
     cfg = ScenarioConfig.scenario_b_defaults(seed=7, trials=3, snr_list_db=(20.0, 10.0, math.inf))
-    expected = _assert_cells_solve_generate_model_draws(scenario_b, cfg, monkeypatch)
+    expected, went_on = _assert_cells_solve_generate_model_draws(scenario_b, cfg, monkeypatch)
     assert len(expected) == cfg.trials * 2 + 1
+    assert went_on == sum(expected.values())  # 18 solves: too few for the lanes to take a step
 
 
 def test_scenario_a_cell_solves_the_model_generate_model_draws(monkeypatch):
     # A's one noiseless cell, at A's step override mu = 2 and without an LS row.
     cfg = ScenarioConfig.scenario_a_defaults()
-    expected = _assert_cells_solve_generate_model_draws(lambda c: scenario_a(c).records, cfg, monkeypatch)
-    assert len(expected) == 1
+    expected, went_on = _assert_cells_solve_generate_model_draws(lambda c: scenario_a(c).records, cfg, monkeypatch)
+    assert len(expected) == 1 and went_on == 0
 
 
 def test_scenario_b_delta_override_is_the_erowl_relaxation(monkeypatch):
@@ -372,8 +386,23 @@ def test_scenario_c_cells_solve_the_models_generate_model_draws(monkeypatch):
     # Each trial draws its design and noise once; every cell's model must still
     # be the one generate_model draws for that (trial, SNR, x1) on its own.
     cfg = ScenarioConfig.scenario_c_defaults(seed=7, trials=3, snr_list_db=(20.0, 10.0, math.inf))
-    expected = _assert_cells_solve_generate_model_draws(scenario_c, cfg, monkeypatch)
+    expected, _ = _assert_cells_solve_generate_model_draws(scenario_c, cfg, monkeypatch)
     assert len(expected) == cfg.trials * 3 * len(cfg.x1_sweep)
+
+
+@pytest.mark.parametrize("scenario, cfg", [
+    ("B", ScenarioConfig.scenario_b_defaults(seed=7, trials=12, snr_list_db=(20.0, 10.0, math.inf))),
+    # Trial 20 of the default seed holds a ROWL solve that cycles at 20 dB.
+    ("C", ScenarioConfig.scenario_c_defaults(trials=21, snr_list_db=(20.0,), x1_sweep=(1.0, 4.0))),
+], ids=["B", "C"])
+def test_cells_whose_solves_step_as_lanes_match_the_cell_by_cell_reference(scenario, cfg, monkeypatch):
+    # With LOCKSTEP_LANES at 4, these runs' 36 and 42 lanes per method take numpy steps: the lanes
+    # end some solves and hand the rest back to pfbs.
+    monkeypatch.setattr(solver, "LOCKSTEP_LANES", 4)
+    expected, went_on = _assert_cells_solve_generate_model_draws(scenario_b, cfg, monkeypatch)
+    assert 0 < went_on < sum(expected.values())
+    if scenario == "C":
+        assert any(r.stop_reason == "cycled" for r in _trial_reference(cfg, 20))
 
 
 def test_scenario_c_counts_a_resampled_trial_once(monkeypatch, tmp_path):

@@ -3,14 +3,16 @@ import functools
 import math
 import struct
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from proxlab import solver
 from proxlab.core import Point2, WeightPair
 from proxlab.erowl import ErowlParams, _region_test, erowl_shrinker
-from proxlab.experiments import ScenarioConfig, firm_rule, fixed_design_matrix, generate_model
+from proxlab.experiments import ScenarioConfig, _trial_cells, firm_rule, fixed_design_matrix, generate_model
 from proxlab.rng import Xoshiro256pp, stream
 from proxlab.rowl import rowl_shrinker
 from proxlab.scalar_ops import FirmParams, _firm, firm_shrinker, soft
@@ -18,9 +20,12 @@ from proxlab.solver import (
     CYCLE_BLOCK,
     DEFAULT_TOL,
     DIVERGENCE_NORM,
+    LOCKSTEP_LANES,
     LinearModel,
+    PfbsResult,
     SpectralBounds,
     pfbs,
+    pfbs_lockstep,
     select_parameters,
     spectral_bounds,
 )
@@ -497,15 +502,19 @@ def _shrinker(kind, draw):
     return erowl_shrinker(params), [w.w1, w.w2, params.eta, params._diag_gate, params._axis_gate]
 
 
+KINDS = ("rowl", "erowl", "firm")
+
+
 @st.composite
-def gate_points(draw):
-    """A library shrinker and a point on, or a few ulps off, a place where its formula switches.
+def gate_points(draw, kinds=KINDS):
+    """A library shrinker of one of ``kinds`` and a point on, or a few ulps off, a place where its
+    formula switches.
 
     Ties ``|h1| = |h2|``, eROWL's diagonal, axis and slab gates (whose
     rounding lands the triangle formula inside ``_CLAMP``), firm's two
     thresholds and signed zeros.
     """
-    kind = draw(st.sampled_from(["rowl", "erowl", "firm"]))
+    kind = draw(st.sampled_from(kinds))
     shrink, special = _shrinker(kind, draw)
     a2 = draw(st.one_of(st.sampled_from([0.0] + special), st.floats(min_value=0.0, max_value=8.0)))
     candidates = [0.0, a2, draw(st.floats(min_value=0.0, max_value=8.0))] + special
@@ -729,6 +738,170 @@ def test_the_solver_frame_counts_its_iterations_as_it_runs():
     assert all(type(v) is int for v in counts)
     assert counts == sorted(counts)
     assert set(range(res.iterations)) <= set(counts)
+
+
+# ------------------------------------------------- lockstep lanes against pfbs
+
+
+@st.composite
+def lane_batches(draw):
+    """One shrinker kind, and up to eight of its shrinkers, each with a half-step at one of its gates;
+    about a quarter of the coordinates are replaced by +-0.0, NaN or +-inf."""
+    kind = draw(st.sampled_from(KINDS))
+    special = st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf])
+    cases = []
+    for shrink, p in draw(st.lists(gate_points(kinds=(kind,)), min_size=1, max_size=8)):
+        cases.append((shrink, tuple(draw(special) if draw(st.integers(0, 3)) == 0 else v for v in p)))
+    return kind, cases
+
+
+def _value_bits(p):
+    """Each coordinate's bits, or ``"nan"``.  A NaN output's sign is no part of any solve: the
+    solve diverges and keeps its last finite iterate.  (ROWL's closure takes ``abs``, which clears
+    a NaN's sign; the inline branch and the lanes keep it.)"""
+    return tuple("nan" if math.isnan(v) else struct.pack("<d", v) for v in p)
+
+
+def _lane_outputs(kind, cases):
+    """The lane kernel of ``kind`` on every case's half-step at once, as each lane's output bits."""
+    kernel, constants = solver._LANE_KERNELS[kind]
+    h = np.array([p for _, p in cases]).T.copy()
+    c = np.array([constants(*shrink._pfbs_inline[2:]) for shrink, _ in cases]).T.copy()
+    with np.errstate(all="ignore"):
+        n = solver._shrink_lanes(kernel, h, c)
+    return [_value_bits(lane) for lane in n.T.tolist()]
+
+
+@given(lane_batches())
+@settings(max_examples=200)
+# signed zeros: a -0.0 half-step is a -0.0 magnitude, which eROWL's triangle carries into its output
+@example(("erowl", [(erowl_shrinker(ErowlParams(WeightPair(0.0, 1.0), 1.0)), (-0.0, 0.0)),
+                    (erowl_shrinker(ErowlParams(WeightPair(0.5, 2.0), 1.0)), (0.0, -0.0))]))
+@example(("rowl", [(rowl_shrinker(WeightPair(0.0, 0.0)), (-0.0, 0.0)), (rowl_shrinker(WeightPair(0.0, 1.0)), (2.0, -2.0))]))
+@example(("firm", [(firm_shrinker(FirmParams(0.5, 1.0)), (-0.5, -0.5)), (firm_shrinker(FirmParams(0.5, 1.0)), (-0.0, math.nan)),
+                   (firm_shrinker(FirmParams(1.435, 3.189)), (3.189, -math.inf))]))
+# the triangle's clamp on either coordinate, next to a lane outside the triangle
+@example(("erowl", [(erowl_shrinker(ErowlParams(WeightPair(0.5, 2.0), 1.0)), (0.36200532040757316, 0.47401064081514627)),
+                    (erowl_shrinker(ErowlParams(WeightPair(0.0, 10.739603037861023), 0.0013215336681076692)),
+                     (10.16357143355092, 10.177002935388574)),
+                    (erowl_shrinker(ErowlParams(WeightPair(0.2, 1.0), 0.5)), (-math.inf, 0.5998664708209627))]))
+def test_lane_kernels_match_their_closures_at_every_gate(batch):
+    kind, cases = batch
+    assert _lane_outputs(kind, cases) == [_value_bits(shrink(p)) for shrink, p in cases]
+
+
+def _lockstep_then_pfbs(solves, tol=DEFAULT_TOL, max_iter=100_000):
+    """Each solve's result: pfbs_lockstep's, or pfbs's from where the lanes handed it back, as a run finishes it."""
+    out = []
+    for (model, shrink, mu), res in zip(solves, pfbs_lockstep(solves, tol, max_iter)):
+        if not isinstance(res, PfbsResult):
+            x, k = res
+            res = pfbs(model, shrink, mu, x0=x, tol=tol, max_iter=max_iter - k, record_trace=False)
+            res = res._replace(iterations=res.iterations + k)
+        out.append(res)
+    return out
+
+
+def _assert_lockstep_matches_pfbs(solves, tol=DEFAULT_TOL, max_iter=100_000):
+    """Lockstep then pfbs gives each solve's x_hat bits, iterations and stop reason of pfbs alone."""
+    alone = [pfbs(model, shrink, mu, tol=tol, max_iter=max_iter, record_trace=False) for model, shrink, mu in solves]
+    assert [_outcome(r) for r in _lockstep_then_pfbs(solves, tol, max_iter)] == [_outcome(r) for r in alone]
+    return alone
+
+
+@st.composite
+def lane_solves(draw):
+    """Up to six solves of one shrinker kind on drawn 2x2 models, a tolerance and budget, and a lane count
+    at or below which the lanes hand back (in place of ``LOCKSTEP_LANES``)."""
+    kind = draw(st.sampled_from(KINDS))
+    solves = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        shrink, _ = _shrinker(kind, draw)
+        a = np.array([[draw(coefficient), draw(coefficient)], [draw(coefficient), draw(coefficient)]])
+        y = np.array([draw(coefficient), draw(coefficient)])
+        solves.append((LinearModel(a, y), shrink, draw(st.floats(min_value=0.01, max_value=3.0))))
+    kwargs = dict(tol=draw(st.sampled_from([DEFAULT_TOL, 0.0, 1e-3])),
+                  max_iter=draw(st.integers(min_value=1, max_value=300)))
+    return solves, kwargs, draw(st.integers(min_value=0, max_value=len(solves)))
+
+
+@given(lane_solves())
+@settings(max_examples=200)
+def test_lockstep_solves_match_pfbs_bit_for_bit(case):
+    solves, kwargs, lanes = case
+    with mock.patch.object(solver, "LOCKSTEP_LANES", lanes):
+        _assert_lockstep_matches_pfbs(solves, **kwargs)
+
+
+# Scenario C, trial 20, 20 dB, x1 = 1 is periodic from iteration 19, so pfbs matches its bits
+# at iteration 128; next to it, ROWL lanes that converge, diverge and hit a NaN half-step.
+CYCLE_LANES = [
+    _cycling_rowl_case(),
+    (FIXED_B, FIXED_B_RUNS[0][0], FIXED_B_MU),
+    (LinearModel(np.eye(2), np.ones(2)), SHRINKERS["rowl"], 5.0),
+    (OVERFLOWING_GRAM, SHRINKERS["rowl"], 0.5),
+]
+
+
+@pytest.mark.parametrize("max_iter", [1, 7, 63, 64, 65, 127, 128, 129, 150, 192, 193, 200, 255, 256, 257, 300, 5000])
+@pytest.mark.parametrize("lanes", [0, 1, 3])
+def test_lockstep_matches_pfbs_around_a_cycle_and_the_hand_back(max_iter, lanes):
+    # A match at 128 with more than a block left hands the lane back from iteration 64;
+    # with a block or less left, the lanes run it to max_iter as "cycled".
+    with mock.patch.object(solver, "LOCKSTEP_LANES", lanes):
+        alone = _assert_lockstep_matches_pfbs(CYCLE_LANES, max_iter=max_iter)
+    assert alone[0].stop_reason == ("cycled" if max_iter > 2 * CYCLE_BLOCK else "max_iter")
+    assert alone[3].stop_reason == "diverged"
+    if max_iter >= CYCLE_BLOCK:  # the growing norm passes 1e12 within a block
+        assert alone[2].stop_reason == "diverged"
+
+
+def _scenario_c_solves():
+    """Scenario C's solves at 10 dB for trials 18 to 30, by method: 143 lanes each; eight ROWL lanes cycle."""
+    cfg = ScenarioConfig.scenario_c_defaults(snr_list_db=(10.0,))
+    cells = [cell for trial in range(18, 31) for cell in _trial_cells(cfg, trial, None)[0]]
+    return [[(cell.model, *cell.runs[m][1:]) for cell in cells] for m in range(3)]
+
+
+SCENARIO_C_SOLVES = _scenario_c_solves()
+
+
+@pytest.mark.parametrize("lanes", [LOCKSTEP_LANES - 1, LOCKSTEP_LANES, LOCKSTEP_LANES + 1])
+@pytest.mark.parametrize("method", [0, 1, 2], ids=["rowl", "erowl", "firm"])
+def test_only_a_batch_past_lockstep_lanes_takes_numpy_steps(lanes, method):
+    solves = SCENARIO_C_SOLVES[method][:lanes]
+    entries = pfbs_lockstep(solves)
+    untouched = [e == (Point2(0.0, 0.0), 0) for e in entries]
+    assert all(untouched) == (lanes <= LOCKSTEP_LANES)
+    alone = _assert_lockstep_matches_pfbs(solves)
+    if method == 0:
+        assert sum(r.stop_reason == "cycled" for r in alone) == 8
+
+
+def test_the_lanes_cycle_check_compares_bits():
+    # pfbs compares its packed iterates, so a 0.0 coordinate does not repeat a -0.0 one.
+    x = np.array([[0.0, -0.0, 1.0, 2.0], [1.0, 1.0, -0.0, 3.0]])
+    mark = np.array([[-0.0, -0.0, 1.0, 2.0], [1.0, 1.0, 0.0, 3.0]])
+    assert solver._same_bits(x, mark).tolist() == [False, True, False, True]
+
+
+def test_lockstep_leaves_other_callables_and_refused_steps_to_pfbs():
+    shrink = SHRINKERS["rowl"]
+
+    @functools.wraps(shrink)
+    def wrapper(p):
+        return shrink(p)
+
+    others = [(FIXED_B, lambda p: shrink(p), FIXED_B_MU), (FIXED_B, wrapper, FIXED_B_MU),
+              (FIXED_B, shrink, -1.0), (FIXED_B, shrink, math.nan), (FIXED_B, shrink, math.inf)]
+    entries = pfbs_lockstep([(FIXED_B, shrink, FIXED_B_MU)] * (LOCKSTEP_LANES + 1) + others)
+    assert all(isinstance(e, PfbsResult) for e in entries[:LOCKSTEP_LANES + 1])
+    assert entries[LOCKSTEP_LANES + 1:] == [(Point2(0.0, 0.0), 0)] * len(others)
+    with pytest.raises(ValueError, match="mu must be positive and finite, got -1.0"):
+        _lockstep_then_pfbs(others[2:3])
+    for tol, max_iter in ((-1e-10, 10), (1e-10, 0), (1e-10, 2.5)):
+        with pytest.raises(ValueError):
+            pfbs_lockstep([], tol, max_iter)
 
 
 # ------------------------------------------------------------- rng streams

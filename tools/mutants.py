@@ -95,8 +95,8 @@ MUTANTS = [
     Mutant("experiments.py", 'if self.scenario == "A" and (', "if False and (", "caught",
            (EXPERIMENTS,)),
     # rowl: the honest inf of the penalty, the envelope's regimes and its rescale.
-    Mutant("rowl.py", 'with np.errstate(over="ignore"):  # a sum past', "with np.errstate():  # a sum past",
-           "caught", (CLI,)),
+    Mutant("rowl.py", '    with np.errstate(over="ignore", invalid="ignore"):\n        out = np.stack(',
+           "    with np.errstate():\n        out = np.stack(", "caught", (ROWL,)),
     Mutant("rowl.py", '    with np.errstate(over="ignore", invalid="ignore"):\n        total =',
            "    with np.errstate():\n        total =", "caught", (ROWL,)),
     Mutant("rowl.py", "        overflowed = not np.isfinite(out.sum())",
@@ -281,6 +281,34 @@ MUTANTS = [
            'PfbsResult(_least_squares(model), 1, "converged", None)', "caught", (EXPERIMENTS,)),
     Mutant("experiments.py", "model = _cell_model(design, noise, snr_db, cfg.x_true)",
            "model = _cell_model(design, [0.0] * len(noise), snr_db, cfg.x_true)", "equivalent"),
+    # The lockstep lanes: kernel gates, pfbs's sign split (np.abs loses a -0.0
+    # magnitude), eROWL's slab and clamp, a cycled lane handed back a block
+    # late, lanes handed back with only two blocks left, the cycle check on
+    # floats, a batch of LOCKSTEP_LANES stepped, and a lane's k left off.
+    Mutant("solver.py", "return np.where(y <= 0.0, 0.0, s * y)", "return np.where(y < 0.0, 0.0, s * y)", "caught",
+           (SOLVER,)),
+    Mutant("solver.py", "np.where(a <= lam1, 0.0,", "np.where(a < lam1, 0.0,", "caught", (SOLVER,)),
+    Mutant("solver.py", "kernel(h, np.where(neg, -h, h), np.where(neg, -1.0, 1.0), c)",
+           "kernel(h, np.abs(h), np.copysign(1.0, h), c)", "caught", (SOLVER,)),
+    # np.abs alone clears the sign of a -0.0 magnitude (and of a NaN).  No
+    # kernel's output depends on it: a zero magnitude clips to 0.0 or is
+    # never in eROWL's triangle or slab, and a NaN output ends its solve.
+    Mutant("solver.py", "kernel(h, np.where(neg, -h, h),", "kernel(h, np.abs(h),", "equivalent"),
+    Mutant("solver.py", "    slab &= ~below\n", "", "caught", (SOLVER,)),
+    Mutant("solver.py", "np.where((v < 0.0) & (v >= clamp), 0.0, v)", "np.where(v < 0.0, 0.0, v)", "caught", (SOLVER,)),
+    Mutant("solver.py", "(Point2(*x[:, j].tolist()), done - CYCLE_BLOCK)", "(Point2(*x[:, j].tolist()), done)", "caught",
+           (SOLVER,)),
+    Mutant("solver.py", "max_iter - done > 2 * CYCLE_BLOCK", "max_iter - done > CYCLE_BLOCK", "caught", (SOLVER,)),
+    Mutant("solver.py", "same = x.view(np.int64) == mark.view(np.int64)", "same = x == mark", "caught", (SOLVER,)),
+    Mutant("solver.py", "        if len(lanes) > LOCKSTEP_LANES:", "        if len(lanes) >= LOCKSTEP_LANES:", "caught",
+           (SOLVER,)),
+    Mutant("experiments.py", "res = res._replace(iterations=res.iterations + k)",
+           "res = res._replace(iterations=res.iterations)", "caught", (EXPERIMENTS,)),
+    # rowl_penalty refuses a non-finite x, and an inf * 0 in its sum does not warn.
+    Mutant("rowl.py", "        if not np.isfinite(out.sum()) and not np.isfinite(x).all():", "        if False:",
+           "caught", (ROWL,)),
+    Mutant("rowl.py", '    with np.errstate(over="ignore", invalid="ignore"):\n        out = np.stack(',
+           '    with np.errstate(over="ignore"):\n        out = np.stack(', "caught", (ROWL,)),
 ]
 
 
