@@ -48,7 +48,8 @@ _NORM_GUARD = 7e11
 # hypot(d1, d2) >= max(|d1|, |d2|) up to hypot's <= 1 ulp error, so a step
 # component past tol times this factor puts the step past tol (normal tol).
 _TOL_GUARD = 1.0 + 2.0 ** -50
-#: Live lanes at or below which :func:`pfbs_lockstep` hands its lanes back.
+#: :func:`pfbs_lockstep` steps a group of more solves than this as numpy lanes,
+#: and hands the lanes back once this many or fewer are live.
 LOCKSTEP_LANES = 128
 
 
@@ -390,6 +391,7 @@ def pfbs(
             continue
         break  # converged or diverged
     return PfbsResult(Point2(x1, x2), iterations, stop_reason, None if trace is None else tuple(trace))
+
 
 # Lane kernels: pfbs's inline branches on arrays.  ``h``, ``a`` and ``s`` are
 # the (2, lanes) half-steps, their magnitudes and their signs; ``c`` holds one

@@ -277,8 +277,8 @@ MUTANTS = [
     # row reports 0 iterations, and A's noiseless cell ignores its noise.
     Mutant("experiments.py", "mu=design.mu)", "mu=select_parameters(design.bounds, cfg.gamma_delta, cfg.gamma_mu).mu)",
            "caught", (EXPERIMENTS,)),
-    Mutant("experiments.py", 'PfbsResult(_least_squares(model), 0, "converged", None)',
-           'PfbsResult(_least_squares(model), 1, "converged", None)', "caught", (EXPERIMENTS,)),
+    Mutant("experiments.py", 'PfbsResult(_least_squares(cell.model), 0, "converged", None)',
+           'PfbsResult(_least_squares(cell.model), 1, "converged", None)', "caught", (EXPERIMENTS,)),
     Mutant("experiments.py", "model = _cell_model(design, noise, snr_db, cfg.x_true)",
            "model = _cell_model(design, [0.0] * len(noise), snr_db, cfg.x_true)", "equivalent"),
     # The lockstep lanes: kernel gates, pfbs's sign split (np.abs loses a -0.0
