@@ -18,6 +18,7 @@ from proxlab.rowl import rowl_shrinker
 from proxlab.scalar_ops import FirmParams, _firm, firm_shrinker, soft
 from proxlab.solver import (
     CYCLE_BLOCK,
+    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     DIVERGENCE_NORM,
     LOCKSTEP_LANES,
@@ -774,7 +775,7 @@ def _lane_outputs(kind, cases):
 
 @given(lane_batches())
 @settings(max_examples=200)
-# signed zeros: a -0.0 half-step is a -0.0 magnitude, which eROWL's triangle carries into its output
+# signed zeros: a -0.0 half-step takes the sign 1.0, so eROWL clips it to 0.0, not -0.0
 @example(("erowl", [(erowl_shrinker(ErowlParams(WeightPair(0.0, 1.0), 1.0)), (-0.0, 0.0)),
                     (erowl_shrinker(ErowlParams(WeightPair(0.5, 2.0), 1.0)), (0.0, -0.0))]))
 @example(("rowl", [(rowl_shrinker(WeightPair(0.0, 0.0)), (-0.0, 0.0)), (rowl_shrinker(WeightPair(0.0, 1.0)), (2.0, -2.0))]))
@@ -790,7 +791,7 @@ def test_lane_kernels_match_their_closures_at_every_gate(batch):
     assert _lane_outputs(kind, cases) == [_value_bits(shrink(p)) for shrink, p in cases]
 
 
-def _lockstep_then_pfbs(solves, tol=DEFAULT_TOL, max_iter=100_000):
+def _lockstep_then_pfbs(solves, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Each solve's result: pfbs_lockstep's, or pfbs's from where the lanes handed it back, as a run finishes it."""
     out = []
     for (model, shrink, mu), res in zip(solves, pfbs_lockstep(solves, tol, max_iter)):
@@ -802,7 +803,7 @@ def _lockstep_then_pfbs(solves, tol=DEFAULT_TOL, max_iter=100_000):
     return out
 
 
-def _assert_lockstep_matches_pfbs(solves, tol=DEFAULT_TOL, max_iter=100_000):
+def _assert_lockstep_matches_pfbs(solves, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Lockstep then pfbs gives each solve's x_hat bits, iterations and stop reason of pfbs alone."""
     alone = [pfbs(model, shrink, mu, tol=tol, max_iter=max_iter, record_trace=False) for model, shrink, mu in solves]
     assert [_outcome(r) for r in _lockstep_then_pfbs(solves, tol, max_iter)] == [_outcome(r) for r in alone]
