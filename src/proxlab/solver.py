@@ -8,11 +8,11 @@ interpolation across its admissible interval.
 
 :func:`pfbs` runs one solve as a scalar loop.  :func:`pfbs_lockstep` starts
 many untraced solves of one library shrinker together, as numpy float64
-lanes with the scalar loop's float operations in its order, and hands the
-last few back, each with its iterate and its steps done, for :func:`pfbs`
-to finish.  Every result is bit for bit the scalar loop's.  A B or C
-experiment run solves this way; scenario A and every traced solve run
-:func:`pfbs` alone.
+lanes that make the loop's float operations in its order, in place, into a
+path buffer, and finds each lane's ending once per block.  It hands the last
+few back, with their iterates and steps done, for :func:`pfbs` to finish.
+Every result is bit for bit the scalar loop's.  A B or C experiment run
+solves this way; scenario A and every traced solve run :func:`pfbs` alone.
 """
 from __future__ import annotations
 
@@ -393,32 +393,26 @@ def pfbs(
     return PfbsResult(Point2(x1, x2), iterations, stop_reason, None if trace is None else tuple(trace))
 
 
-# Lane kernels: pfbs's inline branches on arrays.  ``h``, ``a`` and ``s`` are
-# the (2, lanes) half-steps, their magnitudes and their signs; ``c`` holds one
-# row per constant, one column per lane.  Each float operation is one ufunc in
-# the inline branch's order, and a lane takes a branch's values where the
-# inline branch would take that branch, so each lane gets its bits.
+# Lane kernels: pfbs's inline branches on arrays, in place.  ``n`` gets the shrunk (2, lanes) half-steps
+# ``h`` (``a = |h|``), one ufunc per float operation in pfbs's order.  ``|h|`` is pfbs's magnitude but at
+# -0.0, which clips to 0.0.  ``copysign(v, h)`` is ``s * v`` where ``a`` passed a threshold ``>= 0``.
 
 
-def _rowl_lanes(h, a, s, c):
-    """ROWL on lanes; ``c`` rows ``(w1, w2, w2, w1)``: the identity matching, then the swapped one."""
-    y = a - np.where(a[0] >= a[1], c[0:2], c[2:4])
-    return np.where(y <= 0.0, 0.0, s * y)
+def _rowl_lanes(h, a, n, c, f, b):
+    """ROWL; ``c`` rows ``(w2, w1, w1, w2)``.  ``+ 0.0`` makes a clipped ``y``'s signed zero 0.0."""
+    np.subtract(a, c[0:2], out=n)
+    np.putmask(n, np.greater_equal(a[0], a[1], out=b), np.subtract(a, c[2:4], out=f))
+    np.copysign(np.maximum(n, 0.0, out=n), h, out=n)
+    n += 0.0
 
 
-def _erowl_lanes(h, a, s, c):
-    """eROWL on lanes; ``c`` rows ``(w1, w2, w2, w1)``, ``(w1s, w2s, w2s, w1s)``, then
-    ``delta, dp1, dp2, diag_gate, gate, eta, denom, clamp, dw1``.
-
-    The subtract-and-clip branches go everywhere first; the slab's and the
-    triangle's values replace them only on lanes in the slab or the triangle,
-    and only when there is one.
-    """
-    w, ws = c[0:4], c[4:8]
+def _erowl_lanes(h, a, n, c, f, b):
+    """eROWL.  A slab or triangle ``y`` may be negative, so ``s * y`` stays a product."""
     delta, dp1, dp2, diag_gate, gate, eta, denom, clamp, dw1 = c[8:]
     a1, a2 = a
-    y = a - np.where(a1 >= a2, ws[0:2], ws[2:4])
-    y = np.where(y <= 0.0, 0.0, y)
+    np.subtract(a, c[0:2], out=n)
+    np.putmask(n, np.greater_equal(a1, a2, out=b), np.subtract(a, c[2:4], out=f))
+    np.maximum(n, 0.0, out=n)
     a12 = a1 + a2
     below = a12 <= diag_gate
     # |a1 - a2| is the inline branch's a1 - a2 or a2 - a1: round to nearest is symmetric.
@@ -427,34 +421,30 @@ def _erowl_lanes(h, a, s, c):
     slab &= ~below
     if slab.any():
         alpha = 0.5 + dp1 * diff / denom
-        np.copyto(y, a - (alpha * w[0:2] + (1.0 - alpha) * w[2:4]) / dp1, where=slab)
+        np.copyto(n, a - (alpha * c[4:6] + (1.0 - alpha) * c[6:8]) / dp1, where=slab)
     da2 = dp1 * a2
     triangle = below & (-a1 + da2 > gate) & (dp1 * a1 - a2 > gate)
     if triangle.any():
         m = (dp1 * a12 + dw1) / dp2
         d = (da2 - m) / delta
-        for row, v in zip(y, (m - w[0] - d, d)):
-            np.copyto(row, np.where((v < 0.0) & (v >= clamp), 0.0, v), where=triangle)
-    return s * y
+        y = np.array((m - c[4] - d, d))
+        np.copyto(n, np.where((y < 0.0) & (y >= clamp), 0.0, y), where=triangle)
+    n *= np.copysign(1.0, h + 0.0)
 
 
-def _firm_lanes(h, a, s, c):
-    """Firm shrinkage on lanes; ``c`` rows ``lam1, lam2, gap``."""
+def _firm_lanes(h, a, n, c, f, b):
+    """Firm shrinkage; ``c`` rows ``lam1, lam2, gap``."""
     lam1, lam2, gap = c
-    return np.where(a <= lam1, 0.0, np.where(a <= lam2, s * lam2 * (a - lam1) / gap, h))
-
-
-def _shrink_lanes(kernel, h, c):
-    """``kernel`` on half-steps ``h`` after pfbs's sign split: a -0.0 half-step keeps its sign as a magnitude."""
-    neg = h < 0.0
-    return kernel(h, np.where(neg, -h, h), np.where(neg, -1.0, 1.0), c)
+    np.copysign(np.divide(np.multiply(np.subtract(a, lam1, out=n), lam2, out=n), gap, out=n), h, out=n)
+    np.putmask(n, np.greater(a, lam2, out=b), h)
+    np.putmask(n, np.less_equal(a, lam1, out=b), 0.0)
 
 
 #: Each inline kind's lane kernel, and its constant rows from the marker's constants.
 _LANE_KERNELS = {
-    "rowl": (_rowl_lanes, lambda w1, w2: (w1, w2, w2, w1)),
+    "rowl": (_rowl_lanes, lambda w1, w2: (w2, w1, w1, w2)),
     "erowl": (_erowl_lanes, lambda delta, w1, w2, dp1, dp2, diag_gate, gate, eta, denom, w1s, w2s, clamp: (
-        w1, w2, w2, w1, w1s, w2s, w2s, w1s, delta, dp1, dp2, diag_gate, gate, eta, denom, clamp, delta * w1)),
+        w2s, w1s, w1s, w2s, w1, w2, w2, w1, delta, dp1, dp2, diag_gate, gate, eta, denom, clamp, delta * w1)),
     "firm": (_firm_lanes, lambda lam1, lam2, gap: (lam1, lam2, gap)),
 }
 
@@ -475,14 +465,13 @@ def pfbs_lockstep(solves, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_
     max_iter=max_iter, record_trace=False)``.  Any other solve, and every
     solve of a group of at most ``LOCKSTEP_LANES``, is ``(origin, 0)``.
 
-    The lanes run ``CYCLE_BLOCK`` steps at a time.  At each block's end their
-    iterates' bits are compared with the last block's, as :func:`pfbs` does;
-    a lane that matches is handed back one block early, from the same bits,
-    so the scalar loop finds the cycle again.  At the first block end with
-    at most ``LOCKSTEP_LANES`` live lanes and more than two blocks left,
-    every live lane is handed back.  With two blocks or fewer left, the
-    scalar loop could not find a cycle where the lanes would: there the lanes
-    run to the end, and a lane that matched ends ``"cycled"``.
+    Their endings are found once per block (see :func:`_run_lanes`).
+    Every ``CYCLE_BLOCK`` steps their bits are compared with the last
+    check's, as in :func:`pfbs`.  A lane that repeats is handed back a block
+    early, so the scalar loop finds the cycle too; with two blocks or fewer
+    left, where it could not, the lane runs on and ends ``"cycled"``.  At the
+    first check with at most ``LOCKSTEP_LANES`` live lanes and more than two
+    blocks left, every live lane is handed back.
     """
     max_iter = _iteration_budget(tol, max_iter)
     out: list = [(Point2(0.0, 0.0), 0)] * len(solves)
@@ -507,90 +496,85 @@ def _same_bits(x, mark):
     return same[0] & same[1]
 
 
-#: Rows of a lane table ahead of the kernel's constants: the Gram rows that
-#: multiply x1 and x2, A^T y, the step, and the tolerance pre-filter's bound.
-_GA, _GB, _C, _MU, _TOL = slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 8), 8
+#: Lane table rows before the kernel's: g11, g12, g22 (x1 takes rows 0-1, x2 1-2), A^T y, mu twice, the last mark.
+_GA, _GB, _C, _MU, _MARK = slice(0, 2), slice(1, 3), slice(3, 5), slice(5, 7), slice(7, 9)
+#: Steps in a lane block (16 raised a B run's peak RSS 0.5 MB).
+_LANE_BLOCK = CYCLE_BLOCK // 8
+
+
+def _view(buf, live: int, *shape):
+    """A flat buffer's head as a contiguous ``(*shape, live)`` array."""
+    return buf[:math.prod(shape) * live].reshape(*shape, live)
 
 
 def _run_lanes(kind: str, solves, tol: float, max_iter: int) -> list:
     """Step one kind's lanes for :func:`pfbs_lockstep`; one entry per solve, as it returns them.
 
-    A lane that ends mid-block stays in the arrays until the block ends, with
-    a zero iterate, zero Gram terms and step, and a bound of -1 no step
-    passes: it steps from 0 to 0 and no test picks it again.
+    A block only does arithmetic, step ``i`` into ``p[i + 1]`` of a path buffer.  At its end, each lane's
+    steps that fail pfbs's exact pre-filters go to ``math.hypot`` in order, divergence first, as in pfbs.
     """
     kernel, constants = _LANE_KERNELS[kind]
-    tol_hi = tol * _TOL_GUARD
-    rows = []
-    for model, shrink, mu in solves:
-        g11, g12, g22, c1, c2 = model.gram_terms()
-        rows.append((g11, g12, g12, g22, c1, c2, float(mu), float(mu), tol_hi,
-                     *constants(*_inline_spec(shrink)[2:])))
-    table = np.array(rows).T.copy()  # one row per term, one column per lane
-    lane = np.arange(len(solves))     # each column's solve; -1 once it has ended
-    x = np.zeros((2, len(solves)))
+    # A row per term, a column per lane, filled by column for a lower peak RSS.
+    table = np.empty((_MARK.stop + len(constants(*_inline_spec(solves[0][1])[2:])), len(solves)))
+    for j, (model, shrink, mu) in enumerate(solves):
+        table[:, j] = (*model.gram_terms(), mu, mu, math.nan, math.nan, *constants(*_inline_spec(shrink)[2:]))
+    lane = np.arange(len(solves))  # each column's solve; -1 once it has ended
+    # The path, and float and bool rows for a step or for the block's tests.
+    path, work = np.zeros((_LANE_BLOCK + 1) * 2 * lane.size), np.empty(max(6, 2 * _LANE_BLOCK) * lane.size)
+    flags = np.empty(3 * _LANE_BLOCK * lane.size, bool)
     out: list = [None] * len(solves)
-    mark = None
     cycled: set[int] = set()
     done = 0
     while True:
-        ga, gb, c, mu, bound, consts = table[_GA], table[_GB], table[_C], table[_MU], table[_TOL], table[_TOL + 1:]
-        for done in range(done + 1, min(done + CYCLE_BLOCK, max_iter) + 1):
-            # pfbs's h = x - mu * (G x - c): g11 * x1 + g12 * x2 - c1 on top, g12 * x1 + g22 * x2 - c2 below.
-            t = ga * x[0]
-            t += gb * x[1]
-            t -= c
-            t *= mu
-            h = x - t
-            n = _shrink_lanes(kernel, h, consts)
-            d = n - x
-            last, x = x, n
-            # pfbs's pre-filters: both |n_i| below the norm guard, or either |d_i| past tol's bound
-            # (where both are finite).  Only the lanes that fail one reach hypot.
-            inside = np.abs(n) < _NORM_GUARD
-            ad = np.abs(d)
-            near = np.maximum(ad[0], ad[1]) <= bound
-            outside = np.count_nonzero(inside) < inside.size
-            if not (outside or np.count_nonzero(near)):
+        live, steps = lane.size, min(_LANE_BLOCK, max_iter - done)
+        p, (h, a, f), b = _view(path, live, steps + 1, 2), _view(work, live, 3, 2), _view(flags, live, 2)
+        ga, gb, c, mu, consts = table[_GA], table[_GB], table[_C], table[_MU], table[_MARK.stop:]
+        for i in range(steps):
+            x = p[i]
+            # pfbs's h = x - mu * (G x - c), with G x's rows g11 * x1 + g12 * x2 and g12 * x1 + g22 * x2.
+            np.multiply(ga, x[0], out=h)
+            h += np.multiply(gb, x[1], out=a)
+            h -= c
+            h *= mu
+            np.subtract(x, h, out=h)
+            kernel(h, np.abs(h, out=a), p[i + 1], consts, f, b)
+        d, q, marked = _view(work, live, steps, 2), _view(flags, live, steps, 2), _view(flags, live, 3, steps)[2]
+        inside = np.less(np.abs(p[1:], out=d), _NORM_GUARD, out=q)
+        np.logical_not(np.logical_and(inside[:, 0], inside[:, 1], out=marked), out=marked)
+        near = np.less_equal(np.abs(np.subtract(p[1:], p[:-1], out=d), out=d), tol * _TOL_GUARD, out=q)
+        marked |= np.logical_and(near[:, 0], near[:, 1], out=near[:, 0])
+        at, js = np.divmod(np.flatnonzero(marked), live)  # lane js[k]'s step at[k] + 1, in step order
+        for i, j, (x1, x2), (n1, n2) in zip(at.tolist(), js.tolist(), *p[[at, at + 1], :, js].tolist()):
+            if lane[j] < 0:
                 continue
-            ended: dict[int, tuple[float, float, str]] = {}
-            if outside:
-                for j in (~(inside[0] & inside[1])).nonzero()[0].tolist():
-                    n1, n2 = n[:, j].tolist()
-                    if not math.hypot(n1, n2) <= DIVERGENCE_NORM:
-                        if not (math.isfinite(n1) and math.isfinite(n2)):
-                            n1, n2 = last[:, j].tolist()
-                        ended[j] = (n1, n2, "diverged")
-            for j in near.nonzero()[0].tolist():
-                if j not in ended and math.hypot(*d[:, j].tolist()) <= tol:
-                    ended[j] = (*n[:, j].tolist(), "converged")
-            if ended:
-                js = list(ended)
-                for j, (x1, x2, reason) in ended.items():
-                    out[lane[j]] = PfbsResult(Point2(x1, x2), done, reason, None)
-                lane[js] = -1
-                x[:, js] = 0.0
-                table[:_TOL, js] = 0.0
-                table[_TOL, js] = -1.0
-        if done == max_iter:
-            for j, (x1, x2) in zip(lane.tolist(), x.T.tolist()):
-                if j >= 0:
-                    out[j] = PfbsResult(Point2(x1, x2), max_iter, "cycled" if j in cycled else "max_iter", None)
-            return out
-        if mark is not None:
-            for j in (_same_bits(x, mark) & (lane >= 0)).nonzero()[0].tolist():
+            if not math.hypot(n1, n2) <= DIVERGENCE_NORM:
+                if not (math.isfinite(n1) and math.isfinite(n2)):
+                    n1, n2 = x1, x2
+                reason = "diverged"
+            elif math.hypot(n1 - x1, n2 - x2) <= tol:
+                reason = "converged"
+            else:
+                continue
+            out[lane[j]] = PfbsResult(Point2(n1, n2), done + i + 1, reason, None)
+            lane[j] = -1
+        done += steps
+        x = p[steps]
+        check = done % CYCLE_BLOCK == 0 and done < max_iter
+        if check:
+            for j in (_same_bits(x, table[_MARK]) & (lane >= 0)).nonzero()[0].tolist():
                 if max_iter - done > CYCLE_BLOCK:
                     out[lane[j]] = (Point2(*x[:, j].tolist()), done - CYCLE_BLOCK)
                     lane[j] = -1
                 else:  # the lanes run to max_iter within the next block
                     cycled.add(int(lane[j]))
-        if (lane < 0).any():
-            keep = (lane >= 0).nonzero()[0]
-            if not keep.size:
-                return out
+            table[_MARK] = x
+        keep = (lane >= 0).nonzero()[0]
+        if keep.size < live:
             table, lane, x = table[:, keep], lane[keep], x[:, keep]
-        mark = x
-        if lane.size <= LOCKSTEP_LANES and max_iter - done > 2 * CYCLE_BLOCK:
+        path[:x.size] = x.ravel()  # the next block's p[0]
+        if not lane.size or done == max_iter or (
+                check and lane.size <= LOCKSTEP_LANES and max_iter - done > 2 * CYCLE_BLOCK):
             for j, (x1, x2) in zip(lane.tolist(), x.T.tolist()):
-                out[j] = (Point2(x1, x2), done)
+                out[j] = (Point2(x1, x2), done) if done < max_iter else PfbsResult(
+                    Point2(x1, x2), max_iter, "cycled" if j in cycled else "max_iter", None)
             return out

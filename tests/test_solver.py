@@ -764,12 +764,15 @@ def _value_bits(p):
 
 
 def _lane_outputs(kind, cases):
-    """The lane kernel of ``kind`` on every case's half-step at once, as each lane's output bits."""
+    """The lane kernel of ``kind`` on every case's half-step at once, as each lane's output bits.
+
+    The output and the scratch start as NaN and True, so a kernel that reads one before writing it shows."""
     kernel, constants = solver._LANE_KERNELS[kind]
     h = np.array([p for _, p in cases]).T.copy()
     c = np.array([constants(*shrink._pfbs_inline[2:]) for shrink, _ in cases]).T.copy()
+    n, f = np.full_like(h, math.nan), np.full_like(h, math.nan)
     with np.errstate(all="ignore"):
-        n = solver._shrink_lanes(kernel, h, c)
+        kernel(h, np.abs(h), n, c, f, np.ones(h.shape, bool))
     return [_value_bits(lane) for lane in n.T.tolist()]
 
 
@@ -779,6 +782,9 @@ def _lane_outputs(kind, cases):
 @example(("erowl", [(erowl_shrinker(ErowlParams(WeightPair(0.0, 1.0), 1.0)), (-0.0, 0.0)),
                     (erowl_shrinker(ErowlParams(WeightPair(0.5, 2.0), 1.0)), (0.0, -0.0))]))
 @example(("rowl", [(rowl_shrinker(WeightPair(0.0, 0.0)), (-0.0, 0.0)), (rowl_shrinker(WeightPair(0.0, 1.0)), (2.0, -2.0))]))
+# a negative half-step whose magnitude clips: copysign gives -0.0, and ROWL's + 0.0 makes it 0.0
+@example(("rowl", [(rowl_shrinker(WeightPair(0.0, 1.0)), (-0.5, 3.0)),
+                   (rowl_shrinker(WeightPair(0.5, 1.0)), (-0.25, 0.0))]))
 @example(("firm", [(firm_shrinker(FirmParams(0.5, 1.0)), (-0.5, -0.5)), (firm_shrinker(FirmParams(0.5, 1.0)), (-0.0, math.nan)),
                    (firm_shrinker(FirmParams(1.435, 3.189)), (3.189, -math.inf))]))
 # the triangle's clamp on either coordinate, next to a lane outside the triangle
@@ -855,6 +861,62 @@ def test_lockstep_matches_pfbs_around_a_cycle_and_the_hand_back(max_iter, lanes)
     assert alone[3].stop_reason == "diverged"
     if max_iter >= CYCLE_BLOCK:  # the growing norm passes 1e12 within a block
         assert alone[2].stop_reason == "diverged"
+
+
+def _passthrough(y, mu):
+    """A solve on A = I whose ROWL shrinker has zero weights, so each iterate is its nonzero half-step."""
+    return LinearModel(np.eye(2), np.array(y)), rowl_shrinker(WeightPair(0.0, 0.0)), mu
+
+
+# x_k = y (1 - 2**-k) with mu = 1/2: each step halves, and iteration 17's step is 0.85 tol on both axes.
+HALVING = _passthrough([0.85 * DEFAULT_TOL * 2.0 ** 17] * 2, 0.5)
+# Iterates 1e10, -1e110 (diverged at 2), then 1e210, -inf and NaN in the lanes.
+OVERFLOWING = _passthrough([1e-90, 1e-90], 1e100)
+
+
+def test_lanes_confirm_marked_steps_with_hypot_in_order():
+    # HALVING's step 17 passes tol's pre-filter on both axes, but its hypot, 1.2 tol, does not;
+    # step 18, in the same lane block, converges.
+    res = pfbs(*HALVING, record_trace=True)
+    path = res.trajectory()[::2]
+    step = (path[17].x1 - path[16].x1, path[17].x2 - path[16].x2)
+    assert (res.stop_reason, res.iterations) == ("converged", 18)
+    assert max(map(abs, step)) <= DEFAULT_TOL * solver._TOL_GUARD and math.hypot(*step) > DEFAULT_TOL
+    assert 16 // solver._LANE_BLOCK == 17 // solver._LANE_BLOCK
+    # Iterates past the norm guard on both axes from iteration 8, whose hypot stays under 1e12.
+    near_norm = _passthrough([7.05e11, 7.05e11], 0.5)
+    res = pfbs(*near_norm, record_trace=True)
+    assert res.stop_reason == "converged"
+    assert sum(abs(p.x1) >= solver._NORM_GUARD for p in res.trajectory()[::2]) > 2 * solver._LANE_BLOCK
+    assert pfbs(*OVERFLOWING).iterations == 2
+    with mock.patch.object(solver, "LOCKSTEP_LANES", 0):
+        # max_iter ends inside a lane block, at HALVING's converging step, and after a block and a part
+        for max_iter in (17, 18, 2 * solver._LANE_BLOCK + 3, DEFAULT_MAX_ITER):
+            _assert_lockstep_matches_pfbs([HALVING, near_norm, OVERFLOWING, CYCLE_LANES[1]], max_iter=max_iter)
+        # With tol = inf every step is within tol, and a step past 1e12 diverges first, as in pfbs.
+        jump = _passthrough([1.0, 1.0], 1e13)
+        assert _assert_lockstep_matches_pfbs([jump, HALVING], tol=math.inf)[0].stop_reason == "diverged"
+
+
+def test_each_cycled_rowl_solve_of_scenario_c_hops_across_the_order_switch():
+    # ROWL's shrinkage jumps where |h1| = |h2|: there the two weights swap.  Each ROWL solve of
+    # scenario C's first 30 trials that ends "cycled" is a period-2 orbit in floats, and its two
+    # half-steps take opposite order branches, so the orbit straddles that jump.
+    cfg = ScenarioConfig.scenario_c_defaults()
+    cycled = []
+    for trial in range(30):
+        for cell in _trial_cells(cfg, trial, None)[0]:
+            model, shrink, mu = cell.model, *cell.runs[0][1:]
+            res = pfbs(model, shrink, mu, tol=cfg.tol, max_iter=cfg.max_iter, record_trace=False)
+            if res.stop_reason != "cycled":
+                continue
+            cycled.append(trial)
+            one = pfbs(model, shrink, mu, x0=res.x_hat, tol=0.0, max_iter=1)
+            two = pfbs(model, shrink, mu, x0=one.x_hat, tol=0.0, max_iter=1)
+            assert _bits(two.x_hat) == _bits(res.x_hat) != _bits(one.x_hat)
+            orders = [abs(h.x1) >= abs(h.x2) for h in (one.trace[0][1], two.trace[0][1])]
+            assert sorted(orders) == [False, True]
+    assert cycled == [20] * 7 + [23, 25]
 
 
 def _scenario_c_solves():

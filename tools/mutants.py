@@ -281,21 +281,37 @@ MUTANTS = [
            'PfbsResult(_least_squares(cell.model), 1, "converged", None)', "caught", (EXPERIMENTS,)),
     Mutant("experiments.py", "model = _cell_model(design, noise, snr_db, cfg.x_true)",
            "model = _cell_model(design, [0.0] * len(noise), snr_db, cfg.x_true)", "equivalent"),
-    # The lockstep lanes: kernel gates, pfbs's sign split (np.abs loses a -0.0
-    # magnitude), eROWL's slab and clamp, a cycled lane handed back a block
-    # late, lanes handed back with only two blocks left, the cycle check on
+    # The lockstep lanes: kernel gates, ROWL's order gate, clip and + 0.0 (a clipped negative
+    # half-step gives -0.0 without it), eROWL's sign (-0.0 takes s = 1.0), slab and clamp, a cycled
+    # lane handed back a block late, lanes handed back with only two blocks left, the cycle check on
     # floats, a batch of LOCKSTEP_LANES stepped, and a lane's k left off.
-    Mutant("solver.py", "return np.where(y <= 0.0, 0.0, s * y)", "return np.where(y < 0.0, 0.0, s * y)", "caught",
+    Mutant("solver.py", "np.greater_equal(a[0], a[1], out=b)", "np.greater(a[0], a[1], out=b)", "caught", (SOLVER,)),
+    Mutant("solver.py", "np.copysign(np.maximum(n, 0.0, out=n), h, out=n)", "np.copysign(n, h, out=n)", "caught",
            (SOLVER,)),
-    Mutant("solver.py", "np.where(a <= lam1, 0.0,", "np.where(a < lam1, 0.0,", "caught", (SOLVER,)),
-    Mutant("solver.py", "kernel(h, np.where(neg, -h, h), np.where(neg, -1.0, 1.0), c)",
-           "kernel(h, np.abs(h), np.copysign(1.0, h), c)", "caught", (SOLVER,)),
-    # np.abs alone clears the sign of a -0.0 magnitude (and of a NaN).  No
-    # kernel's output depends on it: a zero magnitude clips to 0.0 or is
-    # never in eROWL's triangle or slab, and a NaN output ends its solve.
-    Mutant("solver.py", "kernel(h, np.where(neg, -h, h),", "kernel(h, np.abs(h),", "equivalent"),
+    Mutant("solver.py", "    n += 0.0\n", "", "caught", (SOLVER,)),
+    Mutant("solver.py", "np.less_equal(a, lam1, out=b)", "np.less(a, lam1, out=b)", "caught", (SOLVER,)),
+    Mutant("solver.py", "n *= np.copysign(1.0, h + 0.0)", "n *= np.copysign(1.0, h)", "caught", (SOLVER,)),
+    # pfbs keeps a -0.0 half-step's magnitude as -0.0, np.abs makes it 0.0: a zero magnitude
+    # clips to 0.0 and is in neither eROWL's slab nor its triangle, so no value depends on it.
+    Mutant("solver.py", "kernel(h, np.abs(h, out=a),", "kernel(h, np.where(h < 0.0, -h, h),", "equivalent"),
     Mutant("solver.py", "    slab &= ~below\n", "", "caught", (SOLVER,)),
-    Mutant("solver.py", "np.where((v < 0.0) & (v >= clamp), 0.0, v)", "np.where(v < 0.0, 0.0, v)", "caught", (SOLVER,)),
+    Mutant("solver.py", "np.where((y < 0.0) & (y >= clamp), 0.0, y)", "np.where(y < 0.0, 0.0, y)", "caught", (SOLVER,)),
+    # The block-end search: each lane's last confirmed step in place of its first, a lane's later
+    # steps not skipped once it ended, convergence tested before divergence (a step past 1e12 with
+    # tol = inf), no hypot confirmation, a block's last step left out, and a lane's iterates read a
+    # step early in the path.  Marking a superset of steps changes nothing: hypot decides.
+    Mutant("solver.py", "zip(at.tolist(), js.tolist(), *p[[at, at + 1], :, js].tolist()):",
+           "reversed(list(zip(at.tolist(), js.tolist(), *p[[at, at + 1], :, js].tolist()))):", "caught", (SOLVER,)),
+    Mutant("solver.py", "            if lane[j] < 0:\n                continue\n", "", "caught", (SOLVER,)),
+    Mutant("solver.py", "            if not math.hypot(n1, n2) <= DIVERGENCE_NORM:",
+           "            if not math.hypot(n1, n2) <= DIVERGENCE_NORM and not math.hypot(n1 - x1, n2 - x2) <= tol:",
+           "caught", (SOLVER,)),
+    Mutant("solver.py", "            elif math.hypot(n1 - x1, n2 - x2) <= tol:", "            elif True:", "caught",
+           (SOLVER,)),
+    Mutant("solver.py", "        for i in range(steps):", "        for i in range(steps - 1):", "caught", (SOLVER,)),
+    Mutant("solver.py", "*p[[at, at + 1], :, js]", "*p[[at - 1, at], :, js]", "caught", (SOLVER,)),
+    Mutant("solver.py", "marked |= np.logical_and(near[:, 0], near[:, 1], out=near[:, 0])", "marked |= near[:, 0]",
+           "equivalent"),
     Mutant("solver.py", "(Point2(*x[:, j].tolist()), done - CYCLE_BLOCK)", "(Point2(*x[:, j].tolist()), done)", "caught",
            (SOLVER,)),
     Mutant("solver.py", "max_iter - done > 2 * CYCLE_BLOCK", "max_iter - done > CYCLE_BLOCK", "caught", (SOLVER,)),
