@@ -498,7 +498,7 @@ def _same_bits(x, mark):
 
 #: Lane table rows before the kernel's: g11, g12, g22 (x1 takes rows 0-1, x2 1-2), A^T y, mu twice, the last mark.
 _GA, _GB, _C, _MU, _MARK = slice(0, 2), slice(1, 3), slice(3, 5), slice(5, 7), slice(7, 9)
-#: Steps in a lane block (16 raised a B run's peak RSS 0.5 MB).
+#: Steps in a lane block (64 raised a B run's peak RSS by 3 MB).
 _LANE_BLOCK = CYCLE_BLOCK // 8
 
 
