@@ -21,9 +21,10 @@ the model that function draws for the cell.  A B or C run draws every trial's
 cells first; then each method's solves of all the cells start together in
 :func:`~proxlab.solver.pfbs_lockstep`, and each solve it hands back runs on in
 this module's ``pfbs`` from its iterate, with the steps already done added to
-its iterations.  The records are those of one scalar solve per cell.  Output
-files are plain CSV with 17-significant-digit decimals plus a ``meta.json`` of
-the resolved setup.
+its iterations.  The lanes end a solve only when it converges or diverges, so
+every ``cycled`` or ``max_iter`` record comes from that ``pfbs``.  The records
+are those of one scalar solve per cell.  Output files are plain CSV with
+17-significant-digit decimals plus a ``meta.json`` of the resolved setup.
 """
 from __future__ import annotations
 
@@ -386,8 +387,9 @@ def _trial_cells(cfg: ScenarioConfig, trial: int, design: _Design | None) -> tup
 def _solve_cells(cfg: ScenarioConfig, cells: list[_Cell]) -> list[TrialRecord]:
     """LS, ROWL and eROWL (and firm in scenario C) records of every cell.
 
-    Each method's solves start together in :func:`~proxlab.solver.pfbs_lockstep`;
-    each solve it hands back runs on in this module's ``pfbs`` from where it stopped.
+    Each method's solves, all of one shrinker kind, start together in
+    :func:`~proxlab.solver.pfbs_lockstep`; each solve it hands back runs on in this
+    module's ``pfbs`` from where it stopped.
     """
     out = [_record(cfg, "LS", cell.trial, cell.snr_db, cell.x_true,
                    PfbsResult(_least_squares(cell.model), 0, "converged", None)) for cell in cells]

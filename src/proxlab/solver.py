@@ -7,12 +7,16 @@ gradient of a convex potential under the data term, and the step ``mu`` is an
 interpolation across its admissible interval.
 
 :func:`pfbs` runs one solve as a scalar loop.  :func:`pfbs_lockstep` starts
-many untraced solves of one library shrinker together, as numpy float64
+many untraced solves of one library shrinker kind together, as numpy float64
 lanes that make the loop's float operations in its order, in place, into a
-path buffer, and finds each lane's ending once per block.  It hands the last
-few back, with their iterates and steps done, for :func:`pfbs` to finish.
-Every result is bit for bit the scalar loop's.  A B or C experiment run
-solves this way; scenario A and every traced solve run :func:`pfbs` alone.
+path buffer, and finds each lane's ending once per block.  A lane ends a
+solve only when it converges or diverges.  One rule, at every cycle check
+from step 0, hands the others back with their iterates and steps done: a
+lane whose bits repeat, and every live lane once at most ``LOCKSTEP_LANES``
+are live or at most ``3 * CYCLE_BLOCK`` steps are left.  :func:`pfbs`
+finishes them and owns every ``"cycled"`` and ``"max_iter"`` ending.  Every
+result is bit for bit the scalar loop's.  A B or C experiment run solves
+this way; scenario A and every traced solve run :func:`pfbs` alone.
 """
 from __future__ import annotations
 
@@ -48,8 +52,8 @@ _NORM_GUARD = 7e11
 # hypot(d1, d2) >= max(|d1|, |d2|) up to hypot's <= 1 ulp error, so a step
 # component past tol times this factor puts the step past tol (normal tol).
 _TOL_GUARD = 1.0 + 2.0 ** -50
-#: :func:`pfbs_lockstep` steps a group of more solves than this as numpy lanes,
-#: and hands the lanes back once this many or fewer are live.
+#: :func:`pfbs_lockstep` hands every live lane back to :func:`pfbs` at the first
+#: cycle check, step 0 included, with this many or fewer live.
 LOCKSTEP_LANES = 128
 
 
@@ -452,42 +456,37 @@ _LANE_KERNELS = {
 def pfbs_lockstep(solves, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> list:
     """Start untraced :func:`pfbs` solves from the origin together, as numpy lanes.
 
-    ``solves`` is a sequence of ``(model, shrink, mu)``.  The solves whose
-    shrinker :func:`pfbs` runs inline (an unwrapped library shrinker) and
-    whose ``mu`` it accepts are grouped by shrinker kind.  A group of more
-    than ``LOCKSTEP_LANES`` lanes is stepped together, one ufunc per float
-    operation of :func:`pfbs`'s loop.  A lane that converges, diverges or
-    reaches ``max_iter`` is done: its entry is the :class:`PfbsResult` that
-    :func:`pfbs` returns.  Every other entry is a pair ``(x, k)``: the lane's
-    iterate after ``k`` steps.  Then ``pfbs(model, shrink, mu, x0=x, tol=tol,
-    max_iter=max_iter - k, record_trace=False)``, with ``k`` added to its
-    ``iterations``, is bit for bit ``pfbs(model, shrink, mu, tol=tol,
-    max_iter=max_iter, record_trace=False)``.  Any other solve, and every
-    solve of a group of at most ``LOCKSTEP_LANES``, is ``(origin, 0)``.
+    ``solves`` is a sequence of ``(model, shrink, mu)``.  The batch is stepped
+    only when every shrinker is an unwrapped library shrinker that
+    :func:`pfbs` runs inline, all of one kind, and every ``mu`` is one
+    :func:`pfbs` accepts; otherwise every entry is ``(origin, 0)``.  A
+    stepped batch takes one ufunc per float operation of :func:`pfbs`'s loop
+    (see :func:`_run_lanes`).  A lane that converges or diverges is done: its
+    entry is the :class:`PfbsResult` that :func:`pfbs` returns.  Every other
+    entry is a pair ``(x, k)``: the lane's iterate after ``k`` steps.  Then
+    ``pfbs(model, shrink, mu, x0=x, tol=tol, max_iter=max_iter - k,
+    record_trace=False)``, with ``k`` added to its ``iterations``, is bit for
+    bit ``pfbs(model, shrink, mu, tol=tol, max_iter=max_iter,
+    record_trace=False)``, so :func:`pfbs` owns every ``"cycled"`` and
+    ``"max_iter"`` ending.
 
-    Their endings are found once per block (see :func:`_run_lanes`).
-    Every ``CYCLE_BLOCK`` steps their bits are compared with the last
-    check's, as in :func:`pfbs`.  A lane that repeats is handed back a block
-    early, so the scalar loop finds the cycle too; with two blocks or fewer
-    left, where it could not, the lane runs on and ends ``"cycled"``.  At the
-    first check with at most ``LOCKSTEP_LANES`` live lanes and more than two
-    blocks left, every live lane is handed back.
+    One rule hands lanes back, at every ``CYCLE_BLOCK`` check from step 0:
+    a lane whose bits repeat the last check's goes back, and every live lane
+    goes back once at most ``LOCKSTEP_LANES`` are live or at most
+    ``3 * CYCLE_BLOCK`` steps are left, so a batch of at most
+    ``LOCKSTEP_LANES`` takes no step.  ``k`` is 0 or leaves more than two
+    blocks, and :func:`pfbs` compares the bits at ``k + 2 * CYCLE_BLOCK``
+    and every block after: it finds each cycle the full run finds, and by
+    periodicity ends on the same bits.
     """
     max_iter = _iteration_budget(tol, max_iter)
-    out: list = [(Point2(0.0, 0.0), 0)] * len(solves)
-    groups: dict[str, list[int]] = {}
-    for i, (_, shrink, mu) in enumerate(solves):
-        spec = _inline_spec(shrink)
-        if spec is not None and math.isfinite(mu) and mu > 0.0:
-            groups.setdefault(spec[0], []).append(i)
-    for kind, lanes in groups.items():
-        if len(lanes) > LOCKSTEP_LANES:
-            # A diverging lane overflows, and eROWL's unselected branches may too.
-            with np.errstate(all="ignore"):
-                done = _run_lanes(kind, [solves[i] for i in lanes], tol, max_iter)
-            for i, res in zip(lanes, done):
-                out[i] = res
-    return out
+    specs = [_inline_spec(shrink) for _, shrink, _ in solves]
+    if not specs or not all(spec is not None and spec[0] == specs[0][0] and math.isfinite(mu) and mu > 0.0
+                            for spec, (_, _, mu) in zip(specs, solves)):
+        return [(Point2(0.0, 0.0), 0)] * len(solves)
+    # A diverging lane overflows, and eROWL's unselected branches may too.
+    with np.errstate(all="ignore"):
+        return _run_lanes(specs, solves, tol, max_iter)
 
 
 def _same_bits(x, mark):
@@ -507,29 +506,44 @@ def _view(buf, live: int, *shape):
     return buf[:math.prod(shape) * live].reshape(*shape, live)
 
 
-def _run_lanes(kind: str, solves, tol: float, max_iter: int) -> list:
+def _run_lanes(specs, solves, tol: float, max_iter: int) -> list:
     """Step one kind's lanes for :func:`pfbs_lockstep`; one entry per solve, as it returns them.
 
-    A block only does arithmetic, step ``i`` into ``p[i + 1]`` of a path buffer.  At its end, each lane's
-    steps that fail pfbs's exact pre-filters go to ``math.hypot`` in order, divergence first, as in pfbs.
+    Every ``CYCLE_BLOCK`` steps, from step 0, the hand-back rule runs on the live lanes.  A block only does
+    arithmetic, step ``i`` into ``p[i + 1]`` of a path buffer.  At its end, each lane's steps that fail
+    pfbs's exact pre-filters go to ``math.hypot`` in order, divergence first, as in pfbs.
     """
-    kernel, constants = _LANE_KERNELS[kind]
+    kernel, constants = _LANE_KERNELS[specs[0][0]]
     # A row per term, a column per lane, filled by column for a lower peak RSS.
-    table = np.empty((_MARK.stop + len(constants(*_inline_spec(solves[0][1])[2:])), len(solves)))
-    for j, (model, shrink, mu) in enumerate(solves):
-        table[:, j] = (*model.gram_terms(), mu, mu, math.nan, math.nan, *constants(*_inline_spec(shrink)[2:]))
+    table = np.empty((_MARK.stop + len(constants(*specs[0][2:])), len(solves)))
+    for j, ((model, _, mu), spec) in enumerate(zip(solves, specs)):
+        table[:, j] = (*model.gram_terms(), mu, mu, math.nan, math.nan, *constants(*spec[2:]))
     lane = np.arange(len(solves))  # each column's solve; -1 once it has ended
     # The path, and float and bool rows for a step or for the block's tests.
     path, work = np.zeros((_LANE_BLOCK + 1) * 2 * lane.size), np.empty(max(6, 2 * _LANE_BLOCK) * lane.size)
     flags = np.empty(3 * _LANE_BLOCK * lane.size, bool)
     out: list = [None] * len(solves)
-    cycled: set[int] = set()
-    done = 0
+    x, done = _view(path, lane.size, 2), 0
     while True:
-        live, steps = lane.size, min(_LANE_BLOCK, max_iter - done)
-        p, (h, a, f), b = _view(path, live, steps + 1, 2), _view(work, live, 3, 2), _view(flags, live, 2)
+        if done % CYCLE_BLOCK == 0:
+            on = lane >= 0
+            back = _same_bits(x, table[_MARK]) & on
+            if np.count_nonzero(on & ~back) <= LOCKSTEP_LANES or max_iter - done <= 3 * CYCLE_BLOCK:
+                back = on
+            for j, (x1, x2) in zip(lane[back].tolist(), x[:, back].T.tolist()):
+                out[j] = (Point2(x1, x2), done)
+            lane[back] = -1
+            table[_MARK] = x
+        keep = (lane >= 0).nonzero()[0]
+        if keep.size < lane.size:
+            table, lane, x = table[:, keep], lane[keep], x[:, keep]
+        if not lane.size:
+            return out
+        live = lane.size
+        p, (h, a, f), b = _view(path, live, _LANE_BLOCK + 1, 2), _view(work, live, 3, 2), _view(flags, live, 2)
+        p[0] = x  # the last block's end
         ga, gb, c, mu, consts = table[_GA], table[_GB], table[_C], table[_MU], table[_MARK.stop:]
-        for i in range(steps):
+        for i in range(_LANE_BLOCK):
             x = p[i]
             # pfbs's h = x - mu * (G x - c), with G x's rows g11 * x1 + g12 * x2 and g12 * x1 + g22 * x2.
             np.multiply(ga, x[0], out=h)
@@ -538,7 +552,8 @@ def _run_lanes(kind: str, solves, tol: float, max_iter: int) -> list:
             h *= mu
             np.subtract(x, h, out=h)
             kernel(h, np.abs(h, out=a), p[i + 1], consts, f, b)
-        d, q, marked = _view(work, live, steps, 2), _view(flags, live, steps, 2), _view(flags, live, 3, steps)[2]
+        d, q = _view(work, live, _LANE_BLOCK, 2), _view(flags, live, _LANE_BLOCK, 2)
+        marked = _view(flags, live, 3, _LANE_BLOCK)[2]
         inside = np.less(np.abs(p[1:], out=d), _NORM_GUARD, out=q)
         np.logical_not(np.logical_and(inside[:, 0], inside[:, 1], out=marked), out=marked)
         near = np.less_equal(np.abs(np.subtract(p[1:], p[:-1], out=d), out=d), tol * _TOL_GUARD, out=q)
@@ -557,24 +572,5 @@ def _run_lanes(kind: str, solves, tol: float, max_iter: int) -> list:
                 continue
             out[lane[j]] = PfbsResult(Point2(n1, n2), done + i + 1, reason, None)
             lane[j] = -1
-        done += steps
-        x = p[steps]
-        check = done % CYCLE_BLOCK == 0 and done < max_iter
-        if check:
-            for j in (_same_bits(x, table[_MARK]) & (lane >= 0)).nonzero()[0].tolist():
-                if max_iter - done > CYCLE_BLOCK:
-                    out[lane[j]] = (Point2(*x[:, j].tolist()), done - CYCLE_BLOCK)
-                    lane[j] = -1
-                else:  # the lanes run to max_iter within the next block
-                    cycled.add(int(lane[j]))
-            table[_MARK] = x
-        keep = (lane >= 0).nonzero()[0]
-        if keep.size < live:
-            table, lane, x = table[:, keep], lane[keep], x[:, keep]
-        path[:x.size] = x.ravel()  # the next block's p[0]
-        if not lane.size or done == max_iter or (
-                check and lane.size <= LOCKSTEP_LANES and max_iter - done > 2 * CYCLE_BLOCK):
-            for j, (x1, x2) in zip(lane.tolist(), x.T.tolist()):
-                out[j] = (Point2(x1, x2), done) if done < max_iter else PfbsResult(
-                    Point2(x1, x2), max_iter, "cycled" if j in cycled else "max_iter", None)
-            return out
+        done += _LANE_BLOCK
+        x = p[_LANE_BLOCK]

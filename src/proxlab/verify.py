@@ -227,8 +227,10 @@ def _suite_solver(seed: int) -> list[CheckResult]:
 
     bounds = spectral_bounds(fixed_design_matrix())
     params = select_parameters(bounds)
-    lo, hi = params.mu_interval
-    out.append(_check("solver", "selected step lies inside its interval", lo < params.mu < hi))
+    # The ends the step interpolates between; mu_interval's lower end is rho**2 times the first.
+    lo, hi = (1.0 - params.beta) / bounds.rho, (1.0 + params.beta) / bounds.kappa
+    out.append(_check("solver", "selected step lies inside its interval", lo < params.mu < hi,
+                      f"{lo:.6g} < {params.mu:.6g} < {hi:.6g}"))
 
     a = fixed_design_matrix()
     x_star = Point2(0.3, -1.2)

@@ -798,11 +798,17 @@ def test_lane_kernels_match_their_closures_at_every_gate(batch):
 
 
 def _lockstep_then_pfbs(solves, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """Each solve's result: pfbs_lockstep's, or pfbs's from where the lanes handed it back, as a run finishes it."""
+    """Each solve's result: pfbs_lockstep's, or pfbs's from where the lanes handed it back, as a run finishes it.
+
+    The lanes end a solve only by converging or diverging, and hand one back at a cycle check: at step 0,
+    or with more than two blocks left, so that pfbs finds every cycle the full run finds."""
     out = []
     for (model, shrink, mu), res in zip(solves, pfbs_lockstep(solves, tol, max_iter)):
-        if not isinstance(res, PfbsResult):
+        if isinstance(res, PfbsResult):
+            assert res.stop_reason in ("converged", "diverged")
+        else:
             x, k = res
+            assert k % CYCLE_BLOCK == 0 and (k == 0 or max_iter - k > 2 * CYCLE_BLOCK), (k, max_iter)
             res = pfbs(model, shrink, mu, x0=x, tol=tol, max_iter=max_iter - k, record_trace=False)
             res = res._replace(iterations=res.iterations + k)
         out.append(res)
@@ -810,7 +816,8 @@ def _lockstep_then_pfbs(solves, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
 
 
 def _assert_lockstep_matches_pfbs(solves, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """Lockstep then pfbs gives each solve's x_hat bits, iterations and stop reason of pfbs alone."""
+    """Lockstep then pfbs gives each solve's x_hat bits, iterations and stop reason of pfbs alone, with
+    every lane's ending and hand-back as :func:`_lockstep_then_pfbs` checks them."""
     alone = [pfbs(model, shrink, mu, tol=tol, max_iter=max_iter, record_trace=False) for model, shrink, mu in solves]
     assert [_outcome(r) for r in _lockstep_then_pfbs(solves, tol, max_iter)] == [_outcome(r) for r in alone]
     return alone
@@ -819,7 +826,8 @@ def _assert_lockstep_matches_pfbs(solves, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_
 @st.composite
 def lane_solves(draw):
     """Up to six solves of one shrinker kind on drawn 2x2 models, a tolerance and budget, and a lane count
-    at or below which the lanes hand back (in place of ``LOCKSTEP_LANES``)."""
+    at or below which the lanes hand back (in place of ``LOCKSTEP_LANES``).  A budget of at most
+    ``3 * CYCLE_BLOCK`` goes back at step 0, so the budgets reach past it."""
     kind = draw(st.sampled_from(KINDS))
     solves = []
     for _ in range(draw(st.integers(min_value=1, max_value=6))):
@@ -828,7 +836,7 @@ def lane_solves(draw):
         y = np.array([draw(coefficient), draw(coefficient)])
         solves.append((LinearModel(a, y), shrink, draw(st.floats(min_value=0.01, max_value=3.0))))
     kwargs = dict(tol=draw(st.sampled_from([DEFAULT_TOL, 0.0, 1e-3])),
-                  max_iter=draw(st.integers(min_value=1, max_value=300)))
+                  max_iter=draw(st.integers(min_value=1, max_value=1000)))
     return solves, kwargs, draw(st.integers(min_value=0, max_value=len(solves)))
 
 
@@ -841,24 +849,31 @@ def test_lockstep_solves_match_pfbs_bit_for_bit(case):
 
 
 # Scenario C, trial 20, 20 dB, x1 = 1 is periodic from iteration 19, so pfbs matches its bits
-# at iteration 128; next to it, ROWL lanes that converge, diverge and hit a NaN half-step.
+# at iteration 128; next to it, ROWL lanes that converge, diverge and hit a NaN half-step, and one
+# whose zero weights pass each half-step through, which converges only at iteration 399.
 CYCLE_LANES = [
     _cycling_rowl_case(),
     (FIXED_B, FIXED_B_RUNS[0][0], FIXED_B_MU),
     (LinearModel(np.eye(2), np.ones(2)), SHRINKERS["rowl"], 5.0),
     (OVERFLOWING_GRAM, SHRINKERS["rowl"], 0.5),
+    (LinearModel(np.eye(2), np.ones(2)), rowl_shrinker(WeightPair(0.0, 0.0)), 0.05),
 ]
 
 
-@pytest.mark.parametrize("max_iter", [1, 7, 63, 64, 65, 127, 128, 129, 150, 192, 193, 200, 255, 256, 257, 300, 5000])
+@pytest.mark.parametrize("max_iter", [1, 7, 63, 64, 65, 127, 128, 129, 150, 192, 193, 200, 255, 256, 257, 300,
+                                      320, 321, 5000])
 @pytest.mark.parametrize("lanes", [0, 1, 3])
 def test_lockstep_matches_pfbs_around_a_cycle_and_the_hand_back(max_iter, lanes):
-    # A match at 128 with more than a block left hands the lane back from iteration 64;
-    # with a block or less left, the lanes run it to max_iter as "cycled".
+    # A budget of at most 192 goes back at step 0.  Otherwise the cycling lane goes back at 128, where its
+    # bits repeat, or with the rest at the first check with at most 192 steps left; pfbs matches its bits
+    # 128 steps later and ends it "cycled", as the full run does.
     with mock.patch.object(solver, "LOCKSTEP_LANES", lanes):
         alone = _assert_lockstep_matches_pfbs(CYCLE_LANES, max_iter=max_iter)
+        if lanes == 0 and max_iter - 2 * CYCLE_BLOCK > 3 * CYCLE_BLOCK:  # the repeat alone sends it back
+            assert pfbs_lockstep(CYCLE_LANES, max_iter=max_iter)[0][1] == 2 * CYCLE_BLOCK
     assert alone[0].stop_reason == ("cycled" if max_iter > 2 * CYCLE_BLOCK else "max_iter")
     assert alone[3].stop_reason == "diverged"
+    assert alone[4].stop_reason == ("converged" if max_iter >= 399 else "max_iter")
     if max_iter >= CYCLE_BLOCK:  # the growing norm passes 1e12 within a block
         assert alone[2].stop_reason == "diverged"
 
@@ -890,9 +905,7 @@ def test_lanes_confirm_marked_steps_with_hypot_in_order():
     assert sum(abs(p.x1) >= solver._NORM_GUARD for p in res.trajectory()[::2]) > 2 * solver._LANE_BLOCK
     assert pfbs(*OVERFLOWING).iterations == 2
     with mock.patch.object(solver, "LOCKSTEP_LANES", 0):
-        # max_iter ends inside a lane block, at HALVING's converging step, and after a block and a part
-        for max_iter in (17, 18, 2 * solver._LANE_BLOCK + 3, DEFAULT_MAX_ITER):
-            _assert_lockstep_matches_pfbs([HALVING, near_norm, OVERFLOWING, CYCLE_LANES[1]], max_iter=max_iter)
+        _assert_lockstep_matches_pfbs([HALVING, near_norm, OVERFLOWING, CYCLE_LANES[1]])
         # With tol = inf every step is within tol, and a step past 1e12 diverges first, as in pfbs.
         jump = _passthrough([1.0, 1.0], 1e13)
         assert _assert_lockstep_matches_pfbs([jump, HALVING], tol=math.inf)[0].stop_reason == "diverged"
@@ -949,6 +962,8 @@ def test_the_lanes_cycle_check_compares_bits():
 
 
 def test_lockstep_leaves_other_callables_and_refused_steps_to_pfbs():
+    # One solve pfbs would not run inline, of a second kind, or with a refused step sends the whole batch
+    # back untouched, wherever it stands.
     shrink = SHRINKERS["rowl"]
 
     @functools.wraps(shrink)
@@ -956,12 +971,15 @@ def test_lockstep_leaves_other_callables_and_refused_steps_to_pfbs():
         return shrink(p)
 
     others = [(FIXED_B, lambda p: shrink(p), FIXED_B_MU), (FIXED_B, wrapper, FIXED_B_MU),
-              (FIXED_B, shrink, -1.0), (FIXED_B, shrink, math.nan), (FIXED_B, shrink, math.inf)]
-    entries = pfbs_lockstep([(FIXED_B, shrink, FIXED_B_MU)] * (LOCKSTEP_LANES + 1) + others)
-    assert all(isinstance(e, PfbsResult) for e in entries[:LOCKSTEP_LANES + 1])
-    assert entries[LOCKSTEP_LANES + 1:] == [(Point2(0.0, 0.0), 0)] * len(others)
+              (FIXED_B, SHRINKERS["erowl"], FIXED_B_MU), (FIXED_B, shrink, -1.0), (FIXED_B, shrink, 0.0),
+              (FIXED_B, shrink, math.nan), (FIXED_B, shrink, math.inf)]
+    batch = [(FIXED_B, shrink, FIXED_B_MU)] * (LOCKSTEP_LANES + 1)
+    assert all(isinstance(e, PfbsResult) for e in pfbs_lockstep(batch))
+    for other in others:
+        for solves in (batch + [other], [other] + batch):
+            assert pfbs_lockstep(solves) == [(Point2(0.0, 0.0), 0)] * len(solves)
     with pytest.raises(ValueError, match="mu must be positive and finite, got -1.0"):
-        _lockstep_then_pfbs(others[2:3])
+        _lockstep_then_pfbs([(FIXED_B, shrink, -1.0)])
     for tol, max_iter in ((-1e-10, 10), (1e-10, 0), (1e-10, 2.5)):
         with pytest.raises(ValueError):
             pfbs_lockstep([], tol, max_iter)

@@ -851,6 +851,10 @@ _EDGE_BOX = _uneven_box(-2.0, 40, 0.1, -1.5, 16, 0.25)
 # could reach the minimum near (1, 1).
 @example(case=(_WedgePenalty((1.0, 1.0), (0.5, 1.0), slope=2.0, offset=0.0, nan_cell=(0, 0)),
                (1.0, 1.0), 1.0, GridSpec.square(-3.0, 3.0, 0.05)))
+# A valley along x1 through x: the one cluster spans 17 rows of one column,
+# a segment, where a span test on the columns alone would give a point.
+@example(case=(_WedgePenalty((-5.0, 0.6), (0.0, 1.0), slope=1.0, offset=0.0), (0.5, 0.6), 1.0,
+               _uneven_box(-1.0, 40, 0.05, -1.5, 10, 0.3)))
 def test_planar_grid_prox_matches_the_reference_on_drawn_cases(case):
     penalty, x, gamma, box = case
     got = _outcome(brute_force_prox, penalty, x, gamma, box)

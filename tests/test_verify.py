@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from proxlab import verify
 from proxlab.verify import SUITE_NAMES, run_all, run_suite
 
 
@@ -17,6 +20,16 @@ def test_run_all_concatenates_suites_in_order():
     seen = [r.suite for r in results]
     assert tuple(dict.fromkeys(seen)) == SUITE_NAMES
     assert results == [r for n in SUITE_NAMES for r in run_suite(n, seed=3)]
+
+
+@pytest.mark.parametrize("mu", [1.0, 2.39, 2.42])
+def test_a_step_outside_the_interval_it_interpolates_fails(monkeypatch, mu):
+    # On the fixed design the step lies between (1 - beta) / rho = 2.3943 and (1 + beta) / kappa = 2.4180.
+    # mu_interval's lower end is rho**2 times the first, 1.6e-4, so it would pass a step of 1.0 or 2.39.
+    real = verify.select_parameters
+    monkeypatch.setattr(verify, "select_parameters", lambda bounds: dataclasses.replace(real(bounds), mu=mu))
+    [check] = [r for r in run_suite("solver") if r.name == "selected step lies inside its interval"]
+    assert not check.passed, check.detail
 
 
 def test_unknown_suite_is_rejected():
